@@ -173,7 +173,7 @@ def cmd_plan_global(args) -> int:
             "total": result.breakdown.total,
         },
         "converged": result.converged,
-        "iterations": len(result.cost_history),
+        "iterations": len(result.cost_history) - 1,
     }
     _atomic_write(args.out, json.dumps(doc, sort_keys=True, indent=1) + "\n")
     print(f"cost={result.breakdown.total} converged={result.converged}")

@@ -9,16 +9,19 @@ and a quadratic obstacle-clearance penalty:
     J = q_length * L + q_curvature * K + q_obstacle * O
 
 Obstacles are center/radius pairs; radius 0 recovers the pure point form.
-Minimization is deterministic gradient descent on the interior control
-points (endpoints stay pinned to main and target) with central-difference
-gradients and a backtracking Armijo line search along the normalized
-descent direction, which makes the argmin invariant under a common positive
-scaling of the three weights.
+The samples are P = B c for the basis matrix B, so the gradient over the
+control points c is B^T dJ/dP in closed form: unit segment vectors for L,
+unit second differences for K, and -2 pen (p - o)/|p - o| hinge terms for O.
+Minimization is deterministic L-BFGS on the interior control points
+(endpoints stay pinned to main and target) with Armijo backtracking; the
+s^T y / y^T y initial scaling and a normalized steepest first step make the
+argmin invariant under a common positive scaling of the three weights.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,33 +113,50 @@ def straight_line_init(main, target, n_controls: int) -> tuple[np.ndarray, bool]
     return (1.0 - t) * a + t * b, False
 
 
-def _terms_from_samples(pts: np.ndarray, weights: GlobalCostWeights, obstacles: ObstacleSet) -> CostBreakdown:
+def _cost_and_grad(controls: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
+                   obstacles: ObstacleSet) -> tuple[CostBreakdown, np.ndarray | None]:
+    """J at the polygon P = B @ controls and its gradient B^T dJ/dP with
+    respect to every control point; the gradient is None when J is not finite."""
+    pts = B @ controls
     seg = np.diff(pts, axis=0)
-    length = float(np.sum(np.hypot(seg[:, 0], seg[:, 1])))
-    m = len(pts) - 1
-    curvature = 0.0
-    if m >= 3:
-        # second differences at i = 2 .. m-1
-        sec = pts[3:] - 2.0 * pts[2:-1] + pts[1:-2]
-        curvature = float(np.sum(np.hypot(sec[:, 0], sec[:, 1])))
+    seg_len = np.hypot(seg[:, 0], seg[:, 1])
+    # second differences at i = 2 .. m-1 (none when m = 2)
+    sec = pts[3:] - 2.0 * pts[2:-1] + pts[1:-2]
+    sec_len = np.hypot(sec[:, 0], sec[:, 1])
+    length = float(np.sum(seg_len))
+    curvature = float(np.sum(sec_len))
     obstacle = 0.0
-    if len(obstacles) and weights.q_obstacle > 0.0:
-        inner = pts[1:]  # samples i = 1 .. m
-        d = np.hypot(
-            inner[:, None, 0] - obstacles.centers[None, :, 0],
-            inner[:, None, 1] - obstacles.centers[None, :, 1],
-        ) - obstacles.radii[None, :]
-        pen = np.maximum(0.0, weights.d_safe - d)
+    use_obstacles = len(obstacles) and weights.q_obstacle > 0.0
+    if use_obstacles:
+        diff = pts[1:, None, :] - obstacles.centers[None, :, :]  # samples i = 1 .. m
+        dist = np.hypot(diff[..., 0], diff[..., 1])
+        pen = np.maximum(0.0, weights.d_safe - (dist - obstacles.radii[None, :]))
         obstacle = float(np.sum(pen * pen))
     total = weights.q_length * length + weights.q_curvature * curvature + weights.q_obstacle * obstacle
-    return CostBreakdown(length, curvature, obstacle, total)
+    bd = CostBreakdown(length, curvature, obstacle, total)
+    if not math.isfinite(total):
+        return bd, None
+
+    # a zero-length vector contributes a zero subgradient
+    dP = np.zeros_like(pts)
+    u = weights.q_length * (seg / np.where(seg_len > 0.0, seg_len, 1.0)[:, None])
+    dP[1:] += u
+    dP[:-1] -= u
+    w = weights.q_curvature * (sec / np.where(sec_len > 0.0, sec_len, 1.0)[:, None])
+    dP[3:] += w
+    dP[2:-1] -= 2.0 * w
+    dP[1:-2] += w
+    if use_obstacles:
+        radial = diff / np.where(dist > 0.0, dist, 1.0)[..., None]
+        dP[1:] -= 2.0 * weights.q_obstacle * np.sum(pen[..., None] * radial, axis=1)
+    return bd, B.T @ dP
 
 
 def cost_global(path: SplinePath, weights: GlobalCostWeights, obstacles: ObstacleSet) -> CostBreakdown:
     """J over the path sampled at u_i = i/m with m = weights.sample_count."""
     us = np.arange(weights.sample_count + 1) / weights.sample_count
     B = basis_matrix(path.knots, path.degree, us)
-    return _terms_from_samples(B @ path.control_points, weights, obstacles)
+    return _cost_and_grad(path.control_points, B, weights, obstacles)[0]
 
 
 def _min_clearance(pts: np.ndarray, obstacles: ObstacleSet) -> float:
@@ -153,101 +173,78 @@ def _min_clearance(pts: np.ndarray, obstacles: ObstacleSet) -> float:
 class OptimizeOptions:
     degree: int = 3
     max_iters: int = 500
-    step: float = 1.0  # initial line-search step, grid cells
+    step: float = 1.0  # length of a steepest-descent step, grid cells
     tolerance: float = 1e-8  # relative cost change
-    fd_step: float = 1e-4  # central-difference increment, grid cells
     armijo: float = 1e-4
 
 
-def _batch_totals(batch: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
-                  obstacles: ObstacleSet) -> np.ndarray:
-    """Total cost for a (batch, n_controls, 2) stack of control polygons."""
-    pts = np.einsum("mn,bnd->bmd", B, batch)
-    seg = np.diff(pts, axis=1)
-    length = np.sqrt(np.sum(seg * seg, axis=-1)).sum(axis=-1)
-    m = pts.shape[1] - 1
-    curvature = np.zeros(len(batch))
-    if m >= 3:
-        sec = pts[:, 3:] - 2.0 * pts[:, 2:-1] + pts[:, 1:-2]
-        curvature = np.sqrt(np.sum(sec * sec, axis=-1)).sum(axis=-1)
-    obstacle = np.zeros(len(batch))
-    if len(obstacles) and weights.q_obstacle > 0.0:
-        inner = pts[:, 1:]
-        diff = inner[:, :, None, :] - obstacles.centers[None, None, :, :]
-        d = np.sqrt(np.sum(diff * diff, axis=-1)) - obstacles.radii[None, None, :]
-        pen = np.maximum(0.0, weights.d_safe - d)
-        obstacle = np.sum(pen * pen, axis=(-1, -2))
-    return (weights.q_length * length + weights.q_curvature * curvature
-            + weights.q_obstacle * obstacle)
+LBFGS_MEMORY = 6  # (s, y) pairs kept by the quasi-Newton direction
 
 
-def _descend(controls: np.ndarray, knots: np.ndarray, B: np.ndarray,
-             weights: GlobalCostWeights, obstacles: ObstacleSet,
-             opts: OptimizeOptions) -> tuple[np.ndarray, list[float], bool]:
-    """Monotone descent over the interior control points. Returns the final
-    polygon, the accepted-cost history (seed cost first), and convergence."""
+def _lbfgs_direction(g: np.ndarray, pairs: deque) -> np.ndarray:
+    """-H g by the two-loop recursion, H0 = (s^T y / y^T y) I from the newest pair."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    s, y, _ = pairs[-1]
+    q *= float(s @ y) / float(y @ y)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * float(y @ q)) * s
+    return -q
 
-    def cost_of(c: np.ndarray) -> float:
-        return _terms_from_samples(B @ c, weights, obstacles).total
 
+def _descend(controls: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
+             obstacles: ObstacleSet, opts: OptimizeOptions
+             ) -> tuple[np.ndarray, CostBreakdown, list[float], bool]:
+    """L-BFGS with Armijo backtracking over the interior control points; the
+    first step, and any step where -H g is not a descent direction, is the
+    normalized steepest step of length opts.step. Returns the final polygon
+    and its breakdown, the accepted-cost history (seed cost first), and
+    convergence."""
     c = controls.copy()
-    n_int = len(c) - 2
-    f = cost_of(c)
-    if not math.isfinite(f):
+    bd, grad = _cost_and_grad(c, B, weights, obstacles)
+    if grad is None:
         raise PlanningError("non-finite cost at the initial control polygon")
+    f = bd.total
     history = [f]
-    if n_int <= 0 or f == 0.0:
-        return c, history, True
-    alpha = opts.step
-    converged = False
-    h = opts.fd_step
+    if len(c) <= 2 or f == 0.0:
+        return c, bd, history, True
+    g = grad[1:-1].ravel()
+    pairs = deque(maxlen=LBFGS_MEMORY)
     for _ in range(opts.max_iters):
-        # central differences over all interior coordinates in one batch
-        batch = np.repeat(c[None, :, :], 4 * n_int, axis=0)
-        for i in range(n_int):
-            batch[4 * i + 0, i + 1, 0] += h
-            batch[4 * i + 1, i + 1, 0] -= h
-            batch[4 * i + 2, i + 1, 1] += h
-            batch[4 * i + 3, i + 1, 1] -= h
-        totals = _batch_totals(batch, B, weights, obstacles)
-        grad = np.empty((n_int, 2))
-        grad[:, 0] = (totals[0::4] - totals[1::4]) / (2.0 * h)
-        grad[:, 1] = (totals[2::4] - totals[3::4]) / (2.0 * h)
-        gnorm = float(np.sqrt(np.sum(grad * grad)))
+        gnorm = float(np.sqrt(g @ g))
         if gnorm == 0.0:
-            converged = True
-            break
-        direction = -grad / gnorm
-        slope = float(np.sum(grad * direction))
-        # backtracking ladder a, a/2, ... evaluated in batched chunks; taking
-        # the first Armijo-passing rung matches the sequential halving loop
-        n_rungs = max(1, int(math.ceil(math.log2(alpha / 1e-12))) + 1)
-        found = None
-        for lo in range(0, n_rungs, 6):
-            rungs = alpha * np.power(0.5, np.arange(lo, min(lo + 6, n_rungs)))
-            trials = np.repeat(c[None, :, :], len(rungs), axis=0)
-            trials[:, 1:-1] += rungs[:, None, None] * direction[None, :, :]
-            fts = _batch_totals(trials, B, weights, obstacles)
-            if not np.all(np.isfinite(fts)):
+            return c, bd, history, True
+        d = _lbfgs_direction(g, pairs) if pairs else None
+        if d is None or not float(g @ d) < 0.0:
+            d = -(opts.step / gnorm) * g
+        slope = float(g @ d)
+        dnorm = float(np.sqrt(d @ d))
+        t = 1.0
+        while True:
+            trial = c.copy()
+            trial[1:-1] += (t * d).reshape(-1, 2)
+            bd_t, grad_t = _cost_and_grad(trial, B, weights, obstacles)
+            if grad_t is None:
                 raise PlanningError("non-finite cost during line search")
-            passing = np.nonzero(fts <= f + opts.armijo * rungs * slope)[0]
-            if len(passing):
-                r = int(passing[0])
-                found = (float(rungs[r]), float(fts[r]), trials[r])
+            if bd_t.total <= f + opts.armijo * t * slope:
                 break
-        if found is None:
-            converged = True
-            break
-        a, ft, trial = found
-        rel = abs(f - ft) <= opts.tolerance * abs(f)
-        c = trial
-        f = ft
+            t *= 0.5
+            if t * dnorm < 1e-12:
+                return c, bd, history, True
+        g_new = grad_t[1:-1].ravel()
+        s, y = t * d, g_new - g
+        if float(s @ y) > 0.0:
+            pairs.append((s, y, 1.0 / float(s @ y)))
+        rel = abs(f - bd_t.total) <= opts.tolerance * abs(f)
+        c, bd, f, g = trial, bd_t, bd_t.total, g_new
         history.append(f)
-        alpha = min(a * 2.0, opts.step)
         if rel:
-            converged = True
-            break
-    return c, history, converged
+            return c, bd, history, True
+    return c, bd, history, False
 
 
 def optimize(init_controls, weights: GlobalCostWeights, obstacles: ObstacleSet,
@@ -287,11 +284,8 @@ def optimize(init_controls, weights: GlobalCostWeights, obstacles: ObstacleSet,
 
     best = None
     for seed in seeds:
-        c, history, converged = _descend(seed, knots, B, weights, obstacles, opts)
-        final = history[-1]
-        if best is None or final < best[1]:
-            best = (c, final, history, converged)
-    c, _, history, converged = best
-    path = SplinePath(c, opts.degree, knots)
-    bd = _terms_from_samples(B @ c, weights, obstacles)
-    return GlobalPlanResult(path, history, bd, converged)
+        run = _descend(seed, B, weights, obstacles, opts)
+        if best is None or run[1].total < best[1].total:
+            best = run
+    c, bd, history, converged = best
+    return GlobalPlanResult(SplinePath(c, opts.degree, knots), history, bd, converged)

@@ -160,7 +160,7 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
     sim = _build(SimParams, doc.get("sim", {}), "$.sim", {
         "drone_speed": 0.1, "ground_step": 0.05, "rotate_rate": 0.2,
         "follow_radius": 1.0, "attach_range": 0.15, "attach_angle_tol": 0.15,
-        "carry_radius": 0.2, "head_offset": 0.4,
+        "carry_radius": 0.2, "head_offset": 0.4, "rotate_clear_cap": 0.1,
     })
     gw = _build(GlobalCostWeights, doc.get("global_weights", {}), "$.global_weights", {
         "q_length": 1.0, "q_curvature": 5.0, "q_obstacle": 50.0,
@@ -185,7 +185,7 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
     )
     optimizer = _build(OptimizeOptions, ex.get("optimizer", {}), "$.execution.optimizer", {
         "degree": 3, "max_iters": 500, "step": 1.0, "tolerance": 1e-8,
-        "fd_step": 1e-4, "armijo": 1e-4,
+        "armijo": 1e-4,
     })
     drop = ex.get("drop_at_step")
     if drop is not None and not isinstance(drop, int):

@@ -9,11 +9,12 @@ from agnav.global_planner import (
     GlobalCostWeights,
     ObstacleSet,
     PlanningError,
+    _cost_and_grad,
     cost_global,
     optimize,
     straight_line_init,
 )
-from agnav.spline import make_clamped_uniform, sample
+from agnav.spline import SplinePath, basis_matrix, make_clamped_uniform, sample
 
 
 def brute_force_cost(path, weights, obstacles):
@@ -86,7 +87,8 @@ def test_breakdown_sums_to_total():
         assert abs(total - bd.total) < 1e-12
 
 
-def test_cost_matches_brute_force_50_scenes():
+def random_scenes():
+    """The 50 random (path, weights, obstacles) scenes of the cost oracle."""
     rng = random.Random(7)
     for _ in range(50):
         n = rng.randint(4, 8)
@@ -102,12 +104,36 @@ def test_cost_matches_brute_force_50_scenes():
             (((rng.uniform(-8, 8), rng.uniform(-8, 8))), rng.uniform(0, 1.0))
             for _ in range(rng.randint(0, 4))
         ])
+        yield path, weights, obstacles
+
+
+def test_cost_matches_brute_force_50_scenes():
+    for path, weights, obstacles in random_scenes():
         bd = cost_global(path, weights, obstacles)
         L, K, O, total = brute_force_cost(path, weights, obstacles)
         assert abs(bd.length - L) < 1e-9
         assert abs(bd.curvature - K) < 1e-9
         assert abs(bd.obstacle - O) < 1e-9
         assert abs(bd.total - total) < 1e-9
+
+
+def test_gradient_matches_central_differences_50_scenes():
+    h = 1e-6
+    for path, weights, obstacles in random_scenes():
+        us = np.arange(weights.sample_count + 1) / weights.sample_count
+        B = basis_matrix(path.knots, path.degree, us)
+        bd, grad = _cost_and_grad(path.control_points, B, weights, obstacles)
+        assert bd == cost_global(path, weights, obstacles)
+
+        def total_at(idx, delta):
+            cp = path.control_points.copy()
+            cp[idx] += delta
+            return cost_global(SplinePath(cp, path.degree, path.knots), weights, obstacles).total
+
+        fd = np.zeros_like(grad)
+        for idx in np.ndindex(*fd.shape):
+            fd[idx] = (total_at(idx, h) - total_at(idx, -h)) / (2.0 * h)
+        assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 def test_optimize_no_obstacles_stays_straight():
@@ -172,6 +198,7 @@ def test_optimize_20_seeded_scenes():
         init, _ = straight_line_init(start, goal, 6)
         init_cost = cost_global(make_clamped_uniform(init, 3), weights, obstacles)
         res = optimize(init, weights, obstacles)
+        assert res.converged
         assert res.cost_history[-1] <= init_cost.total + 1e-12
         hist = res.cost_history
         assert all(a >= b for a, b in zip(hist, hist[1:]))

@@ -44,6 +44,12 @@ def test_load_scenario_field_diagnostics():
         load_scenario(doc)
 
 
+def test_load_scenario_rotate_clear_cap():
+    doc = type_a_scenario(0)
+    doc["sim"]["rotate_clear_cap"] = 0.2
+    assert load_scenario(doc).world.params.rotate_clear_cap == 0.2
+
+
 def test_run_scenario_cli_success(tmp_path):
     p = write_doc(tmp_path, type_a_scenario(0, seed=1))
     r = run_cli("run-scenario", "--file", p,
@@ -131,6 +137,16 @@ def test_plan_global_cli(tmp_path):
     assert {"control_points", "degree", "knots", "polyline_world", "cost"} <= set(doc)
     assert doc["cost"]["total"] >= 0
     assert len(doc["polyline_world"]) == 65
+
+    at_robot = type_a_scenario(0)
+    robot = at_robot["ground_robot"]
+    at_robot["task"] = f"move_to ({robot['x']}, {robot['y']})"
+    p = write_doc(tmp_path, at_robot, "at_robot.json")
+    r = run_cli("plan-global", "--scenario", p, "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(out.read_text())
+    assert doc["already_at_goal"] is True
+    assert doc["iterations"] == 0
 
 
 def test_plan_local_step_cli(tmp_path):
