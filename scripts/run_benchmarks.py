@@ -13,22 +13,11 @@ import argparse
 import os
 import statistics
 import sys
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from agnav.mission import decompose, execute, parse_command
 from agnav.presets import noise_batch_suite, type_a_scenario
-from agnav.scenario import load_scenario, relation_clearance
-
-
-def run_one(doc, seed=None):
-    scen = load_scenario(doc, seed_override=seed)
-    plan = decompose(parse_command(scen.task, relation_clearance(scen)),
-                     pitch=scen.config.pitch)
-    t0 = time.perf_counter()
-    res = execute(plan, scen.world, scen.config)
-    return scen, res, time.perf_counter() - t0
+from agnav.scenario import run_scenario
 
 
 def main():
@@ -39,23 +28,23 @@ def main():
     rows = []
     print("== noiseless direct commands (10 runs) ==")
     for i in range(10):
-        scen, res, dt = run_one(type_a_scenario(i, seed=i))
+        scen, res = run_scenario(type_a_scenario(i, seed=i))
         errors = [p["error_m"] for p in res.placements if not p["approach"]]
         rows.append(("noiseless", i, 0, res.success, res.collisions, res.steps))
         print(f"  {i}: success={res.success} collisions={res.collisions} "
               f"steps={res.steps} placement={max(errors, default=float('nan')):.3f} m "
-              f"({dt:.1f}s)  task: {scen.task}")
+              f"({res.wall_time:.1f}s)  task: {scen.task}")
 
     print("== noise-calibrated batch (5 scenarios x 5 seeds) ==")
     successes, collisions = [], []
     for si, doc in enumerate(noise_batch_suite()):
         for seed in range(5):
-            scen, res, dt = run_one(doc, seed)
+            scen, res = run_scenario(doc, seed)
             successes.append(res.success)
             collisions.append(res.collisions)
             rows.append(("noisy", si, seed, res.success, res.collisions, res.steps))
             print(f"  scenario {si} seed {seed}: success={res.success} "
-                  f"collisions={res.collisions} steps={res.steps} ({dt:.1f}s)")
+                  f"collisions={res.collisions} steps={res.steps} ({res.wall_time:.1f}s)")
 
     rate = sum(successes) / len(successes)
     print("== summary ==")

@@ -9,8 +9,8 @@ The package is organized around one module per subsystem:
 - ``semantic_map``    local/global semantic maps and deterministic fusion
 - ``perception``      mock bird-view perceiver with calibrated noise
 - ``sim_world``       ground-truth world state and stepped kinematics
-- ``mission``         task decomposition, word assembly, and orchestration
-- ``scenario``        scenario file schema and validation
+- ``mission``         task decomposition, word assembly, leg planning, and orchestration
+- ``scenario``        scenario file schema, validation, and the one mission run
 - ``cli``             command-line entry points
 """
 

@@ -13,11 +13,8 @@ import math
 import os
 import sys
 import tempfile
-import time
-from types import SimpleNamespace
 
-from .global_planner import ObstacleSet, optimize, straight_line_init
-from .gridmask import GridSpec, ground_scale, render_gridmask_svg
+from .gridmask import GridSpec, render_gridmask_svg
 from .local_planner import (
     LocalCostWeights,
     LocalObservation,
@@ -25,16 +22,18 @@ from .local_planner import (
     select_direction,
     step_decision,
 )
-from .mission import CommandError, decompose, execute, parse_command, relation_goal_point
+from .mission import CommandError, GoalError, parse_command, plan_leg
 from .plotting import render_run_svg
-from .scenario import ScenarioError, load_scenario_file, relation_clearance
+from .scenario import ScenarioError, load_scenario, read_scenario_file, run_scenario
 from .semantic_map import (
+    Confidence,
     FusionParams,
+    GlobalSemanticMap,
+    MapEntry,
     dump_global_map,
     fuse,
     local_map_from_json,
 )
-from .spline import sample
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -58,25 +57,15 @@ def _trace_text(trace: list) -> str:
     return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in trace)
 
 
-def _run_one(scenario_path: str, seed=None):
-    scen = load_scenario_file(scenario_path, seed_override=seed)
-    command = parse_command(scen.task, relation_clearance(scen))
-    plan = decompose(command, pitch=scen.config.pitch)
-    start = time.perf_counter()
-    result = execute(plan, scen.world, scen.config)
-    wall = time.perf_counter() - start
-    summary = result.summary()
-    summary["config_hash"] = scen.config_hash
-    summary["wall_time"] = wall
-    return scen, result, summary
-
-
 def cmd_run_scenario(args) -> int:
     try:
-        scen, result, summary = _run_one(args.file, args.seed)
+        scen, result = run_scenario(read_scenario_file(args.file), args.seed)
     except (ScenarioError, CommandError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    summary = result.summary()
+    summary["config_hash"] = scen.config_hash
+    summary["wall_time"] = result.wall_time
     _atomic_write(args.trace, _trace_text(result.trace))
     _atomic_write(args.summary, json.dumps(summary, sort_keys=True, indent=1) + "\n")
     plot_path = args.plot or os.path.splitext(args.summary)[0] + ".svg"
@@ -101,12 +90,12 @@ def cmd_batch(args) -> int:
     for path in files:
         for seed in seeds:
             try:
-                _, result, summary = _run_one(path, seed)
+                scen, result = run_scenario(read_scenario_file(path), seed)
             except (ScenarioError, CommandError) as e:
                 print(f"error: {path}: {e}", file=sys.stderr)
                 return EXIT_CONFIG
-            rows.append((os.path.basename(path), summary["config_hash"][:12],
-                         int(summary["success"]), summary["collisions"], summary["steps"]))
+            rows.append((os.path.basename(path), scen.config_hash[:12],
+                         int(result.success), result.collisions, result.steps))
     lines = ["scenario,config,success,collisions,steps"]
     for row in rows:
         lines.append(",".join(str(v) for v in row))
@@ -119,53 +108,33 @@ def cmd_batch(args) -> int:
 
 
 def cmd_plan_global(args) -> int:
+    """The aerial leg the executor would fly for the task's movement goal,
+    planned on a map of the scenario's ground-truth objects: for a carry
+    task, the transport leg from the carried object."""
     try:
-        scen = load_scenario_file(args.scenario)
-        command = parse_command(scen.task, relation_clearance(scen))
-    except (ScenarioError, CommandError) as e:
+        scen = load_scenario(read_scenario_file(args.scenario))
+        command = parse_command(scen.task, scen.relation_clearance)
+        goal = getattr(command, "goal", None)
+        if goal is None:
+            raise CommandError("task has no single movement goal to plan")
+        ids = {o.name: o.id for o in scen.world.objects}
+        carried = getattr(command, "name", None)
+        if carried is not None and carried not in ids:
+            raise CommandError(f"carried object {carried!r} not in scenario")
+        truth = GlobalSemanticMap(tuple(
+            MapEntry(o.name, o.x, o.y, 1, Confidence.CONFIRMED, o.radius, o.yaw)
+            for o in scen.world.objects))
+        leg = plan_leg(scen.world, truth, scen.config, goal, ids.get(carried), carried)
+    except (ScenarioError, CommandError, GoalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    cell = ground_scale(scen.config.camera).cell_m
-    by_name = {o.name: o for o in scen.world.objects}
-
-    goal = getattr(command, "goal", None)
-    carried = getattr(command, "name", None)
-    if goal is None:
-        print("error: task has no single movement goal to plan", file=sys.stderr)
-        return EXIT_CONFIG
-    if goal.kind == "coordinate":
-        goal_world = (goal.x, goal.y)
-    elif goal.name not in by_name:
-        print(f"error: goal object {goal.name!r} not in scenario", file=sys.stderr)
-        return EXIT_CONFIG
-    elif goal.kind == "object":
-        o = by_name[goal.name]
-        goal_world = (o.x, o.y)
-    else:
-        o = by_name[goal.name]
-        anchor = SimpleNamespace(x=o.x, y=o.y, orientation=o.yaw)
-        goal_world = relation_goal_point(anchor, goal.direction, goal.clearance)
-
-    robot = scen.world.ground_robot
-    init, at_goal = straight_line_init(
-        (robot.x / cell, robot.y / cell),
-        (goal_world[0] / cell, goal_world[1] / cell),
-        scen.config.n_controls,
-    )
-    pairs = [
-        ((o.x / cell, o.y / cell), o.radius / cell)
-        for o in scen.world.objects
-        if o.name not in {carried, getattr(goal, "name", None)}
-    ]
-    result = optimize(init, scen.config.global_weights, ObstacleSet.from_pairs(pairs),
-                      scen.config.optimizer)
-    pts = sample(result.path, scen.config.global_weights.sample_count)
+    result = leg.result
     doc = {
-        "already_at_goal": at_goal,
+        "already_at_goal": result.already_at_goal,
         "control_points": result.path.control_points.tolist(),
         "degree": result.path.degree,
         "knots": result.path.knots.tolist(),
-        "polyline_world": [[p[0] * cell, p[1] * cell] for p in pts.tolist()],
+        "polyline_world": [list(p) for p in leg.waypoints],
         "cost": {
             "length": result.breakdown.length,
             "curvature": result.breakdown.curvature,
@@ -263,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_batch)
 
-    s = sub.add_parser("plan-global", help="plan the aerial path for a scenario's task")
+    s = sub.add_parser("plan-global",
+                       help="plan the aerial leg the executor would fly for a scenario's task")
     s.add_argument("--scenario", required=True)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_plan_global)

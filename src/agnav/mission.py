@@ -27,6 +27,7 @@ from typing import Optional
 
 from .global_planner import (
     GlobalCostWeights,
+    GlobalPlanResult,
     ObstacleSet,
     OptimizeOptions,
     optimize,
@@ -78,6 +79,10 @@ class PlanError(ValueError):
 
 class AssemblyError(ValueError):
     """Word-assembly goals cannot be synthesized from the map."""
+
+
+class GoalError(ValueError):
+    """A goal names an object the global map does not hold."""
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +324,21 @@ def relation_goal_point(entry, direction: Direction, clearance: float) -> tuple[
     return (entry.x + clearance * math.cos(ang), entry.y + clearance * math.sin(ang))
 
 
+def resolve_goal(goal: GoalSpec, global_map: Optional[GlobalSemanticMap]) -> tuple[float, float]:
+    """World point of a goal: the coordinate itself, the mapped object, or
+    the relation point beside the mapped landmark."""
+    if goal.kind == "coordinate":
+        return (goal.x, goal.y)
+    if global_map is None:
+        raise GoalError("goal resolution requires the global map")
+    entry = global_map.find(goal.name)
+    if entry is None:
+        raise GoalError(f"object {goal.name!r} not present in the global map")
+    if goal.kind == "object":
+        return (entry.x, entry.y)
+    return relation_goal_point(entry, goal.direction, goal.clearance)
+
+
 # ---------------------------------------------------------------------------
 # Execution
 
@@ -356,6 +376,7 @@ class ExecutionResult:
     global_paths: list      # world polylines, one per planned move
     track: list             # ground robot world track
     final_map: Optional[GlobalSemanticMap]
+    wall_time: float = 0.0  # seconds in execute, when timed; not in summary()
 
     def summary(self) -> dict:
         return {
@@ -366,6 +387,55 @@ class ExecutionResult:
             "placement_errors": self.placements,
             "failure": self.failure,
         }
+
+
+def main_point(world: WorldState, carrying: Optional[str]) -> tuple[float, float]:
+    """World point being steered: the carried object (by id) while carrying,
+    otherwise the ground robot."""
+    if carrying is not None:
+        obj = world.object_by_id(carrying)
+        if obj is not None:
+            return (obj.x, obj.y)
+    return (world.ground_robot.x, world.ground_robot.y)
+
+
+@dataclass(frozen=True)
+class Leg:
+    """One planned aerial leg: the optimizer's result (grid cells) and the
+    world waypoints the drone flies."""
+
+    result: GlobalPlanResult
+    waypoints: list
+
+
+def plan_leg(world: WorldState, global_map: Optional[GlobalSemanticMap],
+             config: MissionConfig, goal: GoalSpec, carrying: Optional[str] = None,
+             carrying_name: Optional[str] = None, target=None) -> Leg:
+    """Plan the aerial path of one cooperative move.
+
+    The leg starts at the steered point (the carried object ``carrying``
+    while carrying, otherwise the robot) and ends at ``target``, by default
+    the resolved goal. Every mapped object is an obstacle except the carried
+    one, the robot, and the goal object of an object goal; a relation's
+    landmark stays one. A leg already at its goal flies the single start
+    point.
+    """
+    cell = ground_scale(config.camera).cell_m
+    end = resolve_goal(goal, global_map) if target is None else target
+    start = main_point(world, carrying)
+    init, at_goal = straight_line_init(
+        (start[0] / cell, start[1] / cell), (end[0] / cell, end[1] / cell), config.n_controls)
+    exclude = {carrying_name, "robot"}
+    if goal.kind == "object":
+        exclude.add(goal.name)
+    pairs = [((e.x / cell, e.y / cell), e.radius / cell)
+             for e in (global_map.entries if global_map else ()) if e.name not in exclude]
+    result = optimize(init, config.global_weights, ObstacleSet.from_pairs(pairs),
+                      config.optimizer)
+    if at_goal:
+        return Leg(result, [start])
+    pts = sample(result.path, config.global_weights.sample_count) * cell
+    return Leg(result, [(float(p[0]), float(p[1])) for p in pts])
 
 
 def construct_map_viewpoints(arena, camera: CameraModel) -> list[tuple[float, float]]:
@@ -476,47 +546,11 @@ class MissionExecutor:
             gate = max(gate, min(1.3, 1.05 * bin_width + shift))
         return gate
 
-    def _main_world(self) -> tuple[float, float]:
-        if self.carrying is not None:
-            obj = self.state.object_by_id(self.carrying)
-            if obj is not None:
-                return (obj.x, obj.y)
-        return (self.state.ground_robot.x, self.state.ground_robot.y)
-
-    def _resolve_goal(self, goal: GoalSpec) -> tuple[float, float]:
-        if goal.kind == "coordinate":
-            return (goal.x, goal.y)
-        if self.global_map is None:
-            raise _Failure("goal resolution requires the global map")
-        entry = self.global_map.find(goal.name)
-        if entry is None:
-            raise _Failure(f"object {goal.name!r} not present in the global map")
-        if goal.kind == "object":
-            return (entry.x, entry.y)
-        return relation_goal_point(entry, goal.direction, goal.clearance)
-
-    def _plan_drone_path(self, goal_world, exclude_names, tail=()) -> list:
-        start = self._main_world()
-        init, at_goal = straight_line_init(
-            (start[0] / self.cell, start[1] / self.cell),
-            (goal_world[0] / self.cell, goal_world[1] / self.cell),
-            self.cfg.n_controls,
-        )
-        if at_goal:
-            waypoints = [start]
-        else:
-            pairs = []
-            for e in self.global_map.entries if self.global_map else ():
-                if e.name in exclude_names:
-                    continue
-                pairs.append(((e.x / self.cell, e.y / self.cell), e.radius / self.cell))
-            result = optimize(init, self.cfg.global_weights, ObstacleSet.from_pairs(pairs),
-                              self.cfg.optimizer)
-            pts = sample(result.path, self.cfg.global_weights.sample_count) * self.cell
-            waypoints = [(float(p[0]), float(p[1])) for p in pts]
-        waypoints.extend((float(x), float(y)) for x, y in tail)
-        self.global_paths.append(waypoints)
-        return waypoints
+    def _plan_drone_path(self, goal: GoalSpec, target) -> list:
+        leg = plan_leg(self.state, self.global_map, self.cfg, goal,
+                       self.carrying, self.carrying_name, target)
+        self.global_paths.append(leg.waypoints)
+        return leg.waypoints
 
     def _local_observation(self, local_map) -> Optional[LocalObservation]:
         parts = local_map.parts
@@ -604,14 +638,11 @@ class MissionExecutor:
         then pull straight in. Staging keeps the carried block between the
         robot and the landmark, so neither the final walk nor any rotation
         sweeps the robot body past the landmark's flank."""
-        goal_world = self._resolve_goal(goal)
+        goal_world = resolve_goal(goal, self.global_map)
         if approach:
             stop_m = self.cfg.sim.head_offset + self.cfg.sim.attach_range / 2.0
         else:
             stop_m = self.cfg.thresholds.dist_stop * self.cell
-        exclude = {self.carrying_name, "robot"}
-        if goal.kind == "object":
-            exclude.add(goal.name)
         task = self._task_context(goal, goal.name if approach and goal.kind == "object" else None)
 
         legs = [(goal_world, stop_m, True, None)]
@@ -623,12 +654,11 @@ class MissionExecutor:
                         (goal_world, stop_m, True, axis)]
 
         for leg_goal, leg_stop, final, dock_axis in legs:
-            done = self._follow_leg(leg_goal, leg_stop, task, exclude, goal, approach,
-                                    queue, dock_axis)
+            done = self._follow_leg(leg_goal, leg_stop, task, goal, approach, queue, dock_axis)
             if not done:
                 return  # rollback re-queued the subtask
             if final:
-                main = self._main_world()
+                main = main_point(self.state, self.carrying)
                 self.placements.append({
                     "goal": goal.kind,
                     "carrying": self.carrying is not None,
@@ -712,7 +742,7 @@ class MissionExecutor:
             return MotionCommand.rotate(desired)
         return MotionCommand.forward(thresholds.step)
 
-    def _follow_leg(self, goal_world, stop_m, task, exclude, subtask_goal,
+    def _follow_leg(self, goal_world, stop_m, task, subtask_goal,
                     approach: bool, queue: deque, dock_axis=None) -> bool:
         """Tick the leader-follower loop toward one world point. Returns False
         when a carry rollback interrupted the leg (the subtask is re-queued).
@@ -723,7 +753,7 @@ class MissionExecutor:
         around the head-arm pivot limit-cycles in tight placements, while the
         staged corridor is straight and already clear.
         """
-        waypoints = self._plan_drone_path(goal_world, exclude)
+        waypoints = self._plan_drone_path(subtask_goal, goal_world)
         self.state.drone.waypoint_index = 0
         thresholds = replace(self.cfg.thresholds,
                              dist_stop=stop_m / self.cell,
@@ -772,7 +802,7 @@ class MissionExecutor:
                     if replanned:
                         raise _Failure("local planner blocked twice; aborting")
                     replanned = True
-                    waypoints = self._plan_drone_path(goal_world, exclude)
+                    waypoints = self._plan_drone_path(subtask_goal, goal_world)
                     self.state.drone.waypoint_index = 0
                     self._record("move", extra={"replanned": True})
                     self._advance_step()
@@ -785,7 +815,7 @@ class MissionExecutor:
             self._update_map(local_map)
             self._record("move", command=cmd, theta=theta, cost=cost, events=events)
             self._advance_step()
-            main = self._main_world()
+            main = main_point(self.state, self.carrying)
             dist = math.hypot(main[0] - goal_world[0], main[1] - goal_world[1])
             # exit when the true distance meets the stop ring or the robot
             # itself judged arrival from its (possibly noisy) observation.
@@ -895,7 +925,7 @@ class MissionExecutor:
                     self._run_detach()
         except _Failure as f:
             failure = f.reason
-        except (BlockedError, AssemblyError) as e:
+        except (BlockedError, AssemblyError, GoalError) as e:
             failure = str(e)
         placed_ok = all(
             p["error_m"] <= self.cfg.success_radius

@@ -113,22 +113,41 @@ def observe(world, camera: CameraModel, task: TaskContext, noise: NoiseModel) ->
     step = world.step
     alphabet = sorted({o.name for o in world.objects})
 
-    visible = [o for o in world.objects if fp.contains(o.x, o.y)]
-    raw = []
-    for o in visible:
+    objects = []
+    for o in world.objects:
+        if not fp.contains(o.x, o.y):
+            continue
         gx = (o.x - cx) / cell + _gauss(noise.seed, step, o.id, "px", noise.position_sigma)
         gy = (o.y - cy) / cell + _gauss(noise.seed, step, o.id, "py", noise.position_sigma)
-        gx = _clamp(gx, -half_w_cells, half_w_cells)
-        gy = _clamp(gy, -half_h_cells, half_h_cells)
         name = o.name
         if noise.misclassify_prob > 0.0 and len(alphabet) > 1:
             if _uniform(noise.seed, step, o.id, "mis") < noise.misclassify_prob:
                 others = [n for n in alphabet if n != o.name]
                 name = others[int(_uniform(noise.seed, step, o.id, "sub") * len(others))]
-        yaw = o.yaw + _gauss(noise.seed, step, o.id, "yaw", noise.orientation_sigma)
-        raw.append((o, name, gx, gy, yaw))
-
-    objects = _assign_roles(raw, world, task, cell)
+        category, direction, obstacle_too = _role(o.id, name, task)
+        objects.append(SemanticObject(
+            id=o.id,
+            name=name,
+            x=_clamp(gx, -half_w_cells, half_w_cells),
+            y=_clamp(gy, -half_h_cells, half_h_cells),
+            frame="grid",
+            category=category,
+            direction=direction,
+            is_obstacle_too=obstacle_too,
+            orientation=o.yaw + _gauss(noise.seed, step, o.id, "yaw", noise.orientation_sigma),
+            radius=o.radius / cell,
+        ))
+    if task.kind == TaskKind.MOVE_TO_COORDINATE:
+        # navigation to a coordinate anchors the target role at the image
+        # zero point instead of any physical object
+        objects.append(SemanticObject(
+            id="zero-point",
+            name="zero",
+            x=0.0,
+            y=0.0,
+            frame="grid",
+            category=Category.TARGET,
+        ))
 
     parts = {}
     robot = world.ground_robot
@@ -152,7 +171,7 @@ def observe(world, camera: CameraModel, task: TaskContext, noise: NoiseModel) ->
                 category=Category.MAIN,
                 radius=robot.radius / cell,
             ))
-            objects.sort(key=lambda s: s.id)
+    objects.sort(key=lambda s: s.id)
 
     return LocalSemanticMap(
         observer_x=cx,
@@ -166,80 +185,18 @@ def observe(world, camera: CameraModel, task: TaskContext, noise: NoiseModel) ->
     )
 
 
-def _assign_roles(raw, world, task: TaskContext, cell: float) -> list[SemanticObject]:
-    objects = []
-    for o, name, gx, gy, yaw in raw:
-        category = None
-        direction = None
-        obstacle_too = False
-        if task.kind != TaskKind.MAP_CONSTRUCTION:
-            if o.id == task.carried_object:
-                category = Category.MAIN
-            elif task.kind == TaskKind.MOVE_TO_OBJECT and name == task.target_name:
-                category = Category.TARGET
-            elif task.kind == TaskKind.CARRY_TO_RELATION and name == task.target_name:
-                category = Category.LANDMARK
-                direction = task.relation
-                obstacle_too = True
-            else:
-                category = Category.OBSTACLE
-        objects.append(SemanticObject(
-            id=o.id,
-            name=name,
-            x=gx,
-            y=gy,
-            frame="grid",
-            category=category,
-            direction=direction,
-            is_obstacle_too=obstacle_too,
-            orientation=yaw,
-            radius=o.radius / cell,
-        ))
-    if task.kind == TaskKind.MOVE_TO_COORDINATE:
-        # navigation to a coordinate anchors the target role at the image
-        # zero point instead of any physical object
-        objects.append(SemanticObject(
-            id="zero-point",
-            name="zero",
-            x=0.0,
-            y=0.0,
-            frame="grid",
-            category=Category.TARGET,
-        ))
-    objects.sort(key=lambda s: s.id)
-    return objects
-
-
-def classify_roles(objects, task: TaskContext):
-    """Task-conditioned role labels for already-projected semantic objects.
-
-    Standalone form of the labeling used inside observe(): map construction
-    assigns no roles; the carried object is main; the task's goal object is
-    target; a relation reference is a landmark carrying its direction and
-    doubling as an obstacle; everything else is an obstacle.
-    """
-    relabeled = []
-    for o in objects:
-        if task.kind == TaskKind.MAP_CONSTRUCTION:
-            relabeled.append(SemanticObject(
-                id=o.id, name=o.name, x=o.x, y=o.y, frame=o.frame,
-                orientation=o.orientation, radius=o.radius,
-            ))
-            continue
-        category = Category.OBSTACLE
-        direction = None
-        obstacle_too = False
-        if o.id == "robot" or o.id == task.carried_object:
-            category = Category.MAIN
-        elif task.kind == TaskKind.MOVE_TO_OBJECT and o.name == task.target_name:
-            category = Category.TARGET
-        elif task.kind == TaskKind.CARRY_TO_RELATION and o.name == task.target_name:
-            category = Category.LANDMARK
-            direction = task.relation
-            obstacle_too = True
-        relabeled.append(SemanticObject(
-            id=o.id, name=o.name, x=o.x, y=o.y, frame=o.frame,
-            category=category, direction=direction, is_obstacle_too=obstacle_too,
-            orientation=o.orientation, radius=o.radius,
-        ))
-    return relabeled
+def _role(oid: str, name: str, task: TaskContext):
+    """Task-conditioned (category, direction, is_obstacle_too) of one scene
+    object as observed under ``name``. Map construction assigns no roles; the
+    carried object is main; the task's goal object is the target; a relation
+    reference is a landmark carrying its direction and doubling as an
+    obstacle; everything else is an obstacle."""
+    if task.kind == TaskKind.MAP_CONSTRUCTION:
+        return None, None, False
+    if oid == task.carried_object:
+        return Category.MAIN, None, False
+    if name == task.target_name and task.kind == TaskKind.MOVE_TO_OBJECT:
+        return Category.TARGET, None, False
+    if name == task.target_name and task.kind == TaskKind.CARRY_TO_RELATION:
+        return Category.LANDMARK, task.relation, True
+    return Category.OBSTACLE, None, False

@@ -1,22 +1,36 @@
-"""Scenario files: schema validation, config hashing, and world construction.
+"""Scenario files: schema validation, config hashing, world construction, and
+the one mission run (load, parse, decompose, execute).
 
 A scenario is one JSON document holding the arena, the objects, both robot
 poses, the camera/noise models, every planner weight, and the task string.
-Validation reports field-level paths so a bad file fails with a usable
-diagnostic rather than a traceback.
+Each section's schema is read off the dataclass it builds, so a field's type
+and default live in one place. Validation reports field-level paths (unknown
+keys included) so a bad file fails with a usable diagnostic rather than a
+traceback.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import time
+import typing
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .global_planner import GlobalCostWeights, OptimizeOptions
 from .gridmask import CameraModel
 from .local_planner import LocalCostWeights, StepThresholds
-from .mission import MissionConfig
+from .mission import (
+    ExecutionResult,
+    GoalSpec,
+    MissionConfig,
+    decompose,
+    execute,
+    parse_command,
+)
 from .perception import NoiseModel
 from .semantic_map import FusionParams
 from .sim_world import DroneState, GroundRobot, SimObject, SimParams, WorldState
@@ -26,23 +40,100 @@ class ScenarioError(ValueError):
     """Scenario file violates the schema; message carries the field path."""
 
 
-_SENTINEL = object()
-_NUM = (int, float)
+_REQUIRED = object()
+# accepted JSON types per field type; bool never counts as a number
+_KINDS = {float: (int, float), int: (int,), bool: (bool,), str: (str,),
+          dict: (dict,), list: (list,)}
 
 
-def _expect(doc: dict, key: str, types, path: str, default=_SENTINEL):
-    if key not in doc:
-        if default is not _SENTINEL:
-            return default
-        raise ScenarioError(f"{path}.{key}: required field missing")
-    val = doc[key]
-    tt = types if isinstance(types, tuple) else (types,)
-    names = "/".join(t.__name__ for t in tt)
-    if isinstance(val, bool) and bool not in tt:
-        raise ScenarioError(f"{path}.{key}: expected {names}, got bool")
-    if not isinstance(val, tt):
-        raise ScenarioError(f"{path}.{key}: expected {names}, got {type(val).__name__}")
-    return val
+class _Field(NamedTuple):
+    kind: type
+    default: object = _REQUIRED
+    nullable: bool = False
+
+
+@functools.cache
+def _spec(cls) -> dict:
+    """Document fields of a dataclass, read once from its type hints. Fields
+    of other types (nested configs, the arena tuple) have sections of their
+    own and are left out. The dict is shared: extend a copy, never it."""
+    hints = typing.get_type_hints(cls)
+    spec = {}
+    for f in dataclasses.fields(cls):
+        kind, args = hints[f.name], typing.get_args(hints[f.name])
+        nullable = type(None) in args
+        if nullable:
+            (kind,) = [a for a in args if a is not type(None)]
+        if kind in _KINDS:
+            default = _REQUIRED if f.default is dataclasses.MISSING else f.default
+            spec[f.name] = _Field(kind, default, nullable)
+    return spec
+
+
+def _section(doc, path: str, spec: dict, skip=()) -> dict:
+    """Typed values of one object section, defaults filled in. Rejects a
+    non-object, unknown keys (including the ``skip``ped fields, which come
+    from elsewhere), missing required fields and mistyped values."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{path}: expected object")
+    for key in doc:
+        if key not in spec or key in skip:
+            raise ScenarioError(f"{path}.{key}: unknown field")
+    out = {}
+    for name, field in spec.items():
+        if name in skip:
+            continue
+        if name not in doc:
+            if field.default is _REQUIRED:
+                raise ScenarioError(f"{path}.{name}: required field missing")
+            out[name] = field.default
+            continue
+        val = doc[name]
+        if val is None and field.nullable:
+            out[name] = None
+        elif isinstance(val, _KINDS[field.kind]) and (
+                field.kind is bool or not isinstance(val, bool)):
+            out[name] = field.kind(val)
+        else:
+            raise ScenarioError(
+                f"{path}.{name}: expected {field.kind.__name__}, got {type(val).__name__}")
+    return out
+
+
+def _build(cls, doc, path: str, **fixed):
+    """A dataclass from its section; ``fixed`` fields are set by the loader,
+    not by the document. A rejected value is reported with the section."""
+    kwargs = _section(doc, path, _spec(cls), skip=fixed)
+    try:
+        return cls(**kwargs, **fixed)
+    except ValueError as e:
+        raise ScenarioError(f"{path}: {e}") from e
+
+
+_TOP = {
+    "seed": _Field(int, 0),
+    "task": _Field(str),
+    "arena": _Field(dict),
+    "objects": _Field(list),
+    "drone": _Field(dict),
+    "ground_robot": _Field(dict),
+    "camera": _Field(dict),
+    "noise": _Field(dict, {}),
+    "sim": _Field(dict, {}),
+    "global_weights": _Field(dict, {}),
+    "local_weights": _Field(dict, {}),
+    "fusion": _Field(dict, {}),
+    "execution": _Field(dict, {}),
+}
+_ARENA = {k: _Field(float) for k in ("xmin", "xmax", "ymin", "ymax")}
+_OBJECT = {**_spec(SimObject), "id": _Field(str, None)}  # a missing id takes the name
+_THRESHOLDS = ("dist_stop", "angle_tol")  # the step comes from $.sim.ground_step
+_EXECUTION = {
+    **_spec(MissionConfig),
+    **{k: _spec(StepThresholds)[k] for k in _THRESHOLDS},
+    "relation_clearance": _spec(GoalSpec)["clearance"],
+    "optimizer": _Field(dict, {}),
+}
 
 
 @dataclass
@@ -52,6 +143,7 @@ class Scenario:
     config: MissionConfig
     world: WorldState
     raw: dict
+    relation_clearance: float  # meters, for tasks naming a directional relation
 
     @property
     def config_hash(self) -> str:
@@ -60,173 +152,82 @@ class Scenario:
         ).hexdigest()
 
 
-def _camera(doc: dict, path: str) -> CameraModel:
-    return CameraModel(
-        altitude=float(_expect(doc, "altitude", _NUM, path)),
-        horizontal_fov=float(_expect(doc, "horizontal_fov", _NUM, path)),
-        image_width=int(_expect(doc, "image_width", int, path)),
-        grid_interval=float(_expect(doc, "grid_interval", _NUM, path)),
-        image_height=doc.get("image_height"),
-    )
-
-
-def _noise(doc: dict, path: str, seed: int) -> NoiseModel:
-    return NoiseModel(
-        position_sigma=float(_expect(doc, "position_sigma", _NUM, path, 0.0)),
-        misclassify_prob=float(_expect(doc, "misclassify_prob", _NUM, path, 0.0)),
-        orientation_sigma=float(_expect(doc, "orientation_sigma", _NUM, path, 0.0)),
-        seed=seed,
-    )
-
-
-def _build(cls, doc: dict, path: str, fields: dict):
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{path}: expected object")
-    unknown = set(doc) - set(fields)
-    if unknown:
-        raise ScenarioError(f"{path}: unknown fields {sorted(unknown)}")
-    kwargs = {}
-    for name, default in fields.items():
-        if name in doc:
-            want = int if isinstance(default, int) and not isinstance(default, bool) else _NUM
-            kwargs[name] = type(default)(_expect(doc, name, want, path))
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ScenarioError(f"{path}: {e}") from e
-
-
 def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
     """Validate a parsed scenario document and build the world and config."""
-    if not isinstance(doc, dict):
-        raise ScenarioError("$: scenario must be a JSON object")
-    path = "$"
-    seed = int(_expect(doc, "seed", int, path, 0))
-    if seed_override is not None:
-        seed = seed_override
-    task = _expect(doc, "task", str, path)
+    top = _section(doc, "$", _TOP)
+    seed = top["seed"] if seed_override is None else seed_override
+    camera = _build(CameraModel, top["camera"], "$.camera")
+    noise = _build(NoiseModel, top["noise"], "$.noise", seed=seed)
 
-    camera = _camera(_expect(doc, "camera", dict, path), "$.camera")
-    noise = _noise(_expect(doc, "noise", dict, path, {}), "$.noise", seed)
-
-    arena_doc = _expect(doc, "arena", dict, path)
-    arena = (
-        float(_expect(arena_doc, "xmin", _NUM, "$.arena")),
-        float(_expect(arena_doc, "xmax", _NUM, "$.arena")),
-        float(_expect(arena_doc, "ymin", _NUM, "$.arena")),
-        float(_expect(arena_doc, "ymax", _NUM, "$.arena")),
-    )
+    a = _section(top["arena"], "$.arena", _ARENA)
+    arena = (a["xmin"], a["xmax"], a["ymin"], a["ymax"])
     if arena[0] >= arena[1] or arena[2] >= arena[3]:
         raise ScenarioError("$.arena: min bounds must be below max bounds")
 
     objects = []
     seen_ids = set()
-    for i, o in enumerate(_expect(doc, "objects", list, path)):
-        opath = f"$.objects[{i}]"
-        if not isinstance(o, dict):
-            raise ScenarioError(f"{opath}: expected object")
-        name = _expect(o, "name", str, opath)
-        oid = str(o.get("id", name))
-        if oid in seen_ids:
-            raise ScenarioError(f"{opath}.id: duplicate id {oid!r}")
-        seen_ids.add(oid)
-        objects.append(SimObject(
-            id=oid,
-            name=name,
-            x=float(_expect(o, "x", _NUM, opath)),
-            y=float(_expect(o, "y", _NUM, opath)),
-            yaw=float(_expect(o, "yaw", _NUM, opath, 0.0)),
-            radius=float(_expect(o, "radius", _NUM, opath, 0.1)),
-            movable=bool(o.get("movable", True)),
-        ))
+    for i, o in enumerate(top["objects"]):
+        kwargs = _section(o, f"$.objects[{i}]", _OBJECT)
+        if kwargs["id"] is None:
+            kwargs["id"] = kwargs["name"]
+        if kwargs["id"] in seen_ids:
+            raise ScenarioError(f"$.objects[{i}].id: duplicate id {kwargs['id']!r}")
+        seen_ids.add(kwargs["id"])
+        objects.append(SimObject(**kwargs))
 
-    d = _expect(doc, "drone", dict, path)
-    drone = DroneState(
-        x=float(_expect(d, "x", _NUM, "$.drone")),
-        y=float(_expect(d, "y", _NUM, "$.drone")),
-        altitude=float(_expect(d, "altitude", _NUM, "$.drone", camera.altitude)),
-    )
+    drone = _build(DroneState, {"altitude": camera.altitude, **top["drone"]}, "$.drone",
+                   waypoint_index=0)
     if abs(drone.altitude - camera.altitude) > 1e-9:
         raise ScenarioError("$.drone.altitude: must match $.camera.altitude")
+    robot = _build(GroundRobot, {"heading": 0.0, **top["ground_robot"]}, "$.ground_robot")
 
-    g = _expect(doc, "ground_robot", dict, path)
-    robot = GroundRobot(
-        x=float(_expect(g, "x", _NUM, "$.ground_robot")),
-        y=float(_expect(g, "y", _NUM, "$.ground_robot")),
-        heading=float(_expect(g, "heading", _NUM, "$.ground_robot", 0.0)),
-        radius=float(_expect(g, "radius", _NUM, "$.ground_robot", 0.25)),
-    )
-
-    sim = _build(SimParams, doc.get("sim", {}), "$.sim", {
-        "drone_speed": 0.1, "ground_step": 0.05, "rotate_rate": 0.2,
-        "follow_radius": 1.0, "attach_range": 0.15, "attach_angle_tol": 0.15,
-        "carry_radius": 0.2, "head_offset": 0.4, "rotate_clear_cap": 0.1,
-    })
-    gw = _build(GlobalCostWeights, doc.get("global_weights", {}), "$.global_weights", {
-        "q_length": 1.0, "q_curvature": 5.0, "q_obstacle": 50.0,
-        "d_safe": 1.5, "sample_count": 64,
-    })
-    lw = _build(LocalCostWeights, doc.get("local_weights", {}), "$.local_weights", {
-        "q_align": 1.0, "q_zero": 0.5, "q_obstacle": 2.0, "q_window": 1.0,
-        "beta": 5.0, "d_safe": 1.5, "epsilon": 1e-6, "lookahead": 5.0,
-        "window_half_extent": 10.0, "candidate_count": 36,
-    })
-    fusion = _build(FusionParams, doc.get("fusion", {}), "$.fusion", {
-        "merge_radius": 0.1, "conflict_radius": 0.5, "pool_cap": 8,
-    })
-
-    ex = doc.get("execution", {})
-    if not isinstance(ex, dict):
-        raise ScenarioError("$.execution: expected object")
-    thresholds = StepThresholds(
-        dist_stop=float(_expect(ex, "dist_stop", _NUM, "$.execution", 0.5)),
-        angle_tol=float(_expect(ex, "angle_tol", _NUM, "$.execution", 0.1)),
-        step=sim.ground_step,  # rescaled to cells by the executor
-    )
-    optimizer = _build(OptimizeOptions, ex.get("optimizer", {}), "$.execution.optimizer", {
-        "degree": 3, "max_iters": 500, "step": 1.0, "tolerance": 1e-8,
-        "armijo": 1e-4,
-    })
-    drop = ex.get("drop_at_step")
-    if drop is not None and not isinstance(drop, int):
-        raise ScenarioError("$.execution.drop_at_step: expected integer")
-
+    sim = _build(SimParams, top["sim"], "$.sim")
+    ex = _section(top["execution"], "$.execution", _EXECUTION)
+    # the step is rescaled to cells by the executor
+    thresholds = StepThresholds(**{k: ex.pop(k) for k in _THRESHOLDS}, step=sim.ground_step)
+    optimizer = _build(OptimizeOptions, ex.pop("optimizer"), "$.execution.optimizer")
+    clearance = ex.pop("relation_clearance")
     config = MissionConfig(
         camera=camera,
         noise=noise,
         sim=sim,
-        global_weights=gw,
-        local_weights=lw,
-        fusion=fusion,
+        global_weights=_build(GlobalCostWeights, top["global_weights"], "$.global_weights"),
+        local_weights=_build(LocalCostWeights, top["local_weights"], "$.local_weights"),
+        fusion=_build(FusionParams, top["fusion"], "$.fusion"),
         thresholds=thresholds,
         optimizer=optimizer,
         arena=arena,
-        n_controls=int(_expect(ex, "n_controls", int, "$.execution", 6)),
-        step_budget=int(_expect(ex, "step_budget", int, "$.execution", 4000)),
-        map_update_every=int(_expect(ex, "map_update_every", int, "$.execution", 10)),
-        attach_budget=int(_expect(ex, "attach_budget", int, "$.execution", 300)),
-        rollback_limit=int(_expect(ex, "rollback_limit", int, "$.execution", 3)),
-        pitch=float(_expect(ex, "pitch", _NUM, "$.execution", 0.4)),
-        success_radius=float(_expect(ex, "success_radius", _NUM, "$.execution", 0.2)),
-        drop_at_step=drop,
+        **ex,
     )
 
     world = WorldState(objects=objects, drone=drone, ground_robot=robot, params=sim)
     raw = dict(doc)
     raw["seed"] = seed
-    return Scenario(seed=seed, task=task, config=config, world=world, raw=raw)
+    return Scenario(seed=seed, task=top["task"], config=config, world=world, raw=raw,
+                    relation_clearance=clearance)
 
 
-def load_scenario_file(path: str, seed_override: Optional[int] = None) -> Scenario:
+def read_scenario_file(path: str) -> dict:
+    """The parsed JSON document of a scenario file (validated on load)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise ScenarioError(f"$: invalid JSON ({e})") from e
-    return load_scenario(doc, seed_override)
 
 
-def relation_clearance(doc_or_scenario) -> float:
+def relation_clearance(scen: Scenario) -> float:
     """Clearance used when the task names a directional relation."""
-    doc = doc_or_scenario.raw if isinstance(doc_or_scenario, Scenario) else doc_or_scenario
-    return float(doc.get("execution", {}).get("relation_clearance", 0.4))
+    return scen.relation_clearance
+
+
+def run_scenario(doc: dict, seed: Optional[int] = None) -> tuple[Scenario, ExecutionResult]:
+    """One mission end to end: load the document, parse and decompose its
+    task, and execute the plan. The result's ``wall_time`` times ``execute``."""
+    scen = load_scenario(doc, seed_override=seed)
+    plan = decompose(parse_command(scen.task, scen.relation_clearance),
+                     pitch=scen.config.pitch)
+    start = time.perf_counter()
+    result = execute(plan, scen.world, scen.config)
+    result.wall_time = time.perf_counter() - start
+    return scen, result

@@ -200,18 +200,6 @@ def _cluster_records(obs: list[_Obs], merge_radius: float) -> list[list[_Obs]]:
     return [groups[r] for r in sorted(groups)]
 
 
-def match_objects(maps, merge_radius: float) -> list[list[_Obs]]:
-    """Cluster co-located observations across local maps.
-
-    Observations chained by pairwise distance <= merge_radius share a
-    cluster; processing order is the canonical (step_index, id, position)
-    sort, so the input map order never matters.
-    """
-    if merge_radius <= 0:
-        raise ValueError("merge_radius must be positive")
-    return _cluster_records(_observations(maps), merge_radius)
-
-
 @dataclass
 class _Cluster:
     members: list[_Obs]

@@ -17,9 +17,9 @@ from agnav.global_planner import (
 )
 from agnav.gridmask import CameraModel, grid_to_world, ground_scale, world_to_grid
 from agnav.local_planner import BlockedError, LocalCostWeights, select_direction
-from agnav.mission import decompose, execute, parse_command, plan_word_assembly
+from agnav.mission import parse_command, plan_word_assembly
 from agnav.presets import noise_batch_suite, type_a_scenario
-from agnav.scenario import load_scenario, relation_clearance
+from agnav.scenario import run_scenario
 from agnav.semantic_map import (
     Confidence,
     FusionParams,
@@ -222,10 +222,7 @@ def test_criterion_6_noiseless_type_a():
     t0 = time.perf_counter()
     successes, collisions, worst_err = 0, 0, 0.0
     for i in range(10):
-        scen = load_scenario(type_a_scenario(i, seed=i))
-        plan = decompose(parse_command(scen.task, relation_clearance(scen)),
-                         pitch=scen.config.pitch)
-        res = execute(plan, scen.world, scen.config)
+        _, res = run_scenario(type_a_scenario(i, seed=i))
         successes += int(res.success)
         collisions += res.collisions
         errors = [p["error_m"] for p in res.placements if not p["approach"]]
@@ -243,10 +240,7 @@ def test_criterion_7_noise_calibrated_batch():
     results = []
     for doc in noise_batch_suite():
         for seed in range(5):
-            scen = load_scenario(doc, seed_override=seed)
-            plan = decompose(parse_command(scen.task, relation_clearance(scen)),
-                             pitch=scen.config.pitch)
-            res = execute(plan, scen.world, scen.config)
+            _, res = run_scenario(doc, seed)
             results.append((res.success, res.collisions))
     rate = sum(1 for s, _ in results if s) / len(results)
     mean_collisions = sum(c for _, c in results) / len(results)
@@ -294,10 +288,7 @@ def test_criterion_9_determinism():
     doc = type_a_scenario(1, seed=11)
     outputs = []
     for _ in range(2):
-        scen = load_scenario(doc)
-        plan = decompose(parse_command(scen.task, relation_clearance(scen)),
-                         pitch=scen.config.pitch)
-        res = execute(plan, scen.world, scen.config)
+        scen, res = run_scenario(doc)
         trace_bytes = "".join(
             json.dumps(r, sort_keys=True) + "\n" for r in res.trace).encode()
         summary = res.summary()

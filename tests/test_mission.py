@@ -20,7 +20,7 @@ from agnav.mission import (
     relation_goal_point,
 )
 from agnav.presets import type_a_scenario, type_b_scenario
-from agnav.scenario import load_scenario, relation_clearance
+from agnav.scenario import load_scenario, run_scenario
 from agnav.semantic_map import Confidence, Direction, GlobalSemanticMap, MapEntry
 
 
@@ -208,15 +208,8 @@ def test_relation_directions_body_frame():
 
 # -- execution ---------------------------------------------------------------
 
-def run_scenario_doc(doc):
-    scen = load_scenario(doc)
-    plan = decompose(parse_command(scen.task, relation_clearance(scen)),
-                     pitch=scen.config.pitch)
-    return execute(plan, scen.world, scen.config)
-
-
 def test_noiseless_type_a_end_to_end():
-    res = run_scenario_doc(type_a_scenario(0))
+    _, res = run_scenario(type_a_scenario(0))
     assert res.success
     assert res.collisions == 0
     errors = [p["error_m"] for p in res.placements if not p["approach"]]
@@ -224,7 +217,7 @@ def test_noiseless_type_a_end_to_end():
 
 
 def test_noiseless_type_b_end_to_end():
-    res = run_scenario_doc(type_b_scenario(0))
+    _, res = run_scenario(type_b_scenario(0))
     assert res.success
     assert res.collisions == 0
 
@@ -240,7 +233,7 @@ def test_long_horizon_word_assembly_end_to_end():
     ]
     doc = base_scenario("assemble LOVE, do not move L and V", objects)
     doc["execution"]["step_budget"] = 8000
-    res = run_scenario_doc(doc)
+    _, res = run_scenario(doc)
     assert res.success
     assert res.collisions == 0
     errors = [p["error_m"] for p in res.placements if not p["approach"]]
@@ -248,7 +241,7 @@ def test_long_horizon_word_assembly_end_to_end():
 
 
 def test_rollback_completes_after_scripted_drop():
-    res = run_scenario_doc(type_a_scenario(0, drop_at_step=130))
+    _, res = run_scenario(type_a_scenario(0, drop_at_step=130))
     assert res.success
     rollbacks = [r for r in res.trace if r["phase"] == "rollback"]
     attaches = [r for r in res.trace if r["phase"] == "attach" and r.get("attached")]
@@ -269,18 +262,16 @@ def test_execute_rejects_plan_without_map_phase():
 
 def test_execute_deterministic_trace():
     doc = type_a_scenario(1, seed=3)
-    a = run_scenario_doc(doc)
-    b = run_scenario_doc(doc)
+    _, a = run_scenario(doc)
+    _, b = run_scenario(doc)
     assert json.dumps(a.trace, sort_keys=True) == json.dumps(b.trace, sort_keys=True)
     assert a.summary() == b.summary()
 
 
 def test_execute_does_not_mutate_input_world():
     doc = type_a_scenario(0)
-    scen = load_scenario(doc)
-    before = [(o.id, o.x, o.y) for o in scen.world.objects]
-    plan = decompose(parse_command(scen.task, relation_clearance(scen)))
-    execute(plan, scen.world, scen.config)
+    before = [(o.id, o.x, o.y) for o in load_scenario(doc).world.objects]
+    scen, _ = run_scenario(doc)
     assert [(o.id, o.x, o.y) for o in scen.world.objects] == before
 
 
@@ -291,7 +282,7 @@ def test_blocked_window_replans_once_then_fails():
     doc = type_a_scenario(0)
     doc["local_weights"]["window_half_extent"] = 3.0
     doc["local_weights"]["lookahead"] = 5.0
-    res = run_scenario_doc(doc)
+    _, res = run_scenario(doc)
     assert not res.success
     assert "blocked" in res.failure
     replans = [r for r in res.trace if r.get("replanned")]
@@ -304,6 +295,6 @@ def test_attach_on_immovable_block_fails_cleanly():
         if o["name"] == "L":
             o["movable"] = False
     doc["execution"]["attach_budget"] = 40
-    res = run_scenario_doc(doc)
+    _, res = run_scenario(doc)
     assert not res.success
     assert "attach" in res.failure

@@ -9,10 +9,9 @@ from agnav.perception import (
     TaskContext,
     TaskKind,
     camera_footprint,
-    classify_roles,
     observe,
 )
-from agnav.semantic_map import Category, Direction, SemanticObject, dump_local_map
+from agnav.semantic_map import Category, Direction, dump_local_map
 from agnav.sim_world import DroneState, GroundRobot, SimObject, SimParams, WorldState
 
 CAMERA = CameraModel(2.0, math.pi / 2, 1600, 80)  # 4 m square footprint, 0.2 m cells
@@ -113,16 +112,15 @@ def test_zero_point_target_for_coordinate_tasks():
     assert (targets[0].x, targets[0].y) == (0.0, 0.0)
 
 
-def test_classify_roles_carry_to_relation():
-    objs = [
-        SemanticObject(id="L", name="L", x=0, y=0),
-        SemanticObject(id="O", name="O", x=5, y=0),
-        SemanticObject(id="V", name="V", x=-5, y=0),
-        SemanticObject(id="robot", name="robot", x=1, y=1),
-    ]
+def test_observe_roles_carry_to_relation():
+    world = make_world([
+        SimObject("L", "L", 0.0, 0.0),
+        SimObject("O", "O", 1.0, 0.0),
+        SimObject("V", "V", -1.0, 0.0),
+    ], robot=(0.2, 0.2, 0.0))
     task = TaskContext(TaskKind.CARRY_TO_RELATION, target_name="O",
                        relation=Direction.FRONT, carried_object="L")
-    out = {o.id: o for o in classify_roles(objs, task)}
+    out = {o.id: o for o in observe(world, CAMERA, task, NoiseModel()).objects}
     assert out["L"].category == Category.MAIN
     assert out["robot"].category == Category.MAIN
     assert out["O"].category == Category.LANDMARK
@@ -131,9 +129,9 @@ def test_classify_roles_carry_to_relation():
     assert out["V"].category == Category.OBSTACLE
 
 
-def test_classify_roles_map_construction_unlabeled():
-    objs = [SemanticObject(id="L", name="L", x=0, y=0)]
-    out = classify_roles(objs, TaskContext(TaskKind.MAP_CONSTRUCTION))
+def test_observe_roles_map_construction_unlabeled():
+    world = make_world([SimObject("L", "L", 0.0, 0.0)])
+    out = observe(world, CAMERA, TaskContext(TaskKind.MAP_CONSTRUCTION), NoiseModel()).objects
     assert out[0].category is None
 
 

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import subprocess
 import sys
 
@@ -42,6 +44,66 @@ def test_load_scenario_field_diagnostics():
     doc["local_weights"]["bogus"] = 1
     with pytest.raises(ScenarioError, match="bogus"):
         load_scenario(doc)
+
+
+def _set(doc, path, value):
+    """Set a dotted key path of a scenario document (list indices allowed)."""
+    *parents, leaf = path.split(".")
+    for key in parents:
+        doc = doc[int(key)] if isinstance(doc, list) else doc[key]
+    doc[leaf] = value
+
+
+def _json_path(path):
+    return "$." + re.sub(r"\.(\d+)", r"[\1]", path)
+
+
+@pytest.mark.parametrize("path", [
+    "gloabl_weights", "execution.step_budgt", "noise.position_sigm",
+    "camera.grid_intervall", "ground_robot.headng", "objects.0.radus",
+])
+def test_load_scenario_rejects_unknown_key(path):
+    doc = type_a_scenario(0)
+    _set(doc, path, 1.0)
+    with pytest.raises(ScenarioError, match=re.escape(_json_path(path) + ": unknown field")):
+        load_scenario(doc)
+
+
+@pytest.mark.parametrize("path, value", [
+    ("camera.horizontal_fov", 4.0),
+    ("noise.misclassify_prob", 2.0),
+])
+def test_load_scenario_dataclass_rule_names_section(path, value):
+    doc = type_a_scenario(0)
+    _set(doc, path, value)
+    section = _json_path(path.split(".")[0])
+    with pytest.raises(ScenarioError, match=re.escape(section + ":")):
+        load_scenario(doc)
+
+
+@pytest.mark.parametrize("path, value", [
+    ("objects.0.movable", "false"),
+    ("camera.image_height", "x"),
+    ("execution.drop_at_step", True),
+    ("execution.relation_clearance", "abc"),
+])
+def test_load_scenario_rejects_mistyped_value(path, value):
+    doc = type_a_scenario(0)
+    _set(doc, path, value)
+    with pytest.raises(ScenarioError, match=re.escape(_json_path(path) + ": expected")):
+        load_scenario(doc)
+
+
+def test_run_scenario_cli_bad_fov_is_a_diagnostic(tmp_path):
+    doc = type_a_scenario(0)
+    doc["camera"]["horizontal_fov"] = 4.0
+    p = write_doc(tmp_path, doc)
+    r = run_cli("run-scenario", "--file", p,
+                "--trace", str(tmp_path / "t.jsonl"),
+                "--summary", str(tmp_path / "s.json"))
+    assert r.returncode == 1
+    assert "error: $.camera" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_load_scenario_rotate_clear_cap():
@@ -147,6 +209,21 @@ def test_plan_global_cli(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["already_at_goal"] is True
     assert doc["iterations"] == 0
+
+
+def test_plan_global_cli_plans_the_transport_leg(tmp_path):
+    # move B to left of E: the executor flies from the carried block, with
+    # the landmark E kept as an obstacle
+    doc = type_a_scenario(1)
+    by_name = {o["name"]: o for o in doc["objects"]}
+    b, e = by_name["B"], by_name["E"]
+    out = tmp_path / "path.json"
+    r = run_cli("plan-global", "--scenario", write_doc(tmp_path, doc), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    poly = json.loads(out.read_text())["polyline_world"]
+    assert poly[0] == pytest.approx([b["x"], b["y"]])
+    clearance = min(math.hypot(x - e["x"], y - e["y"]) - e["radius"] for x, y in poly)
+    assert clearance >= 0.3
 
 
 def test_plan_local_step_cli(tmp_path):

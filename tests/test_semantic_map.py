@@ -13,11 +13,12 @@ from agnav.semantic_map import (
     FusionParams,
     LocalSemanticMap,
     SemanticObject,
+    _cluster_records,
+    _observations,
     dump_local_map,
     fuse,
     local_map_from_json,
     local_map_to_json,
-    match_objects,
     update,
 )
 
@@ -59,20 +60,20 @@ def bfs_components(points, radius):
 
 def test_match_same_object_two_maps():
     maps = [world_map(0, [("a", "O", 1.0, 1.0)]), world_map(1, [("a", "O", 1.05, 1.02)])]
-    clusters = match_objects(maps, 0.2)
+    clusters = _cluster_records(_observations(maps), 0.2)
     assert len(clusters) == 1 and len(clusters[0]) == 2
 
 
 def test_match_far_objects_separate():
     maps = [world_map(0, [("a", "O", 0.0, 0.0), ("b", "L", 5.0, 0.0)])]
-    assert len(match_objects(maps, 0.2)) == 2
+    assert len(_cluster_records(_observations(maps), 0.2)) == 2
 
 
 def test_match_chain_transitive_closure():
     maps = [world_map(0, [("a", "O", 0.0, 0.0)]),
             world_map(1, [("b", "O", 0.15, 0.0)]),
             world_map(2, [("c", "O", 0.30, 0.0)])]
-    clusters = match_objects(maps, 0.2)
+    clusters = _cluster_records(_observations(maps), 0.2)
     assert len(clusters) == 1 and len(clusters[0]) == 3
 
 
@@ -82,7 +83,7 @@ def test_match_against_bfs_oracle():
         pts = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randint(1, 12))]
         maps = [world_map(i, [(f"o{i}", "X", x, y)]) for i, (x, y) in enumerate(pts)]
         radius = rng.uniform(0.1, 1.5)
-        clusters = match_objects(maps, radius)
+        clusters = _cluster_records(_observations(maps), radius)
         got = sorted(sorted(m.step for m in c) for c in clusters)
         assert got == bfs_components(pts, radius)
 
