@@ -77,11 +77,15 @@ def cmd_run_scenario(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    files = sorted(
-        os.path.join(args.scenarios, f)
-        for f in os.listdir(args.scenarios)
-        if f.endswith(".json")
-    )
+    try:
+        files = sorted(
+            os.path.join(args.scenarios, f)
+            for f in os.listdir(args.scenarios)
+            if f.endswith(".json")
+        )
+    except OSError as e:
+        print(f"error: {args.scenarios}: cannot list ({e.strerror})", file=sys.stderr)
+        return EXIT_CONFIG
     if not files:
         print("error: no scenario files found", file=sys.stderr)
         return EXIT_CONFIG
@@ -94,14 +98,16 @@ def cmd_batch(args) -> int:
             except (ScenarioError, CommandError) as e:
                 print(f"error: {path}: {e}", file=sys.stderr)
                 return EXIT_CONFIG
+            errors = [p["error_m"] for p in result.placements if not p["approach"]]
             rows.append((os.path.basename(path), scen.config_hash[:12],
-                         int(result.success), result.collisions, result.steps))
-    lines = ["scenario,config,success,collisions,steps"]
+                         int(result.success), result.collisions, result.steps,
+                         max(errors, default="")))
+    lines = ["scenario,config,success,collisions,steps,placement_err_m"]
     for row in rows:
         lines.append(",".join(str(v) for v in row))
     mean_success = sum(r[2] for r in rows) / len(rows)
     mean_coll = sum(r[3] for r in rows) / len(rows)
-    lines.append(f"aggregate,,{mean_success},{mean_coll},{sum(r[4] for r in rows)}")
+    lines.append(f"aggregate,,{mean_success},{mean_coll},{sum(r[4] for r in rows)},")
     _atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"runs={len(rows)} success_rate={mean_success} mean_collisions={mean_coll}")
     return EXIT_OK

@@ -56,7 +56,6 @@ from .semantic_map import (
     update,
 )
 from .sim_world import (
-    SimParams,
     WorldState,
     attach,
     carry_check,
@@ -195,21 +194,29 @@ class TaskPlan:
     pending_assembly: Optional[Assemble] = None
 
     def validate(self) -> None:
+        """Raise PlanError unless the plan opens with construct_map, every
+        planning_start is directly followed by its following_start on the
+        same goal, and every other subtask is construct_map, attach or
+        detach. The executor runs the subtasks as they are and relies on
+        all three."""
         if not self.subtasks or self.subtasks[0].function != "construct_map":
             raise PlanError("the first subtask must be construct_map")
         i = 0
         while i < len(self.subtasks):
             s = self.subtasks[i]
-            if s.assignee == "both":
+            if s.assignee == "both" or s.function in ("planning_start", "following_start"):
                 if (s.function != "planning_start"
+                        or s.assignee != "both"
                         or i + 1 >= len(self.subtasks)
                         or self.subtasks[i + 1].function != "following_start"
                         or self.subtasks[i + 1].assignee != "both"
                         or self.subtasks[i + 1].goal != s.goal):
                     raise PlanError("cooperative moves must pair planning_start with following_start")
                 i += 2
-            else:
+            elif s.function in ("construct_map", "attach", "detach"):
                 i += 1
+            else:
+                raise PlanError(f"unknown motion function {s.function!r}")
 
 
 def _move_pair(goal: GoalSpec, carrying: Optional[str] = None) -> list[Subtask]:
@@ -347,7 +354,6 @@ def resolve_goal(goal: GoalSpec, global_map: Optional[GlobalSemanticMap]) -> tup
 class MissionConfig:
     camera: CameraModel
     noise: NoiseModel = NoiseModel()
-    sim: SimParams = SimParams()
     global_weights: GlobalCostWeights = GlobalCostWeights()
     local_weights: LocalCostWeights = LocalCostWeights()
     fusion: FusionParams = FusionParams()
@@ -524,7 +530,7 @@ class MissionExecutor:
         if (self.cfg.drop_at_step is not None
                 and self.state.step == self.cfg.drop_at_step
                 and self.state.attachment is not None):
-            detach(self.state, self.cfg.sim)
+            detach(self.state)
 
     def _update_map(self, local_map):
         if self.global_map is not None and self.state.step % self.cfg.map_update_every == 0:
@@ -541,7 +547,7 @@ class MissionExecutor:
         bin_width = 2.0 * math.pi / self.cfg.local_weights.candidate_count
         gate = max(self.cfg.thresholds.angle_tol, 1.05 * bin_width)
         if self.carrying is not None and goal_dist_cells is not None:
-            swing = self.cfg.sim.head_offset * self.cfg.sim.rotate_rate / self.cell
+            swing = self.state.params.head_offset * self.state.params.rotate_rate / self.cell
             shift = math.atan2(swing, max(goal_dist_cells, 1e-9))
             gate = max(gate, min(1.3, 1.05 * bin_width + shift))
         return gate
@@ -611,7 +617,7 @@ class MissionExecutor:
             self.state.drone.waypoint_index = 0
             leg = [(vx, vy)]
             while not drone_done(self.state, leg):
-                step_drone(self.state, leg, self.cfg.sim, wait=False)
+                step_drone(self.state, leg, wait=False)
                 events = self._tick_housekeeping()
                 self._record("construct_map", events=events)
                 self._advance_step()
@@ -620,10 +626,7 @@ class MissionExecutor:
         self.global_map = fuse(maps, self.cfg.fusion)
         self._record("construct_map", extra={"viewpoints": len(views)})
 
-    def _task_context(self, goal: GoalSpec, approach_name: Optional[str]) -> TaskContext:
-        if approach_name is not None:
-            return TaskContext(TaskKind.MOVE_TO_OBJECT, target_name=approach_name,
-                               carried_object=self.carrying)
+    def _task_context(self, goal: GoalSpec) -> TaskContext:
         if goal.kind == "object":
             return TaskContext(TaskKind.MOVE_TO_OBJECT, target_name=goal.name,
                                carried_object=self.carrying)
@@ -640,10 +643,10 @@ class MissionExecutor:
         sweeps the robot body past the landmark's flank."""
         goal_world = resolve_goal(goal, self.global_map)
         if approach:
-            stop_m = self.cfg.sim.head_offset + self.cfg.sim.attach_range / 2.0
+            stop_m = self.state.params.head_offset + self.state.params.attach_range / 2.0
         else:
             stop_m = self.cfg.thresholds.dist_stop * self.cell
-        task = self._task_context(goal, goal.name if approach and goal.kind == "object" else None)
+        task = self._task_context(goal)
 
         legs = [(goal_world, stop_m, True, None)]
         if not approach:
@@ -676,7 +679,7 @@ class MissionExecutor:
         perpendicular to their row, not through a neighbor."""
         if self.global_map is None:
             return None
-        off = self.cfg.sim.head_offset
+        off = self.state.params.head_offset
         others = [e for e in self.global_map.entries if e.name != self.carrying_name]
         if not any(
             0.0 < math.hypot(goal_world[0] - e.x, goal_world[1] - e.y) <= off + 0.35
@@ -719,7 +722,7 @@ class MissionExecutor:
         if main_err < thresholds.dist_stop:
             return MotionCommand.stop()
         ax, ay = math.cos(axis), math.sin(axis)
-        arm = (self.cfg.sim.head_offset / self.cell) if self.carrying is not None else 0.0
+        arm = (self.state.params.head_offset / self.cell) if self.carrying is not None else 0.0
         bgx, bgy = anchor[0] - arm * ax, anchor[1] - arm * ay
         body = obs.body
         # while the body sits laterally off the corridor, aim at a capture
@@ -757,7 +760,7 @@ class MissionExecutor:
         self.state.drone.waypoint_index = 0
         thresholds = replace(self.cfg.thresholds,
                              dist_stop=stop_m / self.cell,
-                             step=self.cfg.sim.ground_step / self.cell)
+                             step=self.state.params.ground_step / self.cell)
         replanned = False
         prev_theta = None
         while True:
@@ -765,8 +768,7 @@ class MissionExecutor:
             # the follower-waiting rule applies once the drone has reached the
             # path start (waypoint 0 sits over the steered point); before that
             # it must fly back to regain the ground robot in view
-            step_drone(self.state, waypoints, self.cfg.sim,
-                       wait=self.state.drone.waypoint_index > 0)
+            step_drone(self.state, waypoints, wait=self.state.drone.waypoint_index > 0)
             local_map = self._camera_map(task)
             obs = self._local_observation(local_map)
             cmd, theta, cost = MotionCommand.stop(), None, None
@@ -807,8 +809,8 @@ class MissionExecutor:
                     self._record("move", extra={"replanned": True})
                     self._advance_step()
                     continue
-            step_ground(self.state, cmd, self._world_obstacles(local_map), self.cfg.sim)
-            if self.carrying is not None and not carry_check(self.state, local_map, self.cfg.sim):
+            step_ground(self.state, cmd, self._world_obstacles(local_map))
+            if self.carrying is not None and not carry_check(self.state, local_map):
                 self._handle_rollback(subtask_goal, queue)
                 return False
             events = self._tick_housekeeping()
@@ -840,13 +842,12 @@ class MissionExecutor:
         if self.rollbacks > self.cfg.rollback_limit:
             raise _Failure("rollback limit exceeded")
         if self.state.attachment is not None:
-            detach(self.state, self.cfg.sim)
+            detach(self.state)
         name = self.carrying_name
         self.carrying = None
         self.carrying_name = None
-        queue.appendleft(("move", goal, False))
-        queue.appendleft(("attach", name))
-        queue.appendleft(("move", GoalSpec.object(name), True))
+        # the carry's own detach is still queued
+        queue.extendleft(reversed(_carry_subtasks(name, goal)[:-1]))
         self._record("rollback", extra={"object": name})
         self._advance_step()
 
@@ -854,7 +855,7 @@ class MissionExecutor:
         if self.state.attachment is not None:
             raise _Failure("attach requested while something is already attached")
         task = TaskContext(TaskKind.MOVE_TO_OBJECT, target_name=name)
-        thresholds = replace(self.cfg.thresholds, step=self.cfg.sim.ground_step / self.cell)
+        thresholds = replace(self.cfg.thresholds, step=self.state.params.ground_step / self.cell)
         for _ in range(self.cfg.attach_budget):
             local_map = self._camera_map(task)
             obs = self._local_observation(local_map)
@@ -867,7 +868,7 @@ class MissionExecutor:
             head = local_map.parts["head"]
             target = min(candidates,
                          key=lambda o: (math.hypot(o.x - head[0], o.y - head[1]), o.id))
-            if attach(self.state, target.id, self.cfg.sim):
+            if attach(self.state, target.id):
                 self.carrying = target.id
                 self.carrying_name = name
                 events = self._tick_housekeeping()
@@ -878,13 +879,13 @@ class MissionExecutor:
             bearing = math.atan2(target.y - body[1], target.x - body[0])
             err = wrap_angle(bearing - self.state.ground_robot.heading)
             head_dist_m = math.hypot(target.x - head[0], target.y - head[1]) * local_map.cell_m
-            if abs(err) > self.cfg.sim.attach_angle_tol * 0.5:
+            if abs(err) > self.state.params.attach_angle_tol * 0.5:
                 cmd = MotionCommand.rotate(bearing)
-            elif head_dist_m > self.cfg.sim.attach_range:
+            elif head_dist_m > self.state.params.attach_range:
                 cmd = MotionCommand.forward(thresholds.step)
             else:
                 cmd = MotionCommand.backward(thresholds.step)
-            step_ground(self.state, cmd, self._world_obstacles(local_map), self.cfg.sim)
+            step_ground(self.state, cmd, self._world_obstacles(local_map))
             events = self._tick_housekeeping()
             self._record("attach", command=cmd, events=events)
             self._advance_step()
@@ -893,7 +894,7 @@ class MissionExecutor:
     def _run_detach(self):
         if self.state.attachment is None:
             raise _Failure("detach with nothing attached")
-        detach(self.state, self.cfg.sim)
+        detach(self.state)
         self.carrying = None
         self.carrying_name = None
         events = self._tick_housekeeping()
@@ -903,25 +904,28 @@ class MissionExecutor:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> ExecutionResult:
-        queue = plan_phases(self.plan)
+        queue = deque(self.plan.subtasks)
         failure = None
         try:
             while queue:
-                phase = queue.popleft()
-                if phase[0] == "construct_map":
+                s = queue.popleft()
+                if s.function == "construct_map":
                     self._run_construct_map()
-                    if self.plan.pending_assembly is not None:
-                        expansion = decompose(self.plan.pending_assembly,
-                                              global_map=self.global_map,
-                                              pitch=self.cfg.pitch)
-                        tail = plan_phases(expansion)
-                        tail.popleft()  # construct_map already done
-                        queue.extend(tail)
-                elif phase[0] == "move":
-                    self._run_move(phase[1], phase[2], queue)
-                elif phase[0] == "attach":
-                    self._run_attach(phase[1])
-                elif phase[0] == "detach":
+                    assembly = self.plan.pending_assembly
+                    if assembly is not None:
+                        for letter, goal in plan_word_assembly(
+                                assembly.word, self.global_map, assembly.fixed, self.cfg.pitch):
+                            queue.extend(_carry_subtasks(letter, goal))
+                elif s.function == "planning_start":
+                    queue.popleft()  # the paired following_start
+                    # an attach approach when an attach on the goal object follows
+                    approach = (s.goal.kind == "object" and bool(queue)
+                                and queue[0].function == "attach"
+                                and queue[0].object_name == s.goal.name)
+                    self._run_move(s.goal, approach, queue)
+                elif s.function == "attach":
+                    self._run_attach(s.object_name)
+                else:
                     self._run_detach()
         except _Failure as f:
             failure = f.reason
@@ -944,37 +948,6 @@ class MissionExecutor:
             track=self.track,
             final_map=self.global_map,
         )
-
-
-def plan_phases(plan: TaskPlan) -> deque:
-    """Executor phase queue from a validated plan: cooperative move pairs
-    collapse into one leg, tagged as an attach approach when an attach on the
-    same object follows."""
-    plan.validate()
-    queue: deque = deque()
-    subtasks = list(plan.subtasks)
-    i = 0
-    while i < len(subtasks):
-        s = subtasks[i]
-        if s.function == "construct_map":
-            queue.append(("construct_map",))
-            i += 1
-        elif s.function == "planning_start":
-            approach = (s.goal.kind == "object"
-                        and i + 2 < len(subtasks)
-                        and subtasks[i + 2].function == "attach"
-                        and subtasks[i + 2].object_name == s.goal.name)
-            queue.append(("move", s.goal, approach))
-            i += 2
-        elif s.function == "attach":
-            queue.append(("attach", s.object_name))
-            i += 1
-        elif s.function == "detach":
-            queue.append(("detach",))
-            i += 1
-        else:
-            raise PlanError(f"unknown motion function {s.function!r}")
-    return queue
 
 
 def execute(plan: TaskPlan, world: WorldState, config: MissionConfig) -> ExecutionResult:

@@ -190,7 +190,6 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
     config = MissionConfig(
         camera=camera,
         noise=noise,
-        sim=sim,
         global_weights=_build(GlobalCostWeights, top["global_weights"], "$.global_weights"),
         local_weights=_build(LocalCostWeights, top["local_weights"], "$.local_weights"),
         fusion=_build(FusionParams, top["fusion"], "$.fusion"),
@@ -209,11 +208,13 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
 
 def read_scenario_file(path: str) -> dict:
     """The parsed JSON document of a scenario file (validated on load)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ScenarioError(f"$: invalid JSON ({e})") from e
+    except OSError as e:
+        raise ScenarioError(f"{path}: cannot read ({e.strerror})") from e
+    except json.JSONDecodeError as e:
+        raise ScenarioError(f"$: invalid JSON ({e})") from e
 
 
 def relation_clearance(scen: Scenario) -> float:

@@ -111,7 +111,7 @@ def _slave_attached(state: WorldState) -> None:
     obj.yaw = state.ground_robot.heading
 
 
-def step_drone(state: WorldState, path_world, params: SimParams, wait: bool = True) -> None:
+def step_drone(state: WorldState, path_world, wait: bool = True) -> None:
     """Advance the drone one tick along the waypoint list.
 
     With ``wait`` set (the leader-follower default) the drone holds position
@@ -123,7 +123,7 @@ def step_drone(state: WorldState, path_world, params: SimParams, wait: bool = Tr
     """
     if not len(path_world):
         raise ValueError("waypoint path must be non-empty")
-    d, g = state.drone, state.ground_robot
+    d, g, params = state.drone, state.ground_robot, state.params
     while d.waypoint_index < len(path_world):
         wx, wy = path_world[d.waypoint_index][0], path_world[d.waypoint_index][1]
         if math.hypot(wx - d.x, wy - d.y) <= WAYPOINT_CAPTURE:
@@ -159,7 +159,7 @@ def drone_done(state: WorldState, path_world) -> bool:
     return math.hypot(fx - state.drone.x, fy - state.drone.y) <= 1e-9
 
 
-def rotation_direction(state: WorldState, obstacles_world, params: SimParams,
+def rotation_direction(state: WorldState, obstacles_world,
                        target_heading: Optional[float] = None) -> int:
     """+1 (counterclockwise) or -1 (clockwise) for an in-place rotation.
 
@@ -175,7 +175,7 @@ def rotation_direction(state: WorldState, obstacles_world, params: SimParams,
     re-discovers an obstacle sector only after turning toward it and then
     reverses, oscillating forever.
     """
-    r = state.ground_robot
+    r, params = state.ground_robot, state.params
     probe_r = 0.0
     if state.attachment is not None:
         obj = state.object_by_id(state.attachment)
@@ -220,11 +220,11 @@ def rotation_direction(state: WorldState, obstacles_world, params: SimParams,
     return 1
 
 
-def step_ground(state: WorldState, cmd: MotionCommand, obstacles_world, params: SimParams) -> None:
+def step_ground(state: WorldState, cmd: MotionCommand, obstacles_world) -> None:
     """Execute one motion command tick; the attached object follows the head."""
-    r = state.ground_robot
+    r, params = state.ground_robot, state.params
     if cmd.kind == MotionKind.ROTATE:
-        sign = rotation_direction(state, obstacles_world, params, cmd.target_heading)
+        sign = rotation_direction(state, obstacles_world, cmd.target_heading)
         # angular distance to the target going in the chosen direction
         delta = wrap_angle(cmd.target_heading - r.heading)
         remaining = delta % (2.0 * math.pi) if sign > 0 else (-delta) % (2.0 * math.pi)
@@ -238,7 +238,7 @@ def step_ground(state: WorldState, cmd: MotionCommand, obstacles_world, params: 
     _slave_attached(state)
 
 
-def attach(state: WorldState, object_id: str, params: SimParams) -> bool:
+def attach(state: WorldState, object_id: str) -> bool:
     """Engage the magnetic head. Succeeds only with the object center inside
     attach_range of the head and its bearing within attach_angle_tol of the
     heading; failure leaves the state untouched."""
@@ -248,18 +248,18 @@ def attach(state: WorldState, object_id: str, params: SimParams) -> bool:
     if obj is None or not obj.movable:
         return False
     hx, hy = state.head_point()
-    if math.hypot(obj.x - hx, obj.y - hy) > params.attach_range:
+    if math.hypot(obj.x - hx, obj.y - hy) > state.params.attach_range:
         return False
     r = state.ground_robot
     bearing = math.atan2(obj.y - r.y, obj.x - r.x)
-    if abs(wrap_angle(bearing - r.heading)) > params.attach_angle_tol:
+    if abs(wrap_angle(bearing - r.heading)) > state.params.attach_angle_tol:
         return False
     state.attachment = object_id
     _slave_attached(state)
     return True
 
 
-def detach(state: WorldState, params: SimParams) -> str:
+def detach(state: WorldState) -> str:
     """Release the attachment; the object stays at its slaved position."""
     if state.attachment is None:
         raise AttachError("nothing attached")
@@ -268,7 +268,7 @@ def detach(state: WorldState, params: SimParams) -> str:
     return released
 
 
-def carry_check(state: WorldState, observed_map, params: SimParams) -> bool:
+def carry_check(state: WorldState, observed_map) -> bool:
     """True when the observed carried object still rides near the observed
     head; False requests a rollback (re-run the attach subtask). Losing
     sight of the object or the head is treated as a rollback."""
@@ -285,7 +285,7 @@ def carry_check(state: WorldState, observed_map, params: SimParams) -> bool:
     if carried is None:
         return False
     dist_m = math.hypot(carried.x - head[0], carried.y - head[1]) * observed_map.cell_m
-    return dist_m <= params.carry_radius
+    return dist_m <= state.params.carry_radius
 
 
 def detect_collisions(state: WorldState, previous_overlaps: frozenset) -> tuple[list, frozenset]:

@@ -121,6 +121,21 @@ def test_plan_requires_paired_threads():
         bad.validate()
 
 
+@pytest.mark.parametrize("subtask", [
+    Subtask("dog", "dance", object_name="L"),
+    Subtask("dog", "following_start", goal=GoalSpec.object("L")),
+    Subtask("drone", "planning_start", goal=GoalSpec.object("L")),
+])
+def test_plan_rejects_unknown_or_unpaired_function(subtask):
+    bad = TaskPlan((
+        Subtask("drone", "construct_map"),
+        subtask,
+        Subtask("dog", "attach", object_name="L"),
+    ))
+    with pytest.raises(PlanError):
+        bad.validate()
+
+
 def test_fixed_letters_never_carried():
     # L and V already sit exactly two pitches apart (their slot spacing)
     gm = global_map(entry("L", -1.0, 0.0), entry("O", 0.5, 0.6),

@@ -173,9 +173,11 @@ def test_batch_cli(tmp_path):
     r = run_cli("batch", "--scenarios", str(scen_dir), "--seeds", "1,2", "--out", str(out))
     assert r.returncode == 0, r.stderr
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "scenario,config,success,collisions,steps"
+    assert lines[0] == "scenario,config,success,collisions,steps,placement_err_m"
     assert len(lines) == 1 + 4 + 1  # header, 2 scenarios x 2 seeds, aggregate
     rows = [ln.split(",") for ln in lines[1:-1]]
+    # both tasks carry a block, so every run records a placement error
+    assert all(float(r[5]) >= 0.0 for r in rows)
     agg = lines[-1].split(",")
     assert agg[0] == "aggregate"
     assert float(agg[2]) == pytest.approx(sum(int(r[2]) for r in rows) / len(rows))
@@ -188,6 +190,19 @@ def test_batch_cli_aborts_on_config_error(tmp_path):
     (scen_dir / "bad.json").write_text("{}")
     r = run_cli("batch", "--scenarios", str(scen_dir), "--out", str(tmp_path / "m.csv"))
     assert r.returncode == 1
+
+
+@pytest.mark.parametrize("command", [
+    ("run-scenario", "--file", "{missing}", "--trace", "{tmp}/t.jsonl", "--summary", "{tmp}/s.json"),
+    ("plan-global", "--scenario", "{missing}", "--out", "{tmp}/p.json"),
+    ("batch", "--scenarios", "{missing}", "--out", "{tmp}/m.csv"),
+])
+def test_cli_missing_input_is_a_diagnostic(tmp_path, command):
+    missing = tmp_path / "missing"
+    r = run_cli(*(a.format(missing=missing, tmp=tmp_path) for a in command))
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: {missing}")
+    assert "Traceback" not in r.stderr
 
 
 def test_plan_global_cli(tmp_path):

@@ -24,12 +24,13 @@ from agnav.sim_world import (
 PARAMS = SimParams()
 
 
-def make_state(objects=(), drone=(0.0, 0.0), robot=(0.0, 0.0, 0.0), robot_radius=0.25):
+def make_state(objects=(), drone=(0.0, 0.0), robot=(0.0, 0.0, 0.0), robot_radius=0.25,
+               params=PARAMS):
     return WorldState(
         objects=list(objects),
         drone=DroneState(drone[0], drone[1], 2.0),
         ground_robot=GroundRobot(robot[0], robot[1], robot[2], robot_radius),
-        params=PARAMS,
+        params=params,
     )
 
 
@@ -42,19 +43,18 @@ def observed_map(objects, parts, cell_m=0.2):
 
 
 def test_drone_advances_at_speed():
-    state = make_state(drone=(0, 0), robot=(0, 0, 0))
-    params = SimParams(drone_speed=0.2)
-    step_drone(state, [(1.0, 0.0)], params)
+    state = make_state(drone=(0, 0), robot=(0, 0, 0), params=SimParams(drone_speed=0.2))
+    step_drone(state, [(1.0, 0.0)])
     assert state.drone.x == pytest.approx(0.2)
 
 
 def test_drone_waits_for_follower():
     # ground robot lagging two leash lengths behind the direction of travel
     state = make_state(drone=(0, 0), robot=(-2.0 * PARAMS.follow_radius, 0, 0))
-    step_drone(state, [(1.0, 0.0)], PARAMS)
+    step_drone(state, [(1.0, 0.0)])
     assert (state.drone.x, state.drone.y) == (0.0, 0.0)
     # map-construction flights ignore the leash
-    step_drone(state, [(1.0, 0.0)], PARAMS, wait=False)
+    step_drone(state, [(1.0, 0.0)], wait=False)
     assert state.drone.x > 0
 
 
@@ -62,7 +62,7 @@ def test_drone_closes_gap_despite_leash():
     # the robot ended up ahead: flying toward it reduces separation and
     # must not be vetoed by the waiting rule
     state = make_state(drone=(0, 0), robot=(2.0 * PARAMS.follow_radius, 0, 0))
-    step_drone(state, [(1.0, 0.0)], PARAMS)
+    step_drone(state, [(1.0, 0.0)])
     assert state.drone.x > 0
 
 
@@ -70,21 +70,21 @@ def test_drone_traversal_tick_count():
     # follower rides along so the drone never waits; expected tick count is
     # the independent kinematic bound for a 1.7 m straight leg at 0.1 m/tick
     params = SimParams(drone_speed=0.1, follow_radius=100.0)
-    state = make_state(drone=(0, 0))
+    state = make_state(drone=(0, 0), params=params)
     path = [(1.7, 0.0)]
     ticks = 0
     while not drone_done(state, path) and ticks < 100:
-        step_drone(state, path, params)
+        step_drone(state, path)
         ticks += 1
     assert ticks == math.ceil(1.7 / 0.1)
 
 
 def test_drone_parks_exactly_on_final_waypoint():
     params = SimParams(drone_speed=0.1, follow_radius=100.0)
-    state = make_state(drone=(0, 0))
+    state = make_state(drone=(0, 0), params=params)
     path = [(0.5, 0.0), (0.5, 0.33)]
     for _ in range(100):
-        step_drone(state, path, params)
+        step_drone(state, path)
     assert drone_done(state, path)
     assert math.hypot(state.drone.x - 0.5, state.drone.y - 0.33) <= 1e-9
 
@@ -93,52 +93,52 @@ def test_rotation_avoids_left_obstacle():
     state = make_state(robot=(0, 0, 0))
     # block 0.2 m to the left: the counterclockwise sweep passes right by it
     obstacles = [((0.0, 0.2), 0.15)]
-    assert rotation_direction(state, obstacles, PARAMS, math.pi) == -1
+    assert rotation_direction(state, obstacles, math.pi) == -1
 
 
 def test_rotation_tie_goes_counterclockwise():
     state = make_state(robot=(0, 0, 0))
     # symmetric constraining blocks on both sides: genuine tie
     obstacles = [((0.0, 0.35), 0.1), ((0.0, -0.35), 0.1)]
-    assert rotation_direction(state, obstacles, PARAMS, math.pi) == 1
+    assert rotation_direction(state, obstacles, math.pi) == 1
 
 
 def test_rotation_clear_takes_shorter_way():
     state = make_state(robot=(0, 0, 0))
-    assert rotation_direction(state, [], PARAMS, -0.3) == -1
-    assert rotation_direction(state, [], PARAMS, 0.3) == 1
+    assert rotation_direction(state, [], -0.3) == -1
+    assert rotation_direction(state, [], 0.3) == 1
 
 
 def test_forward_moves_along_heading():
     state = make_state(robot=(0, 0, 0))
-    step_ground(state, MotionCommand.forward(1.0), [], PARAMS)
+    step_ground(state, MotionCommand.forward(1.0), [])
     assert state.ground_robot.x == pytest.approx(PARAMS.ground_step)
     assert state.ground_robot.y == 0.0
 
 
 def test_backward_moves_against_heading():
     state = make_state(robot=(0, 0, math.pi / 2))
-    step_ground(state, MotionCommand.backward(1.0), [], PARAMS)
+    step_ground(state, MotionCommand.backward(1.0), [])
     assert state.ground_robot.y == pytest.approx(-PARAMS.ground_step)
 
 
 def test_rotate_clamps_onto_target():
     state = make_state(robot=(0, 0, 0))
-    step_ground(state, MotionCommand.rotate(0.05), [], PARAMS)
+    step_ground(state, MotionCommand.rotate(0.05), [])
     assert state.ground_robot.heading == pytest.approx(0.05)
 
 
 def test_attach_success_and_slaving():
     obj = SimObject("b", "B", PARAMS.head_offset + 0.1, 0.0, radius=0.1)
     state = make_state(objects=[obj], robot=(0, 0, 0))
-    assert attach(state, "b", PARAMS)
+    assert attach(state, "b")
     assert state.attachment == "b"
     hx, hy = state.head_point()
     assert (obj.x, obj.y) == (hx, hy)
-    step_ground(state, MotionCommand.forward(1.0), [], PARAMS)
+    step_ground(state, MotionCommand.forward(1.0), [])
     hx, hy = state.head_point()
     assert (obj.x, obj.y) == (hx, hy)
-    step_ground(state, MotionCommand.rotate(1.0), [], PARAMS)
+    step_ground(state, MotionCommand.rotate(1.0), [])
     hx, hy = state.head_point()
     assert (obj.x, obj.y) == (hx, hy)
 
@@ -146,7 +146,7 @@ def test_attach_success_and_slaving():
 def test_attach_out_of_range_fails():
     obj = SimObject("b", "B", 1.5, 0.0)
     state = make_state(objects=[obj])
-    assert not attach(state, "b", PARAMS)
+    assert not attach(state, "b")
     assert state.attachment is None
 
 
@@ -156,67 +156,67 @@ def test_attach_misaligned_fails():
     d = PARAMS.head_offset + 0.05
     obj = SimObject("b", "B", d * math.cos(ang), d * math.sin(ang))
     state = make_state(objects=[obj], robot=(0, 0, 0))
-    assert not attach(state, "b", PARAMS)
+    assert not attach(state, "b")
 
 
 def test_attach_immovable_fails():
     obj = SimObject("b", "B", PARAMS.head_offset + 0.05, 0.0, movable=False)
     state = make_state(objects=[obj])
-    assert not attach(state, "b", PARAMS)
+    assert not attach(state, "b")
 
 
 def test_attach_while_attached_raises():
     a = SimObject("a", "A", PARAMS.head_offset + 0.05, 0.0)
     b = SimObject("b", "B", 2.0, 2.0)
     state = make_state(objects=[a, b])
-    assert attach(state, "a", PARAMS)
+    assert attach(state, "a")
     with pytest.raises(AttachError):
-        attach(state, "b", PARAMS)
+        attach(state, "b")
 
 
 def test_detach_releases_in_place_and_twice_fails():
     obj = SimObject("b", "B", PARAMS.head_offset + 0.05, 0.0)
     state = make_state(objects=[obj])
-    attach(state, "b", PARAMS)
+    attach(state, "b")
     pos = (obj.x, obj.y)
-    detach(state, PARAMS)
+    detach(state)
     assert (obj.x, obj.y) == pos
     assert state.attachment is None
     with pytest.raises(AttachError):
-        detach(state, PARAMS)
+        detach(state)
 
 
 def test_detach_then_reattach_same_spot():
     obj = SimObject("b", "B", PARAMS.head_offset + 0.05, 0.0)
     state = make_state(objects=[obj])
-    attach(state, "b", PARAMS)
-    detach(state, PARAMS)
-    assert attach(state, "b", PARAMS)
+    attach(state, "b")
+    detach(state)
+    assert attach(state, "b")
 
 
 def test_carry_check_ok_and_drop():
     obj = SimObject("b", "B", PARAMS.head_offset, 0.0)
     state = make_state(objects=[obj])
-    attach(state, "b", PARAMS)
+    attach(state, "b")
     head_cells = (PARAMS.head_offset / 0.2, 0.0)
     near = observed_map(
         [SemanticObject(id="b", name="B", x=head_cells[0] + 0.25, y=0.0)],
         {"head": head_cells, "body": (0, 0), "tail": (-head_cells[0], 0)},
     )
-    assert carry_check(state, near, PARAMS)  # 0.05 m offset < carry_radius
+    assert carry_check(state, near)  # 0.05 m offset < carry_radius
     dropped = observed_map(
         [SemanticObject(id="b", name="B", x=head_cells[0] - 5.0, y=0.0)],
         {"head": head_cells, "body": (0, 0), "tail": (-head_cells[0], 0)},
     )
-    assert not carry_check(state, dropped, PARAMS)
+    assert not carry_check(state, dropped)
 
 
 def test_carry_check_object_out_of_frame_conservative():
     obj = SimObject("b", "B", PARAMS.head_offset, 0.0)
     state = make_state(objects=[obj])
-    attach(state, "b", PARAMS)
+    attach(state, "b")
     unseen = observed_map([], {"head": (2, 0), "body": (0, 0), "tail": (-2, 0)})
-    assert not carry_check(state, unseen, PARAMS)
+    assert not carry_check(state, unseen)
 
 
 def test_collision_event_on_overlap():
@@ -258,7 +258,7 @@ def test_carried_object_excluded_but_probes_others():
     carried = SimObject("c", "C", PARAMS.head_offset, 0.0, radius=0.12)
     other = SimObject("o", "O", PARAMS.head_offset + 0.2, 0.0, radius=0.12)
     state = make_state(objects=[carried, other], robot=(0, 0, 0), robot_radius=0.25)
-    attach(state, "c", PARAMS)
+    attach(state, "c")
     events, _ = detect_collisions(state, frozenset())
     pairs = {tuple(e["pair"]) for e in events}
     assert ("carried", "o") in pairs
