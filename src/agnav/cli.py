@@ -24,7 +24,7 @@ from .local_planner import (
 )
 from .mission import CommandError, GoalError, parse_command, plan_leg
 from .plotting import render_run_svg
-from .scenario import ScenarioError, load_scenario, read_scenario_file, run_scenario
+from .scenario import ScenarioError, _build, load_scenario, read_scenario_file, run_scenario
 from .semantic_map import (
     Confidence,
     FusionParams,
@@ -78,6 +78,12 @@ def cmd_run_scenario(args) -> int:
 
 def cmd_batch(args) -> int:
     try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [None]
+    except ValueError:
+        print(f"error: --seeds: expected comma-separated integers, got {args.seeds!r}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    try:
         files = sorted(
             os.path.join(args.scenarios, f)
             for f in os.listdir(args.scenarios)
@@ -89,7 +95,6 @@ def cmd_batch(args) -> int:
     if not files:
         print("error: no scenario files found", file=sys.stderr)
         return EXIT_CONFIG
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [None]
     rows = []
     for path in files:
         for seed in seeds:
@@ -162,7 +167,7 @@ def cmd_plan_local_step(args) -> int:
         weights = LocalCostWeights()
         if args.weights:
             with open(args.weights, "r", encoding="utf-8") as fh:
-                weights = LocalCostWeights(**json.load(fh))
+                weights = _build(LocalCostWeights, json.load(fh), "$")
         obs = LocalObservation(
             main=tuple(obs_doc["main"]),
             target=tuple(obs_doc["target"]) if obs_doc.get("target") else None,
@@ -252,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("fuse", help="fuse a directory of local maps into a global map")
     s.add_argument("--maps", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--merge-radius", type=float, default=0.1)
-    s.add_argument("--conflict-radius", type=float, default=0.5)
+    s.add_argument("--merge-radius", type=float, default=FusionParams.merge_radius)
+    s.add_argument("--conflict-radius", type=float, default=FusionParams.conflict_radius)
     s.set_defaults(func=cmd_fuse)
 
     s = sub.add_parser("gridmask-svg", help="render the pixel grid overlay as SVG")

@@ -169,15 +169,11 @@ def _min_clearance(pts: np.ndarray, obstacles: ObstacleSet) -> float:
     return float(d.min())
 
 
-@dataclass(frozen=True)
-class OptimizeOptions:
-    degree: int = 3
-    max_iters: int = 500
-    step: float = 1.0  # length of a steepest-descent step, grid cells
-    tolerance: float = 1e-8  # relative cost change
-    armijo: float = 1e-4
-
-
+DEGREE = 3  # B-spline degree of a planned path
+MAX_ITERS = 500  # descent iterations per seed
+STEP = 1.0  # length of a steepest-descent step, grid cells
+TOLERANCE = 1e-8  # relative cost change that ends a descent
+ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 LBFGS_MEMORY = 6  # (s, y) pairs kept by the quasi-Newton direction
 
 
@@ -197,11 +193,10 @@ def _lbfgs_direction(g: np.ndarray, pairs: deque) -> np.ndarray:
 
 
 def _descend(controls: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
-             obstacles: ObstacleSet, opts: OptimizeOptions
-             ) -> tuple[np.ndarray, CostBreakdown, list[float], bool]:
+             obstacles: ObstacleSet) -> tuple[np.ndarray, CostBreakdown, list[float], bool]:
     """L-BFGS with Armijo backtracking over the interior control points; the
     first step, and any step where -H g is not a descent direction, is the
-    normalized steepest step of length opts.step. Returns the final polygon
+    normalized steepest step of length STEP. Returns the final polygon
     and its breakdown, the accepted-cost history (seed cost first), and
     convergence."""
     c = controls.copy()
@@ -214,13 +209,13 @@ def _descend(controls: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
         return c, bd, history, True
     g = grad[1:-1].ravel()
     pairs = deque(maxlen=LBFGS_MEMORY)
-    for _ in range(opts.max_iters):
+    for _ in range(MAX_ITERS):
         gnorm = float(np.sqrt(g @ g))
         if gnorm == 0.0:
             return c, bd, history, True
         d = _lbfgs_direction(g, pairs) if pairs else None
         if d is None or not float(g @ d) < 0.0:
-            d = -(opts.step / gnorm) * g
+            d = -(STEP / gnorm) * g
         slope = float(g @ d)
         dnorm = float(np.sqrt(d @ d))
         t = 1.0
@@ -230,7 +225,7 @@ def _descend(controls: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
             bd_t, grad_t = _cost_and_grad(trial, B, weights, obstacles)
             if grad_t is None:
                 raise PlanningError("non-finite cost during line search")
-            if bd_t.total <= f + opts.armijo * t * slope:
+            if bd_t.total <= f + ARMIJO * t * slope:
                 break
             t *= 0.5
             if t * dnorm < 1e-12:
@@ -239,7 +234,7 @@ def _descend(controls: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
         s, y = t * d, g_new - g
         if float(s @ y) > 0.0:
             pairs.append((s, y, 1.0 / float(s @ y)))
-        rel = abs(f - bd_t.total) <= opts.tolerance * abs(f)
+        rel = abs(f - bd_t.total) <= TOLERANCE * abs(f)
         c, bd, f, g = trial, bd_t, bd_t.total, g_new
         history.append(f)
         if rel:
@@ -247,8 +242,7 @@ def _descend(controls: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
     return c, bd, history, False
 
 
-def optimize(init_controls, weights: GlobalCostWeights, obstacles: ObstacleSet,
-             options: OptimizeOptions | None = None) -> GlobalPlanResult:
+def optimize(init_controls, weights: GlobalCostWeights, obstacles: ObstacleSet) -> GlobalPlanResult:
     """Minimize J over the interior control points; endpoints never move.
 
     Deterministic: when the straight seed penetrates the d_safe band the
@@ -258,18 +252,17 @@ def optimize(init_controls, weights: GlobalCostWeights, obstacles: ObstacleSet,
     non-increasing by construction, and the final cost never exceeds the
     initial straight-seed cost.
     """
-    opts = options or OptimizeOptions()
     controls = np.atleast_2d(np.asarray(init_controls, dtype=float))
     if len(controls) == 1:
-        path = make_clamped_uniform(np.repeat(controls, opts.degree + 1, axis=0), opts.degree)
+        path = make_clamped_uniform(np.repeat(controls, DEGREE + 1, axis=0), DEGREE)
         bd = cost_global(path, weights, obstacles)
         return GlobalPlanResult(path, [bd.total], bd, True, already_at_goal=True)
-    if len(controls) < opts.degree + 1:
-        raise ValueError(f"need at least degree+1 = {opts.degree + 1} control points")
+    if len(controls) < DEGREE + 1:
+        raise ValueError(f"need at least degree+1 = {DEGREE + 1} control points")
 
-    knots = clamped_uniform_knots(len(controls), opts.degree)
+    knots = clamped_uniform_knots(len(controls), DEGREE)
     us = np.arange(weights.sample_count + 1) / weights.sample_count
-    B = basis_matrix(knots, opts.degree, us)
+    B = basis_matrix(knots, DEGREE, us)
 
     seeds = [controls]
     if _min_clearance(B @ controls, obstacles) < weights.d_safe:
@@ -284,8 +277,8 @@ def optimize(init_controls, weights: GlobalCostWeights, obstacles: ObstacleSet,
 
     best = None
     for seed in seeds:
-        run = _descend(seed, B, weights, obstacles, opts)
+        run = _descend(seed, B, weights, obstacles)
         if best is None or run[1].total < best[1].total:
             best = run
     c, bd, history, converged = best
-    return GlobalPlanResult(SplinePath(c, opts.degree, knots), history, bd, converged)
+    return GlobalPlanResult(SplinePath(c, DEGREE, knots), history, bd, converged)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import ClassVar, Optional
 
 
 class BlockedError(RuntimeError):
@@ -57,7 +57,8 @@ class LocalObservation:
 
     ``main`` is the reference point being steered (the robot body, or the
     carried object while transporting). ``parts`` holds the head/body/tail
-    points; heading derives from tail -> head.
+    points; heading derives from tail -> head. ``zero`` is the image zero
+    point, the origin of the frame by definition.
     """
 
     main: tuple[float, float]
@@ -66,11 +67,9 @@ class LocalObservation:
     head: tuple[float, float]
     tail: tuple[float, float]
     body: tuple[float, float]
-    zero: tuple[float, float] = (0.0, 0.0)
+    zero: ClassVar[tuple[float, float]] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.zero != (0.0, 0.0):
-            raise ValueError("zero point is (0, 0) by definition")
         if self.head == self.tail:
             raise ValueError("head and tail coincide; heading undefined")
 
@@ -212,25 +211,22 @@ def wrap_angle(a: float) -> float:
     return a
 
 
-def step_decision(obs: LocalObservation, theta_star: float, thresholds: StepThresholds,
-                  goal_orientation: Optional[float] = None) -> MotionCommand:
+def step_decision(obs: LocalObservation, theta_star: float,
+                  thresholds: StepThresholds) -> MotionCommand:
     """Stop / rotate / forward / backward from the selected direction.
 
-    Stop requires the goal inside dist_stop and, when a goal orientation is
-    given, the heading aligned with it. Rotation triggers when the heading
-    axis (either facing) misses theta_star beyond angle_tol; the rotation
-    sign is left to the simulator's clearance rule. Otherwise the robot
-    steps forward or backward by the sign of the goal's component along the
-    current heading, so a goal directly behind is reached by backing up
-    rather than turning around.
+    Stop when the goal lies inside dist_stop, whatever the heading: the
+    robot has no goal orientation to meet. Rotation triggers when the
+    heading axis (either facing) misses theta_star beyond angle_tol; the
+    rotation sign is left to the simulator's clearance rule. Otherwise the
+    robot steps forward or backward by the sign of the goal's component
+    along the current heading, so a goal directly behind is reached by
+    backing up rather than turning around.
     """
     goal = obs.target if obs.target is not None else obs.zero
     heading = obs.heading
     gx, gy = goal[0] - obs.main[0], goal[1] - obs.main[1]
-    if math.hypot(gx, gy) < thresholds.dist_stop and (
-        goal_orientation is None
-        or abs(wrap_angle(heading - goal_orientation)) < thresholds.angle_tol
-    ):
+    if math.hypot(gx, gy) < thresholds.dist_stop:
         return MotionCommand.stop()
     axis_err = min(abs(wrap_angle(heading - theta_star)),
                    abs(wrap_angle(heading + math.pi - theta_star)))

@@ -29,7 +29,6 @@ from .global_planner import (
     GlobalCostWeights,
     GlobalPlanResult,
     ObstacleSet,
-    OptimizeOptions,
     optimize,
     straight_line_init,
 )
@@ -349,6 +348,9 @@ def resolve_goal(goal: GoalSpec, global_map: Optional[GlobalSemanticMap]) -> tup
 # ---------------------------------------------------------------------------
 # Execution
 
+ATTACH_BUDGET = 300  # ticks an attach subtask may take before it fails
+ROLLBACK_LIMIT = 3  # drop recoveries allowed per mission
+
 
 @dataclass(frozen=True)
 class MissionConfig:
@@ -357,14 +359,12 @@ class MissionConfig:
     global_weights: GlobalCostWeights = GlobalCostWeights()
     local_weights: LocalCostWeights = LocalCostWeights()
     fusion: FusionParams = FusionParams()
-    thresholds: StepThresholds = StepThresholds()
-    optimizer: OptimizeOptions = OptimizeOptions()
     arena: tuple[float, float, float, float] = (-2.0, 2.0, -2.0, 2.0)
     n_controls: int = 6
     step_budget: int = 4000
     map_update_every: int = 10
-    attach_budget: int = 300
-    rollback_limit: int = 3
+    dist_stop: float = StepThresholds.dist_stop  # cells
+    angle_tol: float = StepThresholds.angle_tol  # rad
     pitch: float = 0.4
     success_radius: float = 0.2  # meters, ground-truth placement tolerance
     drop_at_step: Optional[int] = None
@@ -436,8 +436,7 @@ def plan_leg(world: WorldState, global_map: Optional[GlobalSemanticMap],
         exclude.add(goal.name)
     pairs = [((e.x / cell, e.y / cell), e.radius / cell)
              for e in (global_map.entries if global_map else ()) if e.name not in exclude]
-    result = optimize(init, config.global_weights, ObstacleSet.from_pairs(pairs),
-                      config.optimizer)
+    result = optimize(init, config.global_weights, ObstacleSet.from_pairs(pairs))
     if at_goal:
         return Leg(result, [start])
     pts = sample(result.path, config.global_weights.sample_count) * cell
@@ -545,7 +544,7 @@ class MissionExecutor:
         # the remaining distance, so the gate must also cover the swing angle
         # or the endgame live-locks chasing its own pivot.
         bin_width = 2.0 * math.pi / self.cfg.local_weights.candidate_count
-        gate = max(self.cfg.thresholds.angle_tol, 1.05 * bin_width)
+        gate = max(self.cfg.angle_tol, 1.05 * bin_width)
         if self.carrying is not None and goal_dist_cells is not None:
             swing = self.state.params.head_offset * self.state.params.rotate_rate / self.cell
             shift = math.atan2(swing, max(goal_dist_cells, 1e-9))
@@ -645,7 +644,7 @@ class MissionExecutor:
         if approach:
             stop_m = self.state.params.head_offset + self.state.params.attach_range / 2.0
         else:
-            stop_m = self.cfg.thresholds.dist_stop * self.cell
+            stop_m = self.cfg.dist_stop * self.cell
         task = self._task_context(goal)
 
         legs = [(goal_world, stop_m, True, None)]
@@ -758,9 +757,8 @@ class MissionExecutor:
         """
         waypoints = self._plan_drone_path(subtask_goal, goal_world)
         self.state.drone.waypoint_index = 0
-        thresholds = replace(self.cfg.thresholds,
-                             dist_stop=stop_m / self.cell,
-                             step=self.state.params.ground_step / self.cell)
+        thresholds = StepThresholds(dist_stop=stop_m / self.cell, angle_tol=self.cfg.angle_tol,
+                                    step=self.state.params.ground_step / self.cell)
         replanned = False
         prev_theta = None
         while True:
@@ -839,7 +837,7 @@ class MissionExecutor:
         """Drop recovery: release any attachment and re-queue approach,
         attach, and the interrupted transport leg."""
         self.rollbacks += 1
-        if self.rollbacks > self.cfg.rollback_limit:
+        if self.rollbacks > ROLLBACK_LIMIT:
             raise _Failure("rollback limit exceeded")
         if self.state.attachment is not None:
             detach(self.state)
@@ -855,8 +853,8 @@ class MissionExecutor:
         if self.state.attachment is not None:
             raise _Failure("attach requested while something is already attached")
         task = TaskContext(TaskKind.MOVE_TO_OBJECT, target_name=name)
-        thresholds = replace(self.cfg.thresholds, step=self.state.params.ground_step / self.cell)
-        for _ in range(self.cfg.attach_budget):
+        step = self.state.params.ground_step / self.cell
+        for _ in range(ATTACH_BUDGET):
             local_map = self._camera_map(task)
             obs = self._local_observation(local_map)
             candidates = [o for o in local_map.objects
@@ -882,9 +880,9 @@ class MissionExecutor:
             if abs(err) > self.state.params.attach_angle_tol * 0.5:
                 cmd = MotionCommand.rotate(bearing)
             elif head_dist_m > self.state.params.attach_range:
-                cmd = MotionCommand.forward(thresholds.step)
+                cmd = MotionCommand.forward(step)
             else:
-                cmd = MotionCommand.backward(thresholds.step)
+                cmd = MotionCommand.backward(step)
             step_ground(self.state, cmd, self._world_obstacles(local_map))
             events = self._tick_housekeeping()
             self._record("attach", command=cmd, events=events)

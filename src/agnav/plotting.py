@@ -15,9 +15,9 @@ def _polyline(points, color: str, width: float, tf) -> str:
             f'stroke-width="{_fmt(width)}"/>')
 
 
-def render_run_svg(arena, objects, global_paths, track, goals=()) -> str:
-    """Arena plot: objects as labeled circles, planned drone paths, the
-    ground robot's actual track, and goal markers. Pure text, byte-stable."""
+def render_run_svg(arena, objects, global_paths, track) -> str:
+    """Arena plot: objects as labeled circles, planned drone paths, and the
+    ground robot's actual track. Pure text, byte-stable."""
     xmin, xmax, ymin, ymax = arena
     size = 600.0
     pad = 30.0
@@ -53,11 +53,5 @@ def render_run_svg(arena, objects, global_paths, track, goals=()) -> str:
     for path in global_paths:
         parts.append(_polyline(path, "orange", 1.5, tf))
     parts.append(_polyline(track, "seagreen", 1.2, tf))
-    for gx, gy in goals:
-        px, py = tf((gx, gy))
-        parts.append(
-            f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" fill="none" '
-            'stroke="crimson" stroke-width="1.5"/>'
-        )
     parts.append("</svg>")
     return "\n".join(p for p in parts if p) + "\n"

@@ -20,9 +20,9 @@ import typing
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .global_planner import GlobalCostWeights, OptimizeOptions
+from .global_planner import GlobalCostWeights
 from .gridmask import CameraModel
-from .local_planner import LocalCostWeights, StepThresholds
+from .local_planner import LocalCostWeights
 from .mission import (
     ExecutionResult,
     GoalSpec,
@@ -127,13 +127,7 @@ _TOP = {
 }
 _ARENA = {k: _Field(float) for k in ("xmin", "xmax", "ymin", "ymax")}
 _OBJECT = {**_spec(SimObject), "id": _Field(str, None)}  # a missing id takes the name
-_THRESHOLDS = ("dist_stop", "angle_tol")  # the step comes from $.sim.ground_step
-_EXECUTION = {
-    **_spec(MissionConfig),
-    **{k: _spec(StepThresholds)[k] for k in _THRESHOLDS},
-    "relation_clearance": _spec(GoalSpec)["clearance"],
-    "optimizer": _Field(dict, {}),
-}
+_EXECUTION = {**_spec(MissionConfig), "relation_clearance": _spec(GoalSpec)["clearance"]}
 
 
 @dataclass
@@ -183,9 +177,6 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
 
     sim = _build(SimParams, top["sim"], "$.sim")
     ex = _section(top["execution"], "$.execution", _EXECUTION)
-    # the step is rescaled to cells by the executor
-    thresholds = StepThresholds(**{k: ex.pop(k) for k in _THRESHOLDS}, step=sim.ground_step)
-    optimizer = _build(OptimizeOptions, ex.pop("optimizer"), "$.execution.optimizer")
     clearance = ex.pop("relation_clearance")
     config = MissionConfig(
         camera=camera,
@@ -193,8 +184,6 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
         global_weights=_build(GlobalCostWeights, top["global_weights"], "$.global_weights"),
         local_weights=_build(LocalCostWeights, top["local_weights"], "$.local_weights"),
         fusion=_build(FusionParams, top["fusion"], "$.fusion"),
-        thresholds=thresholds,
-        optimizer=optimizer,
         arena=arena,
         **ex,
     )
@@ -213,6 +202,8 @@ def read_scenario_file(path: str) -> dict:
             return json.load(fh)
     except OSError as e:
         raise ScenarioError(f"{path}: cannot read ({e.strerror})") from e
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from e
     except json.JSONDecodeError as e:
         raise ScenarioError(f"$: invalid JSON ({e})") from e
 

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
+POOL_CAP = 8  # newest observations retained per cluster
+
 
 class Category(Enum):
     MAIN = "main"
@@ -142,13 +144,10 @@ class GlobalSemanticMap:
 class FusionParams:
     merge_radius: float = 0.1     # meters
     conflict_radius: float = 0.5  # meters
-    pool_cap: int = 8             # newest observations retained per cluster
 
     def __post_init__(self):
         if self.merge_radius <= 0 or self.conflict_radius <= 0:
             raise ValueError("radii must be positive")
-        if self.pool_cap < 2:
-            raise ValueError("pool_cap must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -309,11 +308,11 @@ def _fuse_pool(pool: list[_Obs], footprints, params: FusionParams,
     entries = []
     retained: list[_Obs] = []
     for c in clusters:
-        # retention policy: every cluster keeps its newest pool_cap members,
+        # retention policy: every cluster keeps its newest POOL_CAP members,
         # removed ones included. Suppressed sightings must stay poolable or a
         # moved object's first observation at the new spot (a covered
         # singleton) could never accumulate the support to migrate the entry.
-        newest = sorted(c.members, key=lambda m: (-m.step, m.oid))[:params.pool_cap]
+        newest = sorted(c.members, key=lambda m: (-m.step, m.oid))[:POOL_CAP]
         retained.extend(newest)
         if c.removed:
             continue

@@ -3,10 +3,10 @@
 Motion is kinematic: the drone advances along world waypoints at a fixed
 speed (holding position whenever the ground robot falls outside the follow
 radius), and the ground robot executes rotate/forward/backward/stop commands
-with an in-place rotation whose sign is picked by sweeping a 90 degree arc
-each way and keeping the clearer one. An attached object is slaved to the
-head offset point every step. Collision events are debounced: one event per
-contiguous overlap run per (body, object) pair.
+with an in-place rotation whose sign is picked by sweeping the path to the
+target heading each way and keeping the clearer one. An attached object is
+slaved to the head offset point every step. Collision events are debounced:
+one event per contiguous overlap run per (body, object) pair.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Optional
 from .local_planner import MotionCommand, MotionKind, wrap_angle
 
 WAYPOINT_CAPTURE = 0.05  # meters
+ROTATE_CLEAR_CAP = 0.1  # meters, clearance beyond which a rotation sweep is "safe"
 
 
 @dataclass
@@ -57,12 +58,10 @@ class SimParams:
     attach_angle_tol: float = 0.15 # rad, bearing error
     carry_radius: float = 0.2     # m, observed object-to-head tolerance
     head_offset: float = 0.4      # m, head/tail distance from body center
-    rotate_clear_cap: float = 0.1  # m, clearance beyond which a sweep is "safe"
 
     def __post_init__(self):
         for name in ("drone_speed", "ground_step", "rotate_rate", "follow_radius",
-                     "attach_range", "attach_angle_tol", "carry_radius", "head_offset",
-                     "rotate_clear_cap"):
+                     "attach_range", "attach_angle_tol", "carry_radius", "head_offset"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -159,21 +158,20 @@ def drone_done(state: WorldState, path_world) -> bool:
     return math.hypot(fx - state.drone.x, fy - state.drone.y) <= 1e-9
 
 
-def rotation_direction(state: WorldState, obstacles_world,
-                       target_heading: Optional[float] = None) -> int:
-    """+1 (counterclockwise) or -1 (clockwise) for an in-place rotation.
+def rotation_direction(state: WorldState, obstacles_world, target_heading: float) -> int:
+    """+1 (counterclockwise) or -1 (clockwise) for an in-place rotation to
+    ``target_heading``.
 
     Each sign sweeps the head point (inflated by the carried object's radius
-    when attached) along its full angular path to the target heading (a 90
-    degree probe arc when no target is given), sampled every 10 degrees with
-    both endpoints included. The sign with the larger minimum clearance to
-    ``obstacles_world`` ((x, y), radius pairs in meters) wins; a genuinely
-    constrained tie goes counterclockwise. Clearances saturate at
-    rotate_clear_cap, so when both paths are safely clear the rotation takes
-    the shorter way. Comparing the whole path (rather than a fixed leading
-    window) keeps the decision stable from tick to tick: a moving window
-    re-discovers an obstacle sector only after turning toward it and then
-    reverses, oscillating forever.
+    when attached) along its full angular path to the target heading,
+    sampled every 10 degrees with both endpoints included. The sign with the
+    larger minimum clearance to ``obstacles_world`` ((x, y), radius pairs in
+    meters) wins; a genuinely constrained tie goes counterclockwise.
+    Clearances saturate at ROTATE_CLEAR_CAP, so when both paths are safely
+    clear the rotation takes the shorter way. Comparing the whole path
+    (rather than a fixed leading window) keeps the decision stable from tick
+    to tick: a moving window re-discovers an obstacle sector only after
+    turning toward it and then reverses, oscillating forever.
     """
     r, params = state.ground_robot, state.params
     probe_r = 0.0
@@ -185,7 +183,7 @@ def rotation_direction(state: WorldState, obstacles_world,
     def probe(ang: float) -> float:
         px = r.x + params.head_offset * math.cos(ang)
         py = r.y + params.head_offset * math.sin(ang)
-        worst = params.rotate_clear_cap
+        worst = ROTATE_CLEAR_CAP
         for (ox, oy), orad in obstacles_world:
             c = math.hypot(ox - px, oy - py) - orad - probe_r
             worst = min(worst, c)
@@ -194,10 +192,7 @@ def rotation_direction(state: WorldState, obstacles_world,
     grid = math.pi / 18.0
 
     def path_clearance(sign: int) -> float:
-        if target_heading is None:
-            span = math.pi / 2.0
-        else:
-            span = (sign * (target_heading - r.heading)) % (2.0 * math.pi)
+        span = (sign * (target_heading - r.heading)) % (2.0 * math.pi)
         # endpoints plus the absolute 10-degree grid inside the swept
         # interval; anchoring samples to a global grid keeps both sweep
         # directions and successive ticks numerically comparable
@@ -214,9 +209,8 @@ def rotation_direction(state: WorldState, obstacles_world,
     ccw, cw = path_clearance(1), path_clearance(-1)
     if ccw != cw:
         return 1 if ccw > cw else -1
-    if target_heading is not None and ccw >= params.rotate_clear_cap:
-        if wrap_angle(target_heading - r.heading) < 0.0:
-            return -1
+    if ccw >= ROTATE_CLEAR_CAP and wrap_angle(target_heading - r.heading) < 0.0:
+        return -1
     return 1
 
 

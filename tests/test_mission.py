@@ -309,7 +309,6 @@ def test_attach_on_immovable_block_fails_cleanly():
     for o in doc["objects"]:
         if o["name"] == "L":
             o["movable"] = False
-    doc["execution"]["attach_budget"] = 40
     _, res = run_scenario(doc)
     assert not res.success
     assert "attach" in res.failure

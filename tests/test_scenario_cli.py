@@ -61,6 +61,9 @@ def _json_path(path):
 @pytest.mark.parametrize("path", [
     "gloabl_weights", "execution.step_budgt", "noise.position_sigm",
     "camera.grid_intervall", "ground_robot.headng", "objects.0.radus",
+    # solver and executor tuning are module constants, not scenario keys
+    "execution.optimizer", "execution.attach_budget", "execution.rollback_limit",
+    "fusion.pool_cap", "sim.rotate_clear_cap",
 ])
 def test_load_scenario_rejects_unknown_key(path):
     doc = type_a_scenario(0)
@@ -104,12 +107,6 @@ def test_run_scenario_cli_bad_fov_is_a_diagnostic(tmp_path):
     assert r.returncode == 1
     assert "error: $.camera" in r.stderr
     assert "Traceback" not in r.stderr
-
-
-def test_load_scenario_rotate_clear_cap():
-    doc = type_a_scenario(0)
-    doc["sim"]["rotate_clear_cap"] = 0.2
-    assert load_scenario(doc).world.params.rotate_clear_cap == 0.2
 
 
 def test_run_scenario_cli_success(tmp_path):
@@ -192,6 +189,28 @@ def test_batch_cli_aborts_on_config_error(tmp_path):
     assert r.returncode == 1
 
 
+def test_run_scenario_cli_non_utf8_file_is_a_diagnostic(tmp_path):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe" + json.dumps(type_a_scenario(0)).encode("utf-16-le"))
+    r = run_cli("run-scenario", "--file", str(p),
+                "--trace", str(tmp_path / "t.jsonl"),
+                "--summary", str(tmp_path / "s.json"))
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: {p}: not UTF-8")
+    assert "Traceback" not in r.stderr
+
+
+def test_batch_cli_bad_seed_list_is_a_diagnostic(tmp_path):
+    scen_dir = tmp_path / "scenarios"
+    write_scenarios([type_a_scenario(0)], scen_dir)
+    r = run_cli("batch", "--scenarios", str(scen_dir), "--seeds", "0,x",
+                "--out", str(tmp_path / "m.csv"))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: --seeds: ")
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "m.csv").exists()
+
+
 @pytest.mark.parametrize("command", [
     ("run-scenario", "--file", "{missing}", "--trace", "{tmp}/t.jsonl", "--summary", "{tmp}/s.json"),
     ("plan-global", "--scenario", "{missing}", "--out", "{tmp}/p.json"),
@@ -255,6 +274,22 @@ def test_plan_local_step_cli(tmp_path):
     assert "theta_deg" in r.stdout
     assert r.stdout.count("\n") >= 37  # header + 36 candidates + command
     assert "command=" in r.stdout
+
+
+@pytest.mark.parametrize("weights, field", [
+    ({"candidate_count": 36.5}, "candidate_count"),
+    ({"q_align": True}, "q_align"),
+])
+def test_plan_local_step_cli_mistyped_weight_is_a_diagnostic(tmp_path, weights, field):
+    obs = {"main": [0.0, 0.0], "target": [4.0, 0.0],
+           "parts": {"head": [1.0, 0.0], "body": [0.0, 0.0], "tail": [-1.0, 0.0]}}
+    (tmp_path / "obs.json").write_text(json.dumps(obs))
+    (tmp_path / "w.json").write_text(json.dumps(weights))
+    r = run_cli("plan-local-step", "--observation", str(tmp_path / "obs.json"),
+                "--weights", str(tmp_path / "w.json"))
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: $.{field}: expected")
+    assert "Traceback" not in r.stderr
 
 
 def test_fuse_cli(tmp_path):
