@@ -16,6 +16,7 @@ import tempfile
 
 from .gridmask import GridSpec, render_gridmask_svg
 from .local_planner import (
+    BlockedError,
     LocalCostWeights,
     LocalObservation,
     StepThresholds,
@@ -97,9 +98,14 @@ def cmd_batch(args) -> int:
         return EXIT_CONFIG
     rows = []
     for path in files:
+        try:
+            doc = read_scenario_file(path)
+        except ScenarioError as e:  # its message starts with the path
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
         for seed in seeds:
             try:
-                scen, result = run_scenario(read_scenario_file(path), seed)
+                scen, result = run_scenario(doc, seed)
             except (ScenarioError, CommandError) as e:
                 print(f"error: {path}: {e}", file=sys.stderr)
                 return EXIT_CONFIG
@@ -160,26 +166,58 @@ def cmd_plan_global(args) -> int:
     return EXIT_OK
 
 
+def _finite_point(doc, path: str, fields=("x", "y")) -> tuple:
+    if not (isinstance(doc, list) and len(doc) == len(fields) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in doc)):
+        raise ValueError(f"{path}: expected [{', '.join(fields)}] of finite numbers, "
+                         f"got {json.dumps(doc)}")
+    return tuple(float(v) for v in doc)
+
+
+def _observation_from_json(doc) -> LocalObservation:
+    """A local observation from its JSON document; every point must be two
+    finite numbers and every obstacle [x, y, r] with a non-negative r."""
+    if not isinstance(doc, dict):
+        raise ValueError("$: expected object")
+    parts, obstacles = doc.get("parts"), doc.get("obstacles", [])
+    if not isinstance(parts, dict):
+        raise ValueError("$.parts: expected object with head, body and tail")
+    if not isinstance(obstacles, list):
+        raise ValueError("$.obstacles: expected list")
+    pairs = []
+    for i, o in enumerate(obstacles):
+        x, y, r = _finite_point(o, f"$.obstacles[{i}]", ("x", "y", "r"))
+        if r < 0.0:
+            raise ValueError(f"$.obstacles[{i}]: radius must be non-negative, got {r}")
+        pairs.append(((x, y), r))
+    target = doc.get("target")
+    return LocalObservation(
+        main=_finite_point(doc.get("main"), "$.main"),
+        target=None if target is None else _finite_point(target, "$.target"),
+        obstacles=tuple(pairs),
+        head=_finite_point(parts.get("head"), "$.parts.head"),
+        tail=_finite_point(parts.get("tail"), "$.parts.tail"),
+        body=_finite_point(parts.get("body"), "$.parts.body"),
+    )
+
+
 def cmd_plan_local_step(args) -> int:
     try:
         with open(args.observation, "r", encoding="utf-8") as fh:
-            obs_doc = json.load(fh)
+            obs = _observation_from_json(json.load(fh))
         weights = LocalCostWeights()
         if args.weights:
             with open(args.weights, "r", encoding="utf-8") as fh:
                 weights = _build(LocalCostWeights, json.load(fh), "$")
-        obs = LocalObservation(
-            main=tuple(obs_doc["main"]),
-            target=tuple(obs_doc["target"]) if obs_doc.get("target") else None,
-            obstacles=tuple(((o[0], o[1]), o[2]) for o in obs_doc.get("obstacles", [])),
-            head=tuple(obs_doc["parts"]["head"]),
-            tail=tuple(obs_doc["parts"]["tail"]),
-            body=tuple(obs_doc["parts"]["body"]),
-        )
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    choice = select_direction(obs, weights)
+    try:
+        choice = select_direction(obs, weights)
+    except BlockedError as e:
+        print(f"error: blocked: {e}", file=sys.stderr)
+        return EXIT_TASK
     print("theta_deg,align,zero,obstacle,window,total,chosen")
     for cand in choice.table:
         mark = "*" if cand.index == choice.index else ""

@@ -20,7 +20,7 @@ the candidate better aligned with the goal, then toward the lower index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar, Optional
 
@@ -91,41 +91,54 @@ def _arc(dot: float) -> float:
     return math.acos(min(1.0, max(-1.0, dot)))
 
 
-def cost_local(theta: float, obs: LocalObservation, w: LocalCostWeights) -> LocalCost:
-    dx, dy = math.cos(theta), math.sin(theta)
+def _scorer(obs: LocalObservation, w: LocalCostWeights):
+    """The cost of a heading as a function of theta alone, returning
+    (align, zero, obstacle, window, total). The terms that depend only on
+    the observation (the goal and zero-point offsets and their lengths, the
+    obstacle offsets from M) are computed here once, so scoring every
+    candidate costs one trigonometric pair and one obstacle pass each."""
     mx, my = obs.main
-
-    align = 0.0
+    scale = gx = gy = dist = None
     if obs.target is not None:
         tx, ty = obs.target
-        dist = math.hypot(tx - mx, ty - my)
+        gx, gy = tx - mx, ty - my
+        dist = math.hypot(gx, gy)
         if dist > 0.0:
-            align = (w.beta / dist) * _arc((dx * (tx - mx) + dy * (ty - my)) / dist)
+            scale = w.beta / dist
+    zx, zy = -mx, -my
+    zdist = math.hypot(zx, zy)
+    offsets = [(ox - mx, oy - my, radius) for (ox, oy), radius in obs.obstacles]
+    lookahead, half, d_safe, eps = w.lookahead, w.window_half_extent, w.d_safe, w.epsilon
+    q_align, q_zero, q_obstacle = w.q_align, w.q_zero, w.q_obstacle
+    q_window_open = w.q_window * 0.0  # the window term where it is open
 
-    zero = 0.0
-    zdist = math.hypot(-mx, -my)
-    if zdist > 0.0:
-        zero = _arc((dx * -mx + dy * -my) / zdist)
+    def terms(theta: float):
+        dx, dy = math.cos(theta), math.sin(theta)
+        align = scale * _arc((dx * gx + dy * gy) / dist) if scale is not None else 0.0
+        zero = _arc((dx * zx + dy * zy) / zdist) if zdist > 0.0 else 0.0
+        obstacle = 0.0
+        for rx, ry, radius in offsets:
+            t = rx * dx + ry * dy
+            if t < 0.0 or t > lookahead:
+                continue
+            eff = max(0.0, math.hypot(rx - t * dx, ry - t * dy) - radius)
+            if eff < d_safe:
+                obstacle += 1.0 / (eff + eps)
+        if max(abs(mx + lookahead * dx), abs(my + lookahead * dy)) > half:
+            return align, zero, obstacle, math.inf, math.inf
+        total = q_align * align + q_zero * zero + q_obstacle * obstacle + q_window_open
+        return align, zero, obstacle, 0.0, total
 
-    obstacle = 0.0
-    for (ox, oy), radius in obs.obstacles:
-        t = (ox - mx) * dx + (oy - my) * dy
-        if t < 0.0 or t > w.lookahead:
-            continue
-        perp = math.hypot(ox - mx - t * dx, oy - my - t * dy)
-        eff = max(0.0, perp - radius)
-        if eff < w.d_safe:
-            obstacle += 1.0 / (eff + w.epsilon)
+    return terms
 
-    ex, ey = mx + w.lookahead * dx, my + w.lookahead * dy
-    window = math.inf if max(abs(ex), abs(ey)) > w.window_half_extent else 0.0
 
-    if math.isinf(window):
-        total = math.inf
-    else:
-        total = (w.q_align * align + w.q_zero * zero
-                 + w.q_obstacle * obstacle + w.q_window * window)
-    return LocalCost(align, zero, obstacle, window, total)
+def cost_local(theta: float, obs: LocalObservation, w: LocalCostWeights) -> LocalCost:
+    return LocalCost(*_scorer(obs, w)(theta))
+
+
+def candidate_theta(index: int, count: int) -> float:
+    """Heading of candidate ``index`` of ``count`` uniform directions."""
+    return 2.0 * math.pi * index / count
 
 
 @dataclass(frozen=True)
@@ -137,9 +150,22 @@ class Candidate:
 
 @dataclass(frozen=True)
 class DirectionChoice:
+    """The selected candidate and every candidate's total J, by index. The
+    full cost breakdown (``table``) is rebuilt by the same arithmetic only
+    when read."""
+
     theta: float
     index: int
-    table: tuple[Candidate, ...]
+    totals: tuple[float, ...]
+    obs: LocalObservation = field(repr=False)
+    weights: LocalCostWeights = field(repr=False)
+
+    @property
+    def table(self) -> tuple[Candidate, ...]:
+        terms, n = _scorer(self.obs, self.weights), self.weights.candidate_count
+        thetas = [candidate_theta(i, n) for i in range(n)]
+        return tuple(Candidate(i, theta, LocalCost(*terms(theta)))
+                     for i, theta in enumerate(thetas))
 
 
 def _goal_deviation(theta: float, obs: LocalObservation) -> float:
@@ -152,16 +178,19 @@ def _goal_deviation(theta: float, obs: LocalObservation) -> float:
 
 
 def select_direction(obs: LocalObservation, w: LocalCostWeights) -> DirectionChoice:
-    """argmin of cost_local over candidate_count uniform directions."""
-    table = []
-    for i in range(w.candidate_count):
-        theta = 2.0 * math.pi * i / w.candidate_count
-        table.append(Candidate(i, theta, cost_local(theta, obs, w)))
-    finite = [c for c in table if math.isfinite(c.cost.total)]
+    """argmin of cost_local over candidate_count uniform directions, in one
+    scan of the totals; the goal-deviation tie-break is evaluated only for
+    tied minima."""
+    terms, n = _scorer(obs, w), w.candidate_count
+    totals = tuple(terms(candidate_theta(i, n))[4] for i in range(n))
+    finite = [t for t in totals if math.isfinite(t)]
     if not finite:
         raise BlockedError("all candidate directions exit the window")
-    best = min(finite, key=lambda c: (c.cost.total, _goal_deviation(c.theta, obs), c.index))
-    return DirectionChoice(best.theta, best.index, tuple(table))
+    best = min(finite)
+    tied = [i for i, t in enumerate(totals) if t == best]
+    index = tied[0] if len(tied) == 1 else min(
+        tied, key=lambda i: (_goal_deviation(candidate_theta(i, n), obs), i))
+    return DirectionChoice(candidate_theta(index, n), index, totals, obs, w)
 
 
 class MotionKind(Enum):

@@ -40,7 +40,8 @@ from .local_planner import (
     MotionCommand,
     MotionKind,
     StepThresholds,
-    cost_local,
+    candidate_theta,
+    cost_local,  # noqa: F401 -- not called here; perfbench's tracer wraps it by this name
     select_direction,
     step_decision,
     wrap_angle,
@@ -760,7 +761,7 @@ class MissionExecutor:
         thresholds = StepThresholds(dist_stop=stop_m / self.cell, angle_tol=self.cfg.angle_tol,
                                     step=self.state.params.ground_step / self.cell)
         replanned = False
-        prev_theta = None
+        prev_index = None
         while True:
             self._maybe_drop()
             # the follower-waiting rule applies once the drone has reached the
@@ -784,17 +785,17 @@ class MissionExecutor:
                     lookahead=min(self.cfg.local_weights.lookahead, max(d_obs, 0.5)))
                 try:
                     choice = select_direction(obs, weights)
-                    theta = choice.theta
-                    cost = choice.table[choice.index].cost.total
+                    index = choice.index
                     # hysteresis: keep the previous commanded direction while
                     # it stays near-optimal, so two flanking routes around an
                     # obstacle cannot alternate tick by tick as the steered
                     # point swings on the head arm
-                    if prev_theta is not None and prev_theta != theta:
-                        prev_cost = cost_local(prev_theta, obs, weights).total
-                        if prev_cost <= cost + 0.05:
-                            theta, cost = prev_theta, prev_cost
-                    prev_theta = theta
+                    if (prev_index is not None and prev_index != index
+                            and choice.totals[prev_index] <= choice.totals[index] + 0.05):
+                        index = prev_index
+                    prev_index = index
+                    theta = candidate_theta(index, weights.candidate_count)
+                    cost = choice.totals[index]
                     cmd = step_decision(
                         obs, theta,
                         replace(thresholds, angle_tol=self._alignment_gate(d_obs)))

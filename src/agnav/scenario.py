@@ -196,7 +196,8 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
 
 
 def read_scenario_file(path: str) -> dict:
-    """The parsed JSON document of a scenario file (validated on load)."""
+    """The parsed JSON document of a scenario file (validated on load). Every
+    error message starts with the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -205,7 +206,7 @@ def read_scenario_file(path: str) -> dict:
     except UnicodeDecodeError as e:
         raise ScenarioError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from e
     except json.JSONDecodeError as e:
-        raise ScenarioError(f"$: invalid JSON ({e})") from e
+        raise ScenarioError(f"{path}: invalid JSON ({e})") from e
 
 
 def relation_clearance(scen: Scenario) -> float:

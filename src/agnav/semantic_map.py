@@ -3,7 +3,13 @@
 Fusion follows a fixed rule pipeline over the pooled observations:
 
 1. cluster observations whose world positions chain within merge_radius
-   (single-linkage transitive closure);
+   (single-linkage transitive closure). The search hashes each observation
+   into square buckets 2 * merge_radius wide and grows each component by
+   breadth-first search over the 3 x 3 buckets around each member. Any two
+   points within merge_radius of each other differ by at most half a bucket
+   along each axis, so, however ``x / width`` rounds, they land in the same
+   or adjacent buckets: the search runs the same exact pair test over the
+   same pairs as an all-pairs scan would, in near-linear time;
 2. drop clusters seen by exactly one map while lying inside another map's
    footprint; keep sole-visibility singletons flagged uncertain;
 3. name each cluster by majority vote over member names (ties keep the
@@ -20,11 +26,13 @@ order: observations are canonically sorted before any rule runs.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 POOL_CAP = 8  # newest observations retained per cluster
 
@@ -91,22 +99,6 @@ class LocalSemanticMap:
     step_index: int
     parts: dict = field(default_factory=dict)  # head/body/tail grid points
 
-    def world_objects(self) -> list[SemanticObject]:
-        """Objects projected into the world frame (meters)."""
-        out = []
-        for o in self.objects:
-            if o.frame == "world":
-                out.append(o)
-            else:
-                out.append(replace(
-                    o,
-                    x=self.observer_x + o.x * self.cell_m,
-                    y=self.observer_y + o.y * self.cell_m,
-                    frame="world",
-                    radius=o.radius * self.cell_m,
-                ))
-        return out
-
 
 class Confidence(Enum):
     CONFIRMED = "confirmed"
@@ -131,7 +123,7 @@ class GlobalSemanticMap:
     # retained observation pool and per-step footprints, carried so that
     # update() can re-fuse incrementally
     pool: tuple = ()
-    footprints: tuple = ()  # (step_index, Footprint) pairs
+    footprints: tuple = ()  # unique (step_index, Footprint) pairs, in _footprint_key order
 
     def find(self, name: str) -> Optional[MapEntry]:
         for e in self.entries:
@@ -150,74 +142,97 @@ class FusionParams:
             raise ValueError("radii must be positive")
 
 
-@dataclass(frozen=True)
-class _Obs:
-    """World-frame observation record, the unit of clustering."""
+class _Obs(NamedTuple):
+    """World-frame observation record, the unit of clustering. Its first
+    five fields, read by ``_obs_key``, are its canonical sort key."""
 
     step: int
     oid: str
-    name: str
     x: float
     y: float
+    name: str
     radius: float
     orientation: Optional[float]
 
-    @property
-    def key(self):
-        return (self.step, self.oid, self.x, self.y, self.name)
+
+_obs_key = operator.itemgetter(0, 1, 2, 3, 4)  # (step, oid, x, y, name)
 
 
 def _observations(maps) -> list[_Obs]:
+    """Every object of the maps as a world-frame record (grid objects are
+    projected through their map's observer pose), in canonical order."""
     obs = []
     for m in maps:
-        for o in m.world_objects():
-            obs.append(_Obs(m.step_index, o.id, o.name, o.x, o.y, o.radius, o.orientation))
-    obs.sort(key=lambda r: r.key)
+        step, ox, oy, cell = m.step_index, m.observer_x, m.observer_y, m.cell_m
+        for o in m.objects:
+            if o.frame == "world":
+                obs.append(_Obs(step, o.id, o.x, o.y, o.name, o.radius, o.orientation))
+            else:
+                obs.append(_Obs(step, o.id, ox + o.x * cell, oy + o.y * cell, o.name,
+                                o.radius * cell, o.orientation))
+    obs.sort(key=_obs_key)
     return obs
+
+
+def _bucket(o: _Obs, width: float):
+    """Spatial-hash cell of an observation; None when a coordinate over the
+    width is not finite. Such records can only link among themselves: a
+    non-finite coordinate fails every pair test, and a finite one that
+    overflows the quotient has float neighbours more than a bucket apart."""
+    try:
+        return (math.floor(o.x / width), math.floor(o.y / width))
+    except (ValueError, OverflowError):
+        return None
 
 
 def _cluster_records(obs: list[_Obs], merge_radius: float) -> list[list[_Obs]]:
     """Single-linkage components of the distance <= merge_radius graph,
-    ordered by each component's canonically-first member."""
-    parent = list(range(len(obs)))
+    ordered by each component's canonically-first member, members in
+    canonical order. See rule 1 of the module docstring for the search."""
+    width = 2.0 * merge_radius
+    cells = [_bucket(o, width) for o in obs]
+    buckets: dict = {}
+    for i, cell in enumerate(cells):
+        buckets.setdefault(cell, []).append(i)
+    near = {None: buckets.get(None)}
+    for cell in buckets:
+        if cell is not None:
+            cx, cy = cell
+            near[cell] = [j for gx in (cx - 1, cx, cx + 1) for gy in (cy - 1, cy, cy + 1)
+                          for j in buckets.get((gx, gy), ())]
+    seen = [False] * len(obs)
+    groups = []
+    for start in range(len(obs)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for a in comp:  # grows while iterated: breadth-first
+            ax, ay = obs[a].x, obs[a].y
+            for b in near[cells[a]]:
+                if not seen[b] and math.hypot(ax - obs[b].x, ay - obs[b].y) <= merge_radius:
+                    seen[b] = True
+                    comp.append(b)
+        comp.sort()
+        groups.append([obs[i] for i in comp])
+    return groups
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    for i in range(len(obs)):
-        for j in range(i + 1, len(obs)):
-            if math.hypot(obs[i].x - obs[j].x, obs[i].y - obs[j].y) <= merge_radius:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[_Obs]] = {}
-    for i in range(len(obs)):
-        groups.setdefault(find(i), []).append(obs[i])
-    return [groups[r] for r in sorted(groups)]
-
-
-@dataclass
 class _Cluster:
-    members: list[_Obs]
-    name: str = ""
-    uncertain: bool = False
-    removed: bool = False
+    """One component under the rule pipeline; its member statistics are
+    computed once, since the members never change."""
 
-    @property
-    def support(self) -> int:
-        return len({m.step for m in self.members})
+    __slots__ = ("members", "name", "uncertain", "removed", "support", "newest", "mean")
 
-    @property
-    def newest(self) -> int:
-        return max(m.step for m in self.members)
-
-    @property
-    def mean(self) -> tuple[float, float]:
-        n = len(self.members)
-        return (sum(m.x for m in self.members) / n, sum(m.y for m in self.members) / n)
+    def __init__(self, members: list[_Obs]):
+        self.members = members
+        self.name = ""
+        self.uncertain = False
+        self.removed = False
+        self.support = len({m.step for m in members})
+        self.newest = max(m.step for m in members)
+        n = len(members)
+        self.mean = (sum(m.x for m in members) / n, sum(m.y for m in members) / n)
 
 
 def _vote_name(members) -> tuple[str, bool]:
@@ -328,7 +343,7 @@ def _fuse_pool(pool: list[_Obs], footprints, params: FusionParams,
             orientation=_circular_mean([m.orientation for m in c.members]),
         ))
     entries.sort(key=lambda e: (e.name, e.x, e.y))
-    retained.sort(key=lambda o: o.key)
+    retained.sort(key=_obs_key)
     return GlobalSemanticMap(
         entries=tuple(entries),
         revision=revision,
@@ -340,14 +355,21 @@ def _fuse_pool(pool: list[_Obs], footprints, params: FusionParams,
 def update(global_map: GlobalSemanticMap, new_map: LocalSemanticMap,
            params: FusionParams = FusionParams()) -> GlobalSemanticMap:
     """Re-fuse the retained pool plus one new local map; revision increments."""
-    merged: dict = {o.key: o for o in global_map.pool}
+    merged: dict = {_obs_key(o): o for o in global_map.pool}
     for o in _observations([new_map]):
-        merged.setdefault(o.key, o)
-    pool = sorted(merged.values(), key=lambda o: o.key)
-    footprints = sorted(
-        set(global_map.footprints) | {(new_map.step_index, new_map.footprint)},
-        key=_footprint_key,
-    )
+        merged.setdefault(_obs_key(o), o)
+    pool = sorted(merged.values(), key=_obs_key)
+    # the new footprint normally sorts last (steps only grow); otherwise it
+    # goes in at its sorted place unless already present
+    footprints = list(global_map.footprints)
+    new = (new_map.step_index, new_map.footprint)
+    key = _footprint_key(new)
+    if not footprints or _footprint_key(footprints[-1]) < key:
+        footprints.append(new)
+    else:
+        i = bisect.bisect_left(footprints, key, key=_footprint_key)
+        if i == len(footprints) or footprints[i] != new:
+            footprints.insert(i, new)
     return _fuse_pool(pool, footprints, params, revision=global_map.revision + 1)
 
 

@@ -90,6 +90,91 @@ def random_obs(rng):
     return obs_at(main, target, obstacles, heading=rng.uniform(-math.pi, math.pi))
 
 
+def per_candidate_total(theta, obs, w):
+    """J of one heading, evaluated alone, in the operation order of the
+    per-candidate formula: the bit-exact oracle for the single-pass scan."""
+    dx, dy = math.cos(theta), math.sin(theta)
+    mx, my = obs.main
+    align = 0.0
+    if obs.target is not None:
+        tx, ty = obs.target
+        dist = math.hypot(tx - mx, ty - my)
+        if dist > 0.0:
+            align = (w.beta / dist) * math.acos(
+                min(1.0, max(-1.0, (dx * (tx - mx) + dy * (ty - my)) / dist)))
+    zero = 0.0
+    zdist = math.hypot(-mx, -my)
+    if zdist > 0.0:
+        zero = math.acos(min(1.0, max(-1.0, (dx * -mx + dy * -my) / zdist)))
+    obstacle = 0.0
+    for (ox, oy), radius in obs.obstacles:
+        t = (ox - mx) * dx + (oy - my) * dy
+        if t < 0.0 or t > w.lookahead:
+            continue
+        eff = max(0.0, math.hypot(ox - mx - t * dx, oy - my - t * dy) - radius)
+        if eff < w.d_safe:
+            obstacle += 1.0 / (eff + w.epsilon)
+    ex, ey = mx + w.lookahead * dx, my + w.lookahead * dy
+    if max(abs(ex), abs(ey)) > w.window_half_extent:
+        return math.inf
+    return w.q_align * align + w.q_zero * zero + w.q_obstacle * obstacle + w.q_window * 0.0
+
+
+def per_candidate_choice(obs, w):
+    """Index the per-candidate rule picks: least total, then least goal
+    deviation, then lowest index; None when every total is infinite."""
+    keys = []
+    for i in range(w.candidate_count):
+        theta = 2.0 * math.pi * i / w.candidate_count
+        total = per_candidate_total(theta, obs, w)
+        if math.isfinite(total):
+            goal = obs.target if obs.target is not None else obs.zero
+            gx, gy = goal[0] - obs.main[0], goal[1] - obs.main[1]
+            gn = math.hypot(gx, gy)
+            dev = 0.0 if gn == 0.0 else math.acos(
+                min(1.0, max(-1.0, (math.cos(theta) * gx + math.sin(theta) * gy) / gn)))
+            keys.append((total, dev, i))
+    return min(keys)[2] if keys else None
+
+
+SCAN_WEIGHTS = [
+    LocalCostWeights(),
+    LocalCostWeights(d_safe=1.2, lookahead=2.5, candidate_count=24),
+    # zero weights make whole arcs of candidates tie exactly, so the choice
+    # falls to the goal-deviation and index tie-breaks
+    LocalCostWeights(q_align=0.0, q_zero=0.0, q_obstacle=0.0),
+    LocalCostWeights(q_align=0.0, q_zero=0.0, lookahead=1.0),
+    # a small window bars many candidates and, for outlying points, all
+    LocalCostWeights(window_half_extent=1.0, lookahead=5.0),
+]
+
+
+@pytest.mark.parametrize("w", SCAN_WEIGHTS)
+def test_scan_totals_and_choice_bit_identical_600_random(w):
+    rng = random.Random(21)
+    ties = blocked = 0
+    for _ in range(600):
+        obs = random_obs(rng)
+        expected = [per_candidate_total(2.0 * math.pi * i / w.candidate_count, obs, w)
+                    for i in range(w.candidate_count)]
+        want = per_candidate_choice(obs, w)
+        if want is None:
+            blocked += 1
+            with pytest.raises(BlockedError):
+                select_direction(obs, w)
+            continue
+        choice = select_direction(obs, w)
+        assert [t.hex() for t in choice.totals] == [t.hex() for t in expected]
+        assert [c.cost.total.hex() for c in choice.table] == [t.hex() for t in expected]
+        assert choice.index == want
+        assert choice.theta == 2.0 * math.pi * want / w.candidate_count
+        ties += expected.count(expected[want]) > 1
+    if w.q_align == w.q_zero == 0.0:
+        assert ties > 100
+    if w.window_half_extent == 7.0:
+        assert blocked > 10
+
+
 def test_aligned_case_zero_cost():
     w = LocalCostWeights()
     obs = obs_at((0, -5), target=(0, 0))

@@ -292,6 +292,72 @@ def test_plan_local_step_cli_mistyped_weight_is_a_diagnostic(tmp_path, weights, 
     assert "Traceback" not in r.stderr
 
 
+def _local_obs_doc(**changes):
+    doc = {"main": [0.0, 0.0], "target": [4.0, 0.0], "obstacles": [[2.0, 0.3, 0.2]],
+           "parts": {"head": [1.0, 0.0], "body": [0.0, 0.0], "tail": [-1.0, 0.0]}}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("changes, path", [
+    ({"main": [0.0]}, "$.main"),
+    ({"main": [0.0, "x"]}, "$.main"),
+    ({"target": [math.nan, 0.0]}, "$.target"),
+    ({"obstacles": [[2.0, 0.3]]}, "$.obstacles[0]"),
+    ({"obstacles": [[2.0, 0.3, -0.2]]}, "$.obstacles[0]"),
+    ({"parts": {"head": [1.0, 0.0], "body": [0.0, 0.0], "tail": [True, 0.0]}},
+     "$.parts.tail"),
+], ids=["short-main", "text-main", "nan-target", "short-obstacle", "negative-radius",
+        "bool-tail"])
+def test_plan_local_step_cli_malformed_observation_is_a_diagnostic(tmp_path, changes, path):
+    p = tmp_path / "obs.json"
+    p.write_text(json.dumps(_local_obs_doc(**changes)))
+    r = run_cli("plan-local-step", "--observation", str(p))
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: {path}: ")
+    assert r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
+
+
+def test_plan_local_step_cli_blocked_is_a_diagnostic(tmp_path):
+    # the steered point sits so far out that every lookahead leaves the window
+    p = tmp_path / "obs.json"
+    p.write_text(json.dumps(_local_obs_doc(
+        main=[30.0, 30.0], target=None, obstacles=[],
+        parts={"head": [31.0, 30.0], "body": [30.0, 30.0], "tail": [29.0, 30.0]})))
+    r = run_cli("plan-local-step", "--observation", str(p))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: blocked: ")
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff\xfe" + json.dumps(type_a_scenario(0)).encode("utf-16-le"), "not UTF-8"),
+    (b"{", "invalid JSON"),
+], ids=["utf16", "truncated"])
+def test_batch_cli_unreadable_file_names_its_path_once(tmp_path, content, reason):
+    scen_dir = tmp_path / "scenarios"
+    scen_dir.mkdir()
+    bad = scen_dir / "bad.json"
+    bad.write_bytes(content)
+    r = run_cli("batch", "--scenarios", str(scen_dir), "--out", str(tmp_path / "m.csv"))
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: {bad}: {reason}")
+    assert r.stderr.count(str(bad)) == 1
+    assert "Traceback" not in r.stderr
+
+
+def test_batch_cli_config_error_names_its_path(tmp_path):
+    scen_dir = tmp_path / "scenarios"
+    doc = type_a_scenario(0)
+    doc["task"] = "dance"
+    write_scenarios([doc], scen_dir)
+    r = run_cli("batch", "--scenarios", str(scen_dir), "--out", str(tmp_path / "m.csv"))
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: {scen_dir / 'scenario_00.json'}: ")
+    assert "Traceback" not in r.stderr
+
+
 def test_fuse_cli(tmp_path):
     from agnav.semantic_map import (
         Footprint, LocalSemanticMap, SemanticObject, local_map_to_json)

@@ -4,6 +4,8 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agnav.semantic_map import (
     Category,
@@ -86,6 +88,83 @@ def test_match_against_bfs_oracle():
         clusters = _cluster_records(_observations(maps), radius)
         got = sorted(sorted(m.step for m in c) for c in clusters)
         assert got == bfs_components(pts, radius)
+
+
+def all_pairs_groups(obs, radius):
+    """Brute-force reference for _cluster_records: every pair runs the same
+    exact test, groups ordered by their first member, members by index."""
+    parent = list(range(len(obs)))
+
+    def root(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i in range(len(obs)):
+        for j in range(i + 1, len(obs)):
+            if math.hypot(obs[i].x - obs[j].x, obs[i].y - obs[j].y) <= radius:
+                parent[max(root(i), root(j))] = min(root(i), root(j))
+    groups = {}
+    for i in range(len(obs)):
+        groups.setdefault(root(i), []).append(obs[i])
+    return [groups[r] for r in sorted(groups)]
+
+
+def pool_of(points):
+    """Canonically ordered records, one map per point (duplicates allowed)."""
+    return _observations([world_map(s, [(f"o{s}", "X", x, y)]) for s, (x, y) in enumerate(points)])
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.05, 0.15, 0.2, 0.3])
+def test_cluster_exact_on_lattices(radius):
+    # 0.1-m lattice points, negative coordinates included: neighbours sit
+    # exactly (up to rounding of i * 0.1) one radius apart and many land on
+    # bucket edges, where x / (2 * radius) rounds either way
+    rng = random.Random(int(radius * 100))
+    lattice = [(i * 0.1, j * 0.1) for i in range(-12, 13) for j in range(-12, 13)]
+    for _ in range(20):
+        obs = pool_of(rng.sample(lattice, rng.randint(1, 120)))
+        assert _cluster_records(obs, radius) == all_pairs_groups(obs, radius)
+
+
+def test_cluster_exact_across_bucket_edges():
+    # pairs straddling the edges k * 2r of the buckets, at, just inside and
+    # just outside the radius
+    radius = 0.1
+    points = []
+    for k in range(-4, 5):
+        edge = k * 2 * radius
+        for gap in (radius, math.nextafter(radius, 0.0), math.nextafter(radius, 1.0), 0.0):
+            points += [(edge - gap / 2, 0.3 * k), (edge + gap / 2, 0.3 * k)]
+            points += [(0.7 * k, edge), (0.7 * k, edge + gap)]
+            points += [(math.nextafter(edge, -1.0), -1.0), (edge, -1.0)]
+    obs = pool_of(points)
+    assert _cluster_records(obs, radius) == all_pairs_groups(obs, radius)
+
+
+def test_cluster_exact_with_duplicates_and_nonfinite():
+    points = [(0.0, 0.0)] * 3 + [(0.1, 0.0)] * 2 + [(-0.35, -0.35)] * 2 + [
+        (math.nan, 0.0), (math.inf, 0.0), (math.inf, 0.0), (-math.inf, 1.0),
+        (1e308, 0.0), (1e308, 0.0), (1e308, 0.05), (-1e308, 0.0), (0.0, 1e308)]
+    obs = pool_of(points)
+    got = _cluster_records(obs, 0.1)
+    assert got == all_pairs_groups(obs, 0.1)
+    assert sorted(len(g) for g in got) == [1] * 6 + [2, 3, 5]
+    # radii whose bucket width over- or underflows the quotient
+    points += [(1e-16, 0.0), (1e-16, 0.0), (2e-16, 0.0), (1e-300, 1e-300)]
+    obs = pool_of(points)
+    for radius in (5e-324, 1e-300, 1e307, 1e308):
+        assert _cluster_records(obs, radius) == all_pairs_groups(obs, radius)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), max_size=40),
+       copies=st.integers(0, 5),
+       radius=st.floats(0.01, 1.0))
+def test_cluster_matches_all_pairs_property(points, copies, radius):
+    points = points + points[:copies]
+    obs = pool_of(points)
+    assert _cluster_records(obs, radius) == all_pairs_groups(obs, radius)
 
 
 def test_fuse_majority_vote():
@@ -249,7 +328,7 @@ def test_grid_objects_project_through_observer():
     obj = SemanticObject(id="a", name="A", x=5.0, y=-5.0, frame="grid", radius=0.5)
     m = LocalSemanticMap(observer_x=1.0, observer_y=1.0, altitude=2.0, cell_m=0.2,
                          footprint=WIDE, objects=(obj,), step_index=0)
-    w = m.world_objects()[0]
+    (w,) = _observations([m])
     assert (w.x, w.y) == (2.0, 0.0)
     assert w.radius == pytest.approx(0.1)
-    assert w.frame == "world"
+    assert (w.step, w.oid, w.name) == (0, "a", "A")
