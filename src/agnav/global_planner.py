@@ -16,6 +16,17 @@ Minimization is deterministic L-BFGS on the interior control points
 (endpoints stay pinned to main and target) with Armijo backtracking; the
 s^T y / y^T y initial scaling and a normalized steepest first step make the
 argmin invariant under a common positive scaling of the three weights.
+
+When the straight seed enters the d_safe band, two bowed seeds are descended
+beside it, in lockstep: each round evaluates the trial points of all
+still-active seeds in one call on a (k, n, 2) stack, and each seed then
+takes its own direction, Armijo and stopping decisions. At 8 unknowns and 65
+samples the time goes to per-call overhead, not arithmetic, so one call per
+round instead of one per seed is the saving. It is exact: every seed visits
+the same points, with the same bits, as when descended alone, because the
+stacked matmul runs the same gemm per polygon and every reduction runs along
+one row in the order a lone polygon's does. The two-loop recursion stays per
+seed, since batched short dot products round differently from s @ q.
 """
 
 from __future__ import annotations
@@ -42,6 +53,9 @@ class GlobalCostWeights:
     sample_count: int = 64
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.q_length, self.q_curvature, self.q_obstacle,
+                                       self.d_safe))):
+            raise ValueError("weights and d_safe must be finite")
         if min(self.q_length, self.q_curvature, self.q_obstacle) < 0:
             raise ValueError("weights must be non-negative")
         if self.d_safe <= 0:
@@ -62,6 +76,8 @@ class ObstacleSet:
         r = np.asarray(self.radii, dtype=float).reshape(-1)
         if len(c) != len(r):
             raise ValueError("centers and radii must have equal length")
+        if not (np.isfinite(c).all() and np.isfinite(r).all()):
+            raise ValueError("centers and radii must be finite")
         if np.any(r < 0):
             raise ValueError("radii must be non-negative")
         object.__setattr__(self, "centers", c)
@@ -113,50 +129,70 @@ def straight_line_init(main, target, n_controls: int) -> tuple[np.ndarray, bool]
     return (1.0 - t) * a + t * b, False
 
 
-def _cost_and_grad(controls: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
-                   obstacles: ObstacleSet) -> tuple[CostBreakdown, np.ndarray | None]:
-    """J at the polygon P = B @ controls and its gradient B^T dJ/dP with
-    respect to every control point; the gradient is None when J is not finite."""
-    pts = B @ controls
-    seg = np.diff(pts, axis=0)
-    seg_len = np.hypot(seg[:, 0], seg[:, 1])
+def _evaluate(C: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
+              obstacles: ObstacleSet) -> tuple[list[tuple], np.ndarray | None]:
+    """J over a stack of k control polygons C (k, n, 2), each sampled as
+    P = B @ C[i], and its gradient B^T dJ/dP with respect to every control
+    point. Returns one (length, curvature, obstacle, total) tuple per polygon
+    and the (k, n, 2) gradient, which is None when any total is not finite.
+
+    Each polygon gets the arithmetic of a lone one, value for value: the
+    stacked matmul runs the same gemm per polygon, and every reduction runs
+    along one contiguous row in the same order."""
+    k = len(C)
+    pts = B @ C
+    seg = pts[:, 1:] - pts[:, :-1]
+    seg_len = np.hypot(seg[..., 0], seg[..., 1])
     # second differences at i = 2 .. m-1 (none when m = 2)
-    sec = pts[3:] - 2.0 * pts[2:-1] + pts[1:-2]
-    sec_len = np.hypot(sec[:, 0], sec[:, 1])
-    length = float(np.sum(seg_len))
-    curvature = float(np.sum(sec_len))
-    obstacle = 0.0
+    sec = pts[:, 3:] - 2.0 * pts[:, 2:-1] + pts[:, 1:-2]
+    sec_len = np.hypot(sec[..., 0], sec[..., 1])
+    lengths = np.add.reduce(seg_len, 1).tolist()
+    curvatures = np.add.reduce(sec_len, 1).tolist()
     use_obstacles = len(obstacles) and weights.q_obstacle > 0.0
     if use_obstacles:
-        diff = pts[1:, None, :] - obstacles.centers[None, :, :]  # samples i = 1 .. m
+        # (k, N, m) over obstacle j and sample i = 1 .. m; O sums the squared
+        # penalties sample-major (i, then j), which fixes its rounding
+        diff = pts[:, None, 1:, :] - obstacles.centers[:, None, :]
         dist = np.hypot(diff[..., 0], diff[..., 1])
-        pen = np.maximum(0.0, weights.d_safe - (dist - obstacles.radii[None, :]))
-        obstacle = float(np.sum(pen * pen))
-    total = weights.q_length * length + weights.q_curvature * curvature + weights.q_obstacle * obstacle
-    bd = CostBreakdown(length, curvature, obstacle, total)
-    if not math.isfinite(total):
-        return bd, None
+        pen = dist - obstacles.radii[:, None]
+        np.subtract(weights.d_safe, pen, out=pen)
+        np.maximum(0.0, pen, out=pen)
+        sq = (pen * pen).transpose(0, 2, 1).reshape(k, -1)
+        obstacle_terms = np.add.reduce(sq, 1).tolist()
+    else:
+        obstacle_terms = [0.0] * k
+    ql, qc, qo = weights.q_length, weights.q_curvature, weights.q_obstacle
+    terms = [(L, K, O, ql * L + qc * K + qo * O)
+             for L, K, O in zip(lengths, curvatures, obstacle_terms)]
+    if not all(math.isfinite(t[3]) for t in terms):
+        return terms, None
 
     # a zero-length vector contributes a zero subgradient
-    dP = np.zeros_like(pts)
-    u = weights.q_length * (seg / np.where(seg_len > 0.0, seg_len, 1.0)[:, None])
-    dP[1:] += u
-    dP[:-1] -= u
-    w = weights.q_curvature * (sec / np.where(sec_len > 0.0, sec_len, 1.0)[:, None])
-    dP[3:] += w
-    dP[2:-1] -= 2.0 * w
-    dP[1:-2] += w
+    dP = np.zeros(pts.shape)
+    seg_len[seg_len == 0.0] = 1.0
+    u = seg / seg_len[..., None]
+    u *= ql
+    dP[:, 1:] += u
+    dP[:, :-1] -= u
+    sec_len[sec_len == 0.0] = 1.0
+    w = sec / sec_len[..., None]
+    w *= qc
+    dP[:, 3:] += w
+    dP[:, 2:-1] -= 2.0 * w
+    dP[:, 1:-2] += w
     if use_obstacles:
-        radial = diff / np.where(dist > 0.0, dist, 1.0)[..., None]
-        dP[1:] -= 2.0 * weights.q_obstacle * np.sum(pen[..., None] * radial, axis=1)
-    return bd, B.T @ dP
+        dist[dist == 0.0] = 1.0
+        radial = diff / dist[..., None]
+        radial *= pen[..., None]
+        dP[:, 1:] -= 2.0 * qo * np.add.reduce(radial, 1)
+    return terms, B.T @ dP
 
 
 def cost_global(path: SplinePath, weights: GlobalCostWeights, obstacles: ObstacleSet) -> CostBreakdown:
     """J over the path sampled at u_i = i/m with m = weights.sample_count."""
     us = np.arange(weights.sample_count + 1) / weights.sample_count
     B = basis_matrix(path.knots, path.degree, us)
-    return _cost_and_grad(path.control_points, B, weights, obstacles)[0]
+    return CostBreakdown(*_evaluate(path.control_points[None], B, weights, obstacles)[0][0])
 
 
 def _min_clearance(pts: np.ndarray, obstacles: ObstacleSet) -> float:
@@ -178,68 +214,99 @@ LBFGS_MEMORY = 6  # (s, y) pairs kept by the quasi-Newton direction
 
 
 def _lbfgs_direction(g: np.ndarray, pairs: deque) -> np.ndarray:
-    """-H g by the two-loop recursion, H0 = (s^T y / y^T y) I from the newest pair."""
+    """-H g by the two-loop recursion, H0 = (s^T y / y^T y) I from the newest
+    pair. A pair is (s, y, 1 / s^T y, s^T y / y^T y)."""
     q = g.copy()
     alphas = []
-    for s, y, rho in reversed(pairs):
+    for s, y, rho, _ in reversed(pairs):
         a = rho * float(s @ q)
         q -= a * y
         alphas.append(a)
-    s, y, _ = pairs[-1]
-    q *= float(s @ y) / float(y @ y)
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+    q *= pairs[-1][3]
+    for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
         q += (a - rho * float(y @ q)) * s
     return -q
 
 
-def _descend(controls: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
-             obstacles: ObstacleSet) -> tuple[np.ndarray, CostBreakdown, list[float], bool]:
-    """L-BFGS with Armijo backtracking over the interior control points; the
-    first step, and any step where -H g is not a descent direction, is the
-    normalized steepest step of length STEP. Returns the final polygon
-    and its breakdown, the accepted-cost history (seed cost first), and
-    convergence."""
-    c = controls.copy()
-    bd, grad = _cost_and_grad(c, B, weights, obstacles)
+class _Descent:
+    """One seed's L-BFGS state over the interior control points. The first
+    step, and any step where -H g is not a descent direction, is the
+    normalized steepest step of length STEP; Armijo backtracking halves the
+    step length t until the trial point decreases the cost enough."""
+
+    __slots__ = ("c", "terms", "f", "g", "history", "pairs", "d", "slope", "dnorm", "t",
+                 "converged")
+
+    def __init__(self, c: np.ndarray, terms: tuple, grad: np.ndarray):
+        self.c, self.terms, self.f, self.g = c, terms, terms[3], grad[1:-1].ravel()
+        self.history = [self.f]
+        self.pairs = deque(maxlen=LBFGS_MEMORY)
+        self.converged = True
+
+    def begin(self) -> bool:
+        """Choose the direction at c and reset t to 1; False when the
+        gradient vanishes and the descent has ended."""
+        g = self.g
+        gnorm = math.sqrt(g @ g)
+        if gnorm == 0.0:
+            return False
+        d = _lbfgs_direction(g, self.pairs) if self.pairs else None
+        slope = float(g @ d) if d is not None else 0.0
+        if not slope < 0.0:
+            d = -(STEP / gnorm) * g
+            slope = float(g @ d)
+        self.d, self.slope, self.dnorm, self.t = d, slope, math.sqrt(d @ d), 1.0
+        return True
+
+    def trial(self, out: np.ndarray) -> None:
+        """Write the trial point c + t d into out."""
+        out[...] = self.c
+        out[1:-1] += (self.t * self.d).reshape(-1, 2)
+
+    def take(self, trial: np.ndarray, terms: tuple, grad: np.ndarray) -> bool:
+        """Accept the evaluated trial point or backtrack; False when the
+        descent has ended."""
+        total = terms[3]
+        if total <= self.f + ARMIJO * self.t * self.slope:
+            g_new = grad[1:-1].ravel()
+            s, y = self.t * self.d, g_new - self.g
+            sy = float(s @ y)
+            if sy > 0.0:
+                self.pairs.append((s, y, 1.0 / sy, sy / float(y @ y)))
+            rel = abs(self.f - total) <= TOLERANCE * abs(self.f)
+            self.c, self.terms, self.f, self.g = trial, terms, total, g_new
+            self.history.append(total)
+            if rel:
+                return False
+            if len(self.history) > MAX_ITERS:
+                self.converged = False
+                return False
+            return self.begin()
+        self.t *= 0.5
+        return not self.t * self.dnorm < 1e-12
+
+
+def _descend_lockstep(seeds: list[np.ndarray], B: np.ndarray, weights: GlobalCostWeights,
+             obstacles: ObstacleSet) -> _Descent:
+    """Descend every seed in lockstep and return the lowest final cost (ties
+    prefer the earlier seed). Each round evaluates the trial points of all
+    still-active seeds in one _evaluate call; every seed takes the decisions
+    it would take alone, so it visits the same points bit for bit."""
+    C = np.array(seeds)
+    terms, grad = _evaluate(C, B, weights, obstacles)
     if grad is None:
         raise PlanningError("non-finite cost at the initial control polygon")
-    f = bd.total
-    history = [f]
-    if len(c) <= 2 or f == 0.0:
-        return c, bd, history, True
-    g = grad[1:-1].ravel()
-    pairs = deque(maxlen=LBFGS_MEMORY)
-    for _ in range(MAX_ITERS):
-        gnorm = float(np.sqrt(g @ g))
-        if gnorm == 0.0:
-            return c, bd, history, True
-        d = _lbfgs_direction(g, pairs) if pairs else None
-        if d is None or not float(g @ d) < 0.0:
-            d = -(STEP / gnorm) * g
-        slope = float(g @ d)
-        dnorm = float(np.sqrt(d @ d))
-        t = 1.0
-        while True:
-            trial = c.copy()
-            trial[1:-1] += (t * d).reshape(-1, 2)
-            bd_t, grad_t = _cost_and_grad(trial, B, weights, obstacles)
-            if grad_t is None:
-                raise PlanningError("non-finite cost during line search")
-            if bd_t.total <= f + ARMIJO * t * slope:
-                break
-            t *= 0.5
-            if t * dnorm < 1e-12:
-                return c, bd, history, True
-        g_new = grad_t[1:-1].ravel()
-        s, y = t * d, g_new - g
-        if float(s @ y) > 0.0:
-            pairs.append((s, y, 1.0 / float(s @ y)))
-        rel = abs(f - bd_t.total) <= TOLERANCE * abs(f)
-        c, bd, f, g = trial, bd_t, bd_t.total, g_new
-        history.append(f)
-        if rel:
-            return c, bd, history, True
-    return c, bd, history, False
+    runs = [_Descent(C[i], terms[i], grad[i]) for i in range(len(C))]
+    active = [run for run in runs if run.f != 0.0 and run.begin()]
+    while active:
+        C = np.empty((len(active),) + C.shape[1:])
+        for run, out in zip(active, C):
+            run.trial(out)
+        terms, grad = _evaluate(C, B, weights, obstacles)
+        if grad is None:
+            raise PlanningError("non-finite cost during line search")
+        active = [run for i, run in enumerate(active) if run.take(C[i], terms[i], grad[i])]
+    return min(runs, key=lambda run: run.f)
 
 
 def optimize(init_controls, weights: GlobalCostWeights, obstacles: ObstacleSet) -> GlobalPlanResult:
@@ -275,10 +342,6 @@ def optimize(init_controls, weights: GlobalCostWeights, obstacles: ObstacleSet) 
             seeds.append(controls + amp * bump)
             seeds.append(controls - amp * bump)
 
-    best = None
-    for seed in seeds:
-        run = _descend(seed, B, weights, obstacles)
-        if best is None or run[1].total < best[1].total:
-            best = run
-    c, bd, history, converged = best
-    return GlobalPlanResult(SplinePath(c, DEGREE, knots), history, bd, converged)
+    best = _descend_lockstep(seeds, B, weights, obstacles)
+    return GlobalPlanResult(SplinePath(best.c, DEGREE, knots), best.history,
+                            CostBreakdown(*best.terms), best.converged)

@@ -20,7 +20,7 @@ the candidate better aligned with the goal, then toward the lower index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import ClassVar, Optional
 
@@ -43,6 +43,8 @@ class LocalCostWeights:
     candidate_count: int = 36
 
     def __post_init__(self):
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ValueError("weights must be finite")
         if min(self.q_align, self.q_zero, self.q_obstacle, self.q_window, self.beta) < 0:
             raise ValueError("weights must be non-negative")
         if self.epsilon <= 0 or self.d_safe <= 0 or self.lookahead <= 0:

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import sys
 import time
 import typing
 from dataclasses import dataclass
@@ -73,7 +74,8 @@ def _spec(cls) -> dict:
 def _section(doc, path: str, spec: dict, skip=()) -> dict:
     """Typed values of one object section, defaults filled in. Rejects a
     non-object, unknown keys (including the ``skip``ped fields, which come
-    from elsewhere), missing required fields and mistyped values."""
+    from elsewhere), missing required fields, mistyped values and non-finite
+    floats."""
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: expected object")
     for key in doc:
@@ -93,6 +95,9 @@ def _section(doc, path: str, spec: dict, skip=()) -> dict:
             out[name] = None
         elif isinstance(val, _KINDS[field.kind]) and (
                 field.kind is bool or not isinstance(val, bool)):
+            # NaN fails the comparison; an int too large for a float exceeds it
+            if field.kind is float and not abs(val) <= sys.float_info.max:
+                raise ScenarioError(f"{path}.{name}: expected a finite number")
             out[name] = field.kind(val)
         else:
             raise ScenarioError(

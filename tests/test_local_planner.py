@@ -363,3 +363,10 @@ def test_observation_invariants():
     with pytest.raises(TypeError):
         LocalObservation(main=(0, 0), target=None, obstacles=(),
                          head=(1, 0), tail=(-1, 0), body=(0, 0), zero=(1, 0))
+
+
+@pytest.mark.parametrize("field", ["lookahead", "q_obstacle", "d_safe", "window_half_extent"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_weights_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        LocalCostWeights(**{field: value})

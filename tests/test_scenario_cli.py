@@ -319,6 +319,30 @@ def test_plan_local_step_cli_malformed_observation_is_a_diagnostic(tmp_path, cha
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("path, value", [
+    ("local_weights.lookahead", math.nan),
+    ("global_weights.q_obstacle", math.inf),
+    ("objects.0.x", 10 ** 400),  # an int no float can hold
+], ids=["nan-lookahead", "inf-q-obstacle", "huge-int-x"])
+def test_run_scenario_cli_non_finite_number_is_a_diagnostic(tmp_path, path, value):
+    doc = type_a_scenario(0)
+    _set(doc, path, value)
+    r = run_cli("run-scenario", "--file", write_doc(tmp_path, doc),
+                "--trace", str(tmp_path / "t.jsonl"), "--summary", str(tmp_path / "s.json"))
+    assert r.returncode == 1
+    assert r.stderr == f"error: {_json_path(path)}: expected a finite number\n"
+
+
+def test_plan_local_step_cli_nan_weight_is_a_diagnostic(tmp_path):
+    p = tmp_path / "obs.json"
+    p.write_text(json.dumps(_local_obs_doc()))
+    (tmp_path / "w.json").write_text('{"lookahead": NaN}')
+    r = run_cli("plan-local-step", "--observation", str(p), "--weights", str(tmp_path / "w.json"))
+    assert r.returncode == 1
+    assert r.stderr == "error: $.lookahead: expected a finite number\n"
+    assert r.stdout == ""
+
+
 def test_plan_local_step_cli_blocked_is_a_diagnostic(tmp_path):
     # the steered point sits so far out that every lookahead leaves the window
     p = tmp_path / "obs.json"
