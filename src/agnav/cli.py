@@ -25,7 +25,15 @@ from .local_planner import (
 )
 from .mission import CommandError, GoalError, parse_command, plan_leg
 from .plotting import render_run_svg
-from .scenario import ScenarioError, _build, load_scenario, read_scenario_file, run_scenario
+from .scenario import (
+    ScenarioError,
+    _build,
+    _finite_point,
+    load_scenario,
+    local_map_from_json,
+    read_json_file,
+    run_scenario,
+)
 from .semantic_map import (
     Confidence,
     FusionParams,
@@ -33,7 +41,6 @@ from .semantic_map import (
     MapEntry,
     dump_global_map,
     fuse,
-    local_map_from_json,
 )
 
 EXIT_OK = 0
@@ -60,7 +67,7 @@ def _trace_text(trace: list) -> str:
 
 def cmd_run_scenario(args) -> int:
     try:
-        scen, result = run_scenario(read_scenario_file(args.file), args.seed)
+        scen, result = run_scenario(read_json_file(args.file), args.seed)
     except (ScenarioError, CommandError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -99,7 +106,7 @@ def cmd_batch(args) -> int:
     rows = []
     for path in files:
         try:
-            doc = read_scenario_file(path)
+            doc = read_json_file(path)
         except ScenarioError as e:  # its message starts with the path
             print(f"error: {e}", file=sys.stderr)
             return EXIT_CONFIG
@@ -129,7 +136,7 @@ def cmd_plan_global(args) -> int:
     planned on a map of the scenario's ground-truth objects: for a carry
     task, the transport leg from the carried object."""
     try:
-        scen = load_scenario(read_scenario_file(args.scenario))
+        scen = load_scenario(read_json_file(args.scenario))
         command = parse_command(scen.task, scen.relation_clearance)
         goal = getattr(command, "goal", None)
         if goal is None:
@@ -164,15 +171,6 @@ def cmd_plan_global(args) -> int:
     _atomic_write(args.out, json.dumps(doc, sort_keys=True, indent=1) + "\n")
     print(f"cost={result.breakdown.total} converged={result.converged}")
     return EXIT_OK
-
-
-def _finite_point(doc, path: str, fields=("x", "y")) -> tuple:
-    if not (isinstance(doc, list) and len(doc) == len(fields) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-            for v in doc)):
-        raise ValueError(f"{path}: expected [{', '.join(fields)}] of finite numbers, "
-                         f"got {json.dumps(doc)}")
-    return tuple(float(v) for v in doc)
 
 
 def _observation_from_json(doc) -> LocalObservation:
@@ -236,15 +234,18 @@ def cmd_fuse(args) -> int:
             for f in os.listdir(args.maps)
             if f.endswith(".json")
         )
+        if not files:
+            raise ValueError("no local map files found")
         maps = []
         for path in files:
-            with open(path, "r", encoding="utf-8") as fh:
-                maps.append(local_map_from_json(json.load(fh)))
-        if not maps:
-            raise ValueError("no local map files found")
+            doc = read_json_file(path)  # its message starts with the path
+            try:
+                maps.append(local_map_from_json(doc))
+            except ScenarioError as e:
+                raise ScenarioError(f"{path}: {e}") from e
         params = FusionParams(merge_radius=args.merge_radius,
                               conflict_radius=args.conflict_radius)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     global_map = fuse(maps, params)

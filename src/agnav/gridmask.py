@@ -29,11 +29,6 @@ class WorldPoint(NamedTuple):
     y: float
 
 
-class PixelPoint(NamedTuple):
-    x: float
-    y: float
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Pixel-grid layout: image size and the cell edge length, all in pixels."""
@@ -166,22 +161,6 @@ def world_to_grid(cell_m: float, p, origin=None) -> GridPoint:
         raise ValueError("cell_m must be positive")
     ox, oy = (0.0, 0.0) if origin is None else (origin[0], origin[1])
     return GridPoint((p[0] - ox) / cell_m, (p[1] - oy) / cell_m)
-
-
-def pixel_to_grid(spec: GridSpec, p) -> GridPoint:
-    """Pixel frame -> centered grid frame (cells)."""
-    return GridPoint(
-        (p[0] - spec.image_width / 2.0) / spec.cell_size,
-        (spec.image_height / 2.0 - p[1]) / spec.cell_size,
-    )
-
-
-def grid_to_pixel(spec: GridSpec, p) -> PixelPoint:
-    """Centered grid frame (cells) -> pixel frame."""
-    return PixelPoint(
-        spec.image_width / 2.0 + p[0] * spec.cell_size,
-        spec.image_height / 2.0 - p[1] * spec.cell_size,
-    )
 
 
 def _fmt(v: float) -> str:

@@ -53,6 +53,7 @@ from .semantic_map import (
     FusionParams,
     GlobalSemanticMap,
     fuse,
+    left_sum,
     update,
 )
 from .sim_world import (
@@ -292,8 +293,8 @@ def plan_word_assembly(word: str, global_map: GlobalSemanticMap, fixed,
         anchors = [
             (positions[f][0] - offsets[f], positions[f][1]) for f in sorted(fixed)
         ]
-        ax = sum(a[0] for a in anchors) / len(anchors)
-        ay = sum(a[1] for a in anchors) / len(anchors)
+        ax = left_sum(a[0] for a in anchors) / len(anchors)
+        ay = left_sum(a[1] for a in anchors) / len(anchors)
         for f in sorted(fixed):
             sx, sy = ax + offsets[f], ay
             err = math.hypot(positions[f][0] - sx, positions[f][1] - sy)
@@ -302,9 +303,9 @@ def plan_word_assembly(word: str, global_map: GlobalSemanticMap, fixed,
                     f"fixed letters are {err:.3f} m from a consistent slot row "
                     f"(limit {0.5 * pitch:.3f} m); layout infeasible")
     else:
-        ax = sum(positions[l][0] for l in letters) / len(letters) \
-            - sum(offsets.values()) / len(letters)
-        ay = sum(positions[l][1] for l in letters) / len(letters)
+        ax = left_sum(positions[l][0] for l in letters) / len(letters) \
+            - left_sum(offsets.values()) / len(letters)
+        ay = left_sum(positions[l][1] for l in letters) / len(letters)
 
     out = []
     for letter in letters:
@@ -382,7 +383,6 @@ class ExecutionResult:
     failure: Optional[str]
     global_paths: list      # world polylines, one per planned move
     track: list             # ground robot world track
-    final_map: Optional[GlobalSemanticMap]
     wall_time: float = 0.0  # seconds in execute, when timed; not in summary()
 
     def summary(self) -> dict:
@@ -444,7 +444,7 @@ def plan_leg(world: WorldState, global_map: Optional[GlobalSemanticMap],
     return Leg(result, [(float(p[0]), float(p[1])) for p in pts])
 
 
-def construct_map_viewpoints(arena, camera: CameraModel) -> list[tuple[float, float]]:
+def construct_map_viewpoints(arena) -> list[tuple[float, float]]:
     """2 x 2 viewpoint lattice covering the arena, lawnmower order."""
     xmin, xmax, ymin, ymax = arena
     cx, cy = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
@@ -463,9 +463,7 @@ def _fusion_view(local_map):
 
 
 class _Failure(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """Mission failure; the message is the reason reported."""
 
 
 class MissionExecutor:
@@ -491,9 +489,6 @@ class MissionExecutor:
 
     # -- helpers ----------------------------------------------------------
 
-    def _camera_map(self, task: TaskContext):
-        return observe(self.state, self.cfg.camera, task, self.cfg.noise)
-
     def _record(self, phase: str, command=None, theta=None, cost=None, events=(), extra=None):
         rec = {
             "step": self.state.step,
@@ -511,7 +506,14 @@ class MissionExecutor:
             rec.update(extra)
         self.trace.append(rec)
 
-    def _tick_housekeeping(self) -> list:
+    def _advance_step(self):
+        self.state.step += 1
+        if self.state.step > self.cfg.step_budget:
+            raise _Failure("step budget exhausted")
+
+    def _end_tick(self, phase: str, command=None, theta=None, cost=None, extra=None):
+        """Close a tick in which the world moved: count debounced collisions,
+        extend the ground track, record the tick and advance the step."""
         events, self.overlaps = detect_collisions(self.state, self.overlaps)
         self.collisions += len(events)
         prev = self.track[-1]
@@ -519,24 +521,10 @@ class MissionExecutor:
         self.path_length += math.hypot(cur[0] - prev[0], cur[1] - prev[1])
         if cur != prev:
             self.track.append(cur)
-        return events
+        self._record(phase, command, theta, cost, events, extra)
+        self._advance_step()
 
-    def _advance_step(self):
-        self.state.step += 1
-        if self.state.step > self.cfg.step_budget:
-            raise _Failure("step budget exhausted")
-
-    def _maybe_drop(self):
-        if (self.cfg.drop_at_step is not None
-                and self.state.step == self.cfg.drop_at_step
-                and self.state.attachment is not None):
-            detach(self.state)
-
-    def _update_map(self, local_map):
-        if self.global_map is not None and self.state.step % self.cfg.map_update_every == 0:
-            self.global_map = update(self.global_map, _fusion_view(local_map), self.cfg.fusion)
-
-    def _alignment_gate(self, goal_dist_cells: Optional[float] = None) -> float:
+    def _alignment_gate(self, goal_dist_cells: float) -> float:
         # aligning finer than the candidate quantization cannot converge: one
         # rotation tick swings the steered point enough to shift the selected
         # bin, so the gate widens to just over the bin width. While carrying,
@@ -546,7 +534,7 @@ class MissionExecutor:
         # or the endgame live-locks chasing its own pivot.
         bin_width = 2.0 * math.pi / self.cfg.local_weights.candidate_count
         gate = max(self.cfg.angle_tol, 1.05 * bin_width)
-        if self.carrying is not None and goal_dist_cells is not None:
+        if self.carrying is not None:
             swing = self.state.params.head_offset * self.state.params.rotate_rate / self.cell
             shift = math.atan2(swing, max(goal_dist_cells, 1e-9))
             gate = max(gate, min(1.3, 1.05 * bin_width + shift))
@@ -558,59 +546,45 @@ class MissionExecutor:
         self.global_paths.append(leg.waypoints)
         return leg.waypoints
 
-    def _local_observation(self, local_map) -> Optional[LocalObservation]:
+    def _perceive(self, task: TaskContext):
+        """Observe, then read off the local observation (None unless the
+        robot's head, body and tail are in view and distinct) and the
+        perceived obstacle discs in world meters for ``step_ground``. The
+        carried object is never an obstacle."""
+        local_map = observe(self.state, self.cfg.camera, task, self.cfg.noise)
+        obstacles = [o for o in local_map.objects if o.id != self.carrying
+                     and (o.category == Category.OBSTACLE or o.is_obstacle_too)]
+        ox, oy, cell = local_map.observer_x, local_map.observer_y, local_map.cell_m
+        world_obstacles = [((ox + o.x * cell, oy + o.y * cell), o.radius * cell)
+                           for o in obstacles]
         parts = local_map.parts
-        if not all(k in parts for k in ("head", "body", "tail")):
-            return None
-        if parts["head"] == parts["tail"]:
-            return None
+        if not all(k in parts for k in ("head", "body", "tail")) or parts["head"] == parts["tail"]:
+            return local_map, None, world_obstacles
         main = parts["body"]
         steer_radius = self.state.ground_robot.radius / self.cell
-        if self.carrying is not None:
-            for o in local_map.objects:
-                if o.id == self.carrying:
-                    main = (o.x, o.y)
-                    steer_radius = o.radius
-                    break
-        target = None
-        for o in sorted(local_map.objects, key=lambda s: s.id):
-            if o.category == Category.TARGET:
-                target = (o.x, o.y)
-                break
+        carried = next((o for o in local_map.objects if o.id == self.carrying), None)
+        if carried is not None:
+            main, steer_radius = (carried.x, carried.y), carried.radius
+        # the first target by id: observe sorts the objects by id
+        target = next(((o.x, o.y) for o in local_map.objects
+                       if o.category == Category.TARGET), None)
         # obstacle discs inflated by the whole moving ensemble's radius (the
         # trailing body included while carrying): the clearance term then
         # measures surface separation for everything that travels the ray
         inflate = steer_radius
         if self.carrying is not None:
             inflate = max(inflate, self.state.ground_robot.radius / self.cell)
-        obstacles = tuple(
-            ((o.x, o.y), o.radius + inflate)
-            for o in local_map.objects
-            if o.id != self.carrying
-            and (o.category == Category.OBSTACLE or o.is_obstacle_too)
-        )
-        return LocalObservation(
-            main=main, target=target, obstacles=obstacles,
+        obs = LocalObservation(
+            main=main, target=target,
+            obstacles=tuple(((o.x, o.y), o.radius + inflate) for o in obstacles),
             head=parts["head"], tail=parts["tail"], body=parts["body"],
         )
-
-    def _world_obstacles(self, local_map) -> list:
-        out = []
-        for o in local_map.objects:
-            if o.id == self.carrying:
-                continue
-            if o.category == Category.OBSTACLE or o.is_obstacle_too:
-                out.append((
-                    (local_map.observer_x + o.x * local_map.cell_m,
-                     local_map.observer_y + o.y * local_map.cell_m),
-                    o.radius * local_map.cell_m,
-                ))
-        return out
+        return local_map, obs, world_obstacles
 
     # -- phases ------------------------------------------------------------
 
     def _run_construct_map(self):
-        views = construct_map_viewpoints(self.cfg.arena, self.cfg.camera)
+        views = construct_map_viewpoints(self.cfg.arena)
         task = TaskContext(TaskKind.MAP_CONSTRUCTION)
         maps = []
         for vx, vy in views:
@@ -618,10 +592,8 @@ class MissionExecutor:
             leg = [(vx, vy)]
             while not drone_done(self.state, leg):
                 step_drone(self.state, leg, wait=False)
-                events = self._tick_housekeeping()
-                self._record("construct_map", events=events)
-                self._advance_step()
-            maps.append(_fusion_view(self._camera_map(task)))
+                self._end_tick("construct_map")
+            maps.append(_fusion_view(observe(self.state, self.cfg.camera, task, self.cfg.noise)))
             self._advance_step()
         self.global_map = fuse(maps, self.cfg.fusion)
         self._record("construct_map", extra={"viewpoints": len(views)})
@@ -763,13 +735,14 @@ class MissionExecutor:
         replanned = False
         prev_index = None
         while True:
-            self._maybe_drop()
+            if (self.state.step == self.cfg.drop_at_step
+                    and self.state.attachment is not None):
+                detach(self.state)  # the scripted drop
             # the follower-waiting rule applies once the drone has reached the
             # path start (waypoint 0 sits over the steered point); before that
             # it must fly back to regain the ground robot in view
             step_drone(self.state, waypoints, wait=self.state.drone.waypoint_index > 0)
-            local_map = self._camera_map(task)
-            obs = self._local_observation(local_map)
+            local_map, obs, world_obstacles = self._perceive(task)
             cmd, theta, cost = MotionCommand.stop(), None, None
             if obs is not None and dock_axis is not None:
                 theta = dock_axis
@@ -808,14 +781,14 @@ class MissionExecutor:
                     self._record("move", extra={"replanned": True})
                     self._advance_step()
                     continue
-            step_ground(self.state, cmd, self._world_obstacles(local_map))
+            step_ground(self.state, cmd, world_obstacles)
             if self.carrying is not None and not carry_check(self.state, local_map):
                 self._handle_rollback(subtask_goal, queue)
                 return False
-            events = self._tick_housekeeping()
-            self._update_map(local_map)
-            self._record("move", command=cmd, theta=theta, cost=cost, events=events)
-            self._advance_step()
+            if self.global_map is not None and self.state.step % self.cfg.map_update_every == 0:
+                self.global_map = update(self.global_map, _fusion_view(local_map),
+                                         self.cfg.fusion)
+            self._end_tick("move", cmd, theta, cost)
             main = main_point(self.state, self.carrying)
             dist = math.hypot(main[0] - goal_world[0], main[1] - goal_world[1])
             # exit when the true distance meets the stop ring or the robot
@@ -856,8 +829,7 @@ class MissionExecutor:
         task = TaskContext(TaskKind.MOVE_TO_OBJECT, target_name=name)
         step = self.state.params.ground_step / self.cell
         for _ in range(ATTACH_BUDGET):
-            local_map = self._camera_map(task)
-            obs = self._local_observation(local_map)
+            local_map, obs, world_obstacles = self._perceive(task)
             candidates = [o for o in local_map.objects
                           if o.name == name and o.id not in ("robot", "zero-point")]
             if obs is None or not candidates:
@@ -870,9 +842,7 @@ class MissionExecutor:
             if attach(self.state, target.id):
                 self.carrying = target.id
                 self.carrying_name = name
-                events = self._tick_housekeeping()
-                self._record("attach", events=events, extra={"attached": target.id})
-                self._advance_step()
+                self._end_tick("attach", extra={"attached": target.id})
                 return
             body = local_map.parts["body"]
             bearing = math.atan2(target.y - body[1], target.x - body[0])
@@ -884,10 +854,8 @@ class MissionExecutor:
                 cmd = MotionCommand.forward(step)
             else:
                 cmd = MotionCommand.backward(step)
-            step_ground(self.state, cmd, self._world_obstacles(local_map))
-            events = self._tick_housekeeping()
-            self._record("attach", command=cmd, events=events)
-            self._advance_step()
+            step_ground(self.state, cmd, world_obstacles)
+            self._end_tick("attach", cmd)
         raise _Failure(f"attach on {name!r} did not engage within the attach budget")
 
     def _run_detach(self):
@@ -896,9 +864,7 @@ class MissionExecutor:
         detach(self.state)
         self.carrying = None
         self.carrying_name = None
-        events = self._tick_housekeeping()
-        self._record("detach", events=events)
-        self._advance_step()
+        self._end_tick("detach")
 
     # -- main loop ----------------------------------------------------------
 
@@ -926,9 +892,7 @@ class MissionExecutor:
                     self._run_attach(s.object_name)
                 else:
                     self._run_detach()
-        except _Failure as f:
-            failure = f.reason
-        except (BlockedError, AssemblyError, GoalError) as e:
+        except (_Failure, BlockedError, AssemblyError, GoalError) as e:
             failure = str(e)
         placed_ok = all(
             p["error_m"] <= self.cfg.success_radius
@@ -945,7 +909,6 @@ class MissionExecutor:
                 None if placed_ok else "final placement outside success radius"),
             global_paths=self.global_paths,
             track=self.track,
-            final_map=self.global_map,
         )
 
 

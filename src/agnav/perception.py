@@ -130,7 +130,6 @@ def observe(world, camera: CameraModel, task: TaskContext, noise: NoiseModel) ->
             name=name,
             x=_clamp(gx, -half_w_cells, half_w_cells),
             y=_clamp(gy, -half_h_cells, half_h_cells),
-            frame="grid",
             category=category,
             direction=direction,
             is_obstacle_too=obstacle_too,
@@ -145,7 +144,6 @@ def observe(world, camera: CameraModel, task: TaskContext, noise: NoiseModel) ->
             name="zero",
             x=0.0,
             y=0.0,
-            frame="grid",
             category=Category.TARGET,
         ))
 
@@ -167,8 +165,7 @@ def observe(world, camera: CameraModel, task: TaskContext, noise: NoiseModel) ->
                 name="robot",
                 x=parts["body"][0],
                 y=parts["body"][1],
-                frame="grid",
-                category=Category.MAIN,
+                    category=Category.MAIN,
                 radius=robot.radius / cell,
             ))
     objects.sort(key=lambda s: s.id)

@@ -1,5 +1,6 @@
 """Scenario files: schema validation, config hashing, world construction, and
-the one mission run (load, parse, decompose, execute).
+the one mission run (load, parse, decompose, execute). Local-map documents,
+the input of ``agnav fuse``, are checked by the same section rules.
 
 A scenario is one JSON document holding the arena, the objects, both robot
 poses, the camera/noise models, every planner weight, and the task string.
@@ -15,10 +16,12 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 import typing
 from dataclasses import dataclass
+from enum import Enum
 from typing import NamedTuple, Optional
 
 from .global_planner import GlobalCostWeights
@@ -33,7 +36,12 @@ from .mission import (
     parse_command,
 )
 from .perception import NoiseModel
-from .semantic_map import FusionParams
+from .semantic_map import (
+    Footprint,
+    FusionParams,
+    LocalSemanticMap,
+    SemanticObject,
+)
 from .sim_world import DroneState, GroundRobot, SimObject, SimParams, WorldState
 
 
@@ -55,9 +63,10 @@ class _Field(NamedTuple):
 
 @functools.cache
 def _spec(cls) -> dict:
-    """Document fields of a dataclass, read once from its type hints. Fields
-    of other types (nested configs, the arena tuple) have sections of their
-    own and are left out. The dict is shared: extend a copy, never it."""
+    """Document fields of a dataclass, read once from its type hints; an enum
+    field takes its members' values. Fields of other types (nested configs,
+    the arena tuple) have sections of their own and are left out. The dict
+    is shared: extend a copy, never it."""
     hints = typing.get_type_hints(cls)
     spec = {}
     for f in dataclasses.fields(cls):
@@ -65,7 +74,7 @@ def _spec(cls) -> dict:
         nullable = type(None) in args
         if nullable:
             (kind,) = [a for a in args if a is not type(None)]
-        if kind in _KINDS:
+        if kind in _KINDS or (isinstance(kind, type) and issubclass(kind, Enum)):
             default = _REQUIRED if f.default is dataclasses.MISSING else f.default
             spec[f.name] = _Field(kind, default, nullable)
     return spec
@@ -93,6 +102,11 @@ def _section(doc, path: str, spec: dict, skip=()) -> dict:
         val = doc[name]
         if val is None and field.nullable:
             out[name] = None
+        elif field.kind not in _KINDS:  # an enum
+            values = [m.value for m in field.kind]
+            if val not in values:
+                raise ScenarioError(f"{path}.{name}: expected one of {json.dumps(values)}")
+            out[name] = field.kind(val)
         elif isinstance(val, _KINDS[field.kind]) and (
                 field.kind is bool or not isinstance(val, bool)):
             # NaN fails the comparison; an int too large for a float exceeds it
@@ -200,9 +214,45 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
                     relation_clearance=clearance)
 
 
-def read_scenario_file(path: str) -> dict:
-    """The parsed JSON document of a scenario file (validated on load). Every
-    error message starts with the path."""
+def _finite_point(doc, path: str, fields=("x", "y")) -> tuple:
+    if not (isinstance(doc, list) and len(doc) == len(fields) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in doc)):
+        raise ScenarioError(f"{path}: expected [{', '.join(fields)}] of finite numbers, "
+                            f"got {json.dumps(doc)}")
+    return tuple(float(v) for v in doc)
+
+
+_LOCAL_MAP = {"frame": _Field(str, "grid"), "step_index": _Field(int), "pose": _Field(dict),
+              "cell_m": _Field(float), "footprint": _Field(dict), "objects": _Field(list),
+              "parts": _Field(dict, {})}
+_POSE = {k: _Field(float) for k in ("x", "y", "altitude")}
+_PARTS = {k: _Field(list, None) for k in ("head", "body", "tail")}
+
+
+def local_map_from_json(doc) -> LocalSemanticMap:
+    """A local map from its JSON document, the layout that
+    ``semantic_map.local_map_to_json`` writes. Only grid-frame maps exist; the
+    section rules apply and every error message starts with the field path."""
+    top = _section(doc, "$", _LOCAL_MAP)
+    if top["frame"] != "grid":
+        raise ScenarioError(f"$.frame: expected \"grid\", got {json.dumps(top['frame'])}")
+    if not top["cell_m"] > 0.0:
+        raise ScenarioError(f"$.cell_m: must be positive, got {top['cell_m']}")
+    pose = _section(top["pose"], "$.pose", _POSE)
+    objects = tuple(_build(SemanticObject, o, f"$.objects[{i}]")
+                    for i, o in enumerate(top["objects"]))
+    parts = {k: _finite_point(v, f"$.parts.{k}")
+             for k, v in _section(top["parts"], "$.parts", _PARTS).items() if v is not None}
+    return LocalSemanticMap(
+        observer_x=pose["x"], observer_y=pose["y"], altitude=pose["altitude"],
+        cell_m=top["cell_m"], footprint=_build(Footprint, top["footprint"], "$.footprint"),
+        objects=objects, step_index=top["step_index"], parts=parts)
+
+
+def read_json_file(path: str) -> dict:
+    """The parsed JSON document of a scenario or local-map file (validated on
+    load). Every error message starts with the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)

@@ -26,11 +26,11 @@ order: observations are canonically sorted before any rule runs.
 
 from __future__ import annotations
 
-import bisect
+import functools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -53,15 +53,13 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class SemanticObject:
-    """One observed object. ``category`` is None for map-construction passes,
-    which skip role labeling. ``frame`` tags the coordinate units: "grid"
-    (image-center-relative cells) or "world" (meters)."""
+    """One observed object in image-center-relative grid cells. ``category``
+    is None for map-construction passes, which skip role labeling."""
 
     id: str
     name: str
     x: float
     y: float
-    frame: str = "grid"
     category: Optional[Category] = None
     direction: Optional[Direction] = None
     is_obstacle_too: bool = False
@@ -69,8 +67,6 @@ class SemanticObject:
     radius: float = 0.0
 
     def __post_init__(self):
-        if self.frame not in ("grid", "world"):
-            raise ValueError(f"unknown frame {self.frame!r}")
         if (self.direction is not None) != (self.category == Category.LANDMARK):
             raise ValueError("direction is present exactly for landmark objects")
 
@@ -123,7 +119,7 @@ class GlobalSemanticMap:
     # retained observation pool and per-step footprints, carried so that
     # update() can re-fuse incrementally
     pool: tuple = ()
-    footprints: tuple = ()  # unique (step_index, Footprint) pairs, in _footprint_key order
+    footprints: frozenset = frozenset()  # (step_index, Footprint) pairs
 
     def find(self, name: str) -> Optional[MapEntry]:
         for e in self.entries:
@@ -158,18 +154,22 @@ class _Obs(NamedTuple):
 _obs_key = operator.itemgetter(0, 1, 2, 3, 4)  # (step, oid, x, y, name)
 
 
+def left_sum(values):
+    """Left-to-right sum. From Python 3.12 the built-in ``sum`` compensates
+    float rounding, so its bits depend on the interpreter; this fold gives
+    the bits ``sum`` gives on 3.10 and 3.11 everywhere."""
+    return functools.reduce(operator.add, values, 0)
+
+
 def _observations(maps) -> list[_Obs]:
-    """Every object of the maps as a world-frame record (grid objects are
-    projected through their map's observer pose), in canonical order."""
+    """Every object of the maps as a world-frame record, projected through
+    its map's observer pose, in canonical order."""
     obs = []
     for m in maps:
         step, ox, oy, cell = m.step_index, m.observer_x, m.observer_y, m.cell_m
         for o in m.objects:
-            if o.frame == "world":
-                obs.append(_Obs(step, o.id, o.x, o.y, o.name, o.radius, o.orientation))
-            else:
-                obs.append(_Obs(step, o.id, ox + o.x * cell, oy + o.y * cell, o.name,
-                                o.radius * cell, o.orientation))
+            obs.append(_Obs(step, o.id, ox + o.x * cell, oy + o.y * cell, o.name,
+                            o.radius * cell, o.orientation))
     obs.sort(key=_obs_key)
     return obs
 
@@ -232,7 +232,7 @@ class _Cluster:
         self.support = len({m.step for m in members})
         self.newest = max(m.step for m in members)
         n = len(members)
-        self.mean = (sum(m.x for m in members) / n, sum(m.y for m in members) / n)
+        self.mean = (left_sum(m.x for m in members) / n, left_sum(m.y for m in members) / n)
 
 
 def _vote_name(members) -> tuple[str, bool]:
@@ -248,16 +248,11 @@ def _circular_mean(angles) -> Optional[float]:
     vals = [a for a in angles if a is not None]
     if not vals:
         return None
-    s = sum(math.sin(a) for a in vals)
-    c = sum(math.cos(a) for a in vals)
+    s = left_sum(math.sin(a) for a in vals)
+    c = left_sum(math.cos(a) for a in vals)
     if s == 0.0 and c == 0.0:
         return vals[0]
     return math.atan2(s, c)
-
-
-def _footprint_key(item):
-    step, fp = item
-    return (step, fp.xmin, fp.ymin, fp.xmax, fp.ymax)
 
 
 def fuse(maps, params: FusionParams = FusionParams()) -> GlobalSemanticMap:
@@ -265,11 +260,11 @@ def fuse(maps, params: FusionParams = FusionParams()) -> GlobalSemanticMap:
     maps = list(maps)
     if not maps:
         raise ValueError("at least one local map required")
-    footprints = sorted({(m.step_index, m.footprint) for m in maps}, key=_footprint_key)
+    footprints = frozenset((m.step_index, m.footprint) for m in maps)
     return _fuse_pool(_observations(maps), footprints, params, revision=0)
 
 
-def _fuse_pool(pool: list[_Obs], footprints, params: FusionParams,
+def _fuse_pool(pool: list[_Obs], footprints: frozenset, params: FusionParams,
                revision: int) -> GlobalSemanticMap:
     clusters = [_Cluster(members=g) for g in _cluster_records(pool, params.merge_radius)]
 
@@ -339,7 +334,7 @@ def _fuse_pool(pool: list[_Obs], footprints, params: FusionParams,
             y=y,
             support_count=c.support,
             confidence=confidence,
-            radius=sum(m.radius for m in c.members) / len(c.members),
+            radius=left_sum(m.radius for m in c.members) / len(c.members),
             orientation=_circular_mean([m.orientation for m in c.members]),
         ))
     entries.sort(key=lambda e: (e.name, e.x, e.y))
@@ -348,7 +343,7 @@ def _fuse_pool(pool: list[_Obs], footprints, params: FusionParams,
         entries=tuple(entries),
         revision=revision,
         pool=tuple(retained),
-        footprints=tuple(footprints),
+        footprints=footprints,
     )
 
 
@@ -359,17 +354,7 @@ def update(global_map: GlobalSemanticMap, new_map: LocalSemanticMap,
     for o in _observations([new_map]):
         merged.setdefault(_obs_key(o), o)
     pool = sorted(merged.values(), key=_obs_key)
-    # the new footprint normally sorts last (steps only grow); otherwise it
-    # goes in at its sorted place unless already present
-    footprints = list(global_map.footprints)
-    new = (new_map.step_index, new_map.footprint)
-    key = _footprint_key(new)
-    if not footprints or _footprint_key(footprints[-1]) < key:
-        footprints.append(new)
-    else:
-        i = bisect.bisect_left(footprints, key, key=_footprint_key)
-        if i == len(footprints) or footprints[i] != new:
-            footprints.insert(i, new)
+    footprints = global_map.footprints | {(new_map.step_index, new_map.footprint)}
     return _fuse_pool(pool, footprints, params, revision=global_map.revision + 1)
 
 
@@ -377,84 +362,34 @@ def update(global_map: GlobalSemanticMap, new_map: LocalSemanticMap,
 # JSON interchange
 
 
+def _fields_json(obj) -> dict:
+    """A flat dataclass as a JSON object: one key per field, enums by value."""
+    out = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        out[f.name] = v.value if isinstance(v, Enum) else v
+    return out
+
+
 def local_map_to_json(m: LocalSemanticMap) -> dict:
+    """JSON document of a local map; ``scenario.local_map_from_json`` reads it."""
     return {
         "frame": "grid",
         "step_index": m.step_index,
         "pose": {"x": m.observer_x, "y": m.observer_y, "altitude": m.altitude},
         "cell_m": m.cell_m,
-        "footprint": {
-            "xmin": m.footprint.xmin, "xmax": m.footprint.xmax,
-            "ymin": m.footprint.ymin, "ymax": m.footprint.ymax,
-        },
-        "objects": [
-            {
-                "id": o.id,
-                "name": o.name,
-                "category": o.category.value if o.category else None,
-                "direction": o.direction.value if o.direction else None,
-                "is_obstacle_too": o.is_obstacle_too,
-                "x": o.x,
-                "y": o.y,
-                "orientation": o.orientation,
-                "radius": o.radius,
-            }
-            for o in m.objects
-        ],
+        "footprint": _fields_json(m.footprint),
+        "objects": [_fields_json(o) for o in m.objects],
         "parts": {k: list(v) for k, v in m.parts.items()},
     }
-
-
-def local_map_from_json(doc: dict) -> LocalSemanticMap:
-    fp = doc["footprint"]
-    objects = tuple(
-        SemanticObject(
-            id=o["id"],
-            name=o["name"],
-            x=o["x"],
-            y=o["y"],
-            frame=doc.get("frame", "grid"),
-            category=Category(o["category"]) if o.get("category") else None,
-            direction=Direction(o["direction"]) if o.get("direction") else None,
-            is_obstacle_too=bool(o.get("is_obstacle_too", False)),
-            orientation=o.get("orientation"),
-            radius=float(o.get("radius", 0.0)),
-        )
-        for o in doc["objects"]
-    )
-    return LocalSemanticMap(
-        observer_x=doc["pose"]["x"],
-        observer_y=doc["pose"]["y"],
-        altitude=doc["pose"]["altitude"],
-        cell_m=doc["cell_m"],
-        footprint=Footprint(fp["xmin"], fp["xmax"], fp["ymin"], fp["ymax"]),
-        objects=objects,
-        step_index=doc["step_index"],
-        parts={k: tuple(v) for k, v in doc.get("parts", {}).items()},
-    )
 
 
 def global_map_to_json(g: GlobalSemanticMap) -> dict:
     return {
         "frame": "world",
         "revision": g.revision,
-        "entries": [
-            {
-                "name": e.name,
-                "x": e.x,
-                "y": e.y,
-                "support_count": e.support_count,
-                "confidence": e.confidence.value,
-                "radius": e.radius,
-                "orientation": e.orientation,
-            }
-            for e in g.entries
-        ],
+        "entries": [_fields_json(e) for e in g.entries],
     }
-
-
-def dump_local_map(m: LocalSemanticMap) -> str:
-    return json.dumps(local_map_to_json(m), sort_keys=True, indent=1)
 
 
 def dump_global_map(g: GlobalSemanticMap) -> str:

@@ -7,7 +7,7 @@ to the last control point under clamped knots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,15 +18,12 @@ class SplinePath:
 
     control_points: np.ndarray
     degree: int
-    knots: np.ndarray = field(default=None)  # type: ignore[assignment]
+    knots: np.ndarray
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.control_points, dtype=float))
         object.__setattr__(self, "control_points", pts)
-        if self.knots is None:
-            object.__setattr__(self, "knots", clamped_uniform_knots(len(pts), self.degree))
-        else:
-            object.__setattr__(self, "knots", np.asarray(self.knots, dtype=float))
+        object.__setattr__(self, "knots", np.asarray(self.knots, dtype=float))
         n = len(pts) - 1
         k = self.degree
         if n < k:
@@ -35,10 +32,6 @@ class SplinePath:
             raise ValueError(f"expected {n + k + 2} knots, got {len(self.knots)}")
         if np.any(np.diff(self.knots) < 0):
             raise ValueError("knots must be non-decreasing")
-
-    @property
-    def n_controls(self) -> int:
-        return len(self.control_points)
 
 
 def clamped_uniform_knots(n_controls: int, degree: int) -> np.ndarray:

@@ -8,11 +8,9 @@ from agnav.gridmask import (
     CameraModel,
     GridSpec,
     grid_line_indices,
-    grid_to_pixel,
     grid_to_world,
     grid_vertices,
     ground_scale,
-    pixel_to_grid,
     render_gridmask_svg,
     world_to_grid,
 )
@@ -130,14 +128,6 @@ def test_round_trip_1000_points():
         p = (rng.uniform(-10, 10), rng.uniform(-10, 10))
         q = grid_to_world(0.2, world_to_grid(0.2, p))
         assert abs(q[0] - p[0]) < 1e-12 and abs(q[1] - p[1]) < 1e-12
-
-
-def test_pixel_grid_round_trip():
-    spec = GridSpec(800, 600, 80)
-    g = pixel_to_grid(spec, (0, 0))
-    assert tuple(g) == (-5.0, 3.75)
-    p = grid_to_pixel(spec, g)
-    assert tuple(p) == (0.0, 0.0)
 
 
 def test_svg_line_counts():

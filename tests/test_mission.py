@@ -323,9 +323,10 @@ def _fuse_every_tick(doc):
 
 
 # sha256 over the trace JSON lines plus summary(), as criterion 9 serialises
-# them, of missions that re-fuse the map on every tick. Criterion 9 compares
-# two runs inside one process; these constants catch a byte change between
-# revisions (computed on x86-64 Linux).
+# them, of missions that re-fuse the map on every tick, and of the unmodified
+# scripted-drop preset, whose rollback path no other digest covers. Criterion 9
+# compares two runs inside one process; these constants catch a byte change
+# between revisions (computed on x86-64 Linux).
 GOLDEN_DIGESTS = [
     ("type_a_1_seed11", lambda: _fuse_every_tick(type_a_scenario(1, seed=11)), None,
      "6f0cff237ade5d7651b486aba1952a9c78c0b3d0576ba237cf94633631bfed46"),
@@ -335,6 +336,8 @@ GOLDEN_DIGESTS = [
     ("noisy_type_b_0_seed1",
      lambda: _fuse_every_tick(type_b_scenario(0, noise=dict(NOISE_CALIBRATED))), 1,
      "61dce3125a22ea01314d9c35fb09e410836f279f4705a06efc34a17d13409f23"),
+    ("type_a_0_drop130", lambda: type_a_scenario(0, drop_at_step=130), None,
+     "4a4f16a97b36e62acb89179a144cfefe057fbfa5361488f077042ad741504d2a"),
 ]
 
 

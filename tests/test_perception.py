@@ -1,3 +1,4 @@
+import json
 import math
 import statistics
 
@@ -11,7 +12,7 @@ from agnav.perception import (
     camera_footprint,
     observe,
 )
-from agnav.semantic_map import Category, Direction, dump_local_map
+from agnav.semantic_map import Category, Direction, local_map_to_json
 from agnav.sim_world import DroneState, GroundRobot, SimObject, SimParams, WorldState
 
 CAMERA = CameraModel(2.0, math.pi / 2, 1600, 80)  # 4 m square footprint, 0.2 m cells
@@ -54,12 +55,12 @@ def test_observation_deterministic():
     world = make_world([SimObject("o1", "O", 1.0, 0.3), SimObject("l1", "L", -0.5, 0.2)])
     noise = NoiseModel(position_sigma=0.15, misclassify_prob=0.3, seed=42)
     task = TaskContext(TaskKind.MOVE_TO_OBJECT, target_name="O")
-    a = dump_local_map(observe(world, CAMERA, task, noise))
-    b = dump_local_map(observe(world, CAMERA, task, noise))
+    a = json.dumps(local_map_to_json(observe(world, CAMERA, task, noise)), sort_keys=True)
+    b = json.dumps(local_map_to_json(observe(world, CAMERA, task, noise)), sort_keys=True)
     assert a == b
     world2 = make_world([SimObject("o1", "O", 1.0, 0.3), SimObject("l1", "L", -0.5, 0.2)],
                         step=1)
-    c = dump_local_map(observe(world2, CAMERA, task, noise))
+    c = json.dumps(local_map_to_json(observe(world2, CAMERA, task, noise)), sort_keys=True)
     assert a != c  # the counter advances with the step
 
 

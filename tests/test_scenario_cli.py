@@ -404,6 +404,45 @@ def test_fuse_cli(tmp_path):
     assert doc["entries"][0]["support_count"] == 2
 
 
+def _map_doc(edit):
+    from agnav.semantic_map import (
+        Footprint, LocalSemanticMap, SemanticObject, local_map_to_json)
+
+    m = LocalSemanticMap(
+        observer_x=0.0, observer_y=0.0, altitude=2.0, cell_m=0.2,
+        footprint=Footprint(-4, 4, -4, 4),
+        objects=(SemanticObject(id="o", name="O", x=5.0, y=0.0),), step_index=0)
+    doc = json.loads(json.dumps(local_map_to_json(m)))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda d: d["objects"][0].update(x="abc"), "$.objects[0].x"),
+    (lambda d: d.update(objects="xx"), "$.objects"),
+    (lambda d: d["objects"][0].update(x=math.nan), "$.objects[0].x"),
+    (lambda d: d["objects"][0].update(y=True), "$.objects[0].y"),
+    (lambda d: d["objects"][0].update(colour="red"), "$.objects[0].colour"),
+    (lambda d: d["objects"][0].update(category="prop"), "$.objects[0].category"),
+    (lambda d: d.update(cell_m=-1), "$.cell_m"),
+    (lambda d: d.update(frame="world"), "$.frame"),
+    (lambda d: d["pose"].update(altitude=None), "$.pose.altitude"),
+    (lambda d: d["parts"].update(head=[1.0]), "$.parts.head"),
+], ids=["text-x", "text-objects", "nan-x", "bool-y", "unknown-key", "unknown-category",
+        "negative-cell", "world-frame", "null-altitude", "short-part"])
+def test_fuse_cli_malformed_map_is_a_diagnostic(tmp_path, edit, path):
+    maps_dir = tmp_path / "maps"
+    maps_dir.mkdir()
+    bad = maps_dir / "map0.json"
+    bad.write_text(json.dumps(_map_doc(edit)))
+    out = tmp_path / "global.json"
+    r = run_cli("fuse", "--maps", str(maps_dir), "--out", str(out))
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: {bad}: {path}: ")
+    assert r.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_gridmask_svg_cli(tmp_path):
     out = tmp_path / "grid.svg"
     r = run_cli("gridmask-svg", "--width", "800", "--height", "600",

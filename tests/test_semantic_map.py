@@ -17,24 +17,22 @@ from agnav.semantic_map import (
     SemanticObject,
     _cluster_records,
     _observations,
-    dump_local_map,
     fuse,
-    local_map_from_json,
+    left_sum,
     local_map_to_json,
     update,
 )
+from agnav.scenario import local_map_from_json
 
 WIDE = Footprint(-10, 10, -10, 10)
 
 
 def world_map(step, entries, footprint=WIDE):
-    """Map already in world frame: entries are (id, name, x, y) tuples."""
-    objects = tuple(
-        SemanticObject(id=i, name=n, x=x, y=y, frame="world")
-        for i, n, x, y in entries
-    )
+    """Map whose grid frame is the world frame (observer at the origin, 1 m
+    cells): entries are (id, name, x, y) tuples."""
+    objects = tuple(SemanticObject(id=i, name=n, x=x, y=y) for i, n, x, y in entries)
     return LocalSemanticMap(
-        observer_x=0.0, observer_y=0.0, altitude=2.0, cell_m=0.2,
+        observer_x=0.0, observer_y=0.0, altitude=2.0, cell_m=1.0,
         footprint=footprint, objects=objects, step_index=step,
     )
 
@@ -302,8 +300,15 @@ def test_entry_mean_within_member_bounds():
     assert 0.0 <= e.x <= 0.2 and 0.0 <= e.y <= 0.1
 
 
+def test_left_sum_does_not_compensate():
+    # compensated summation (built-in sum from Python 3.12) gives 1.0 here;
+    # fusion must give the 3.10/3.11 bits on every interpreter
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum([]) == 0
+
+
 def test_local_map_json_round_trip():
-    obj = SemanticObject(id="l1", name="L", x=1.5, y=-2.0, frame="grid",
+    obj = SemanticObject(id="l1", name="L", x=1.5, y=-2.0,
                          category=Category.LANDMARK, direction=Direction.FRONT,
                          is_obstacle_too=True, orientation=0.3, radius=0.6)
     m = LocalSemanticMap(observer_x=1.0, observer_y=2.0, altitude=2.0, cell_m=0.2,
@@ -314,7 +319,7 @@ def test_local_map_json_round_trip():
     assert back.objects == m.objects
     assert back.footprint == m.footprint
     assert back.parts == m.parts
-    assert dump_local_map(back) == dump_local_map(m)
+    assert local_map_to_json(back) == local_map_to_json(m)
 
 
 def test_semantic_object_direction_invariant():
@@ -325,7 +330,7 @@ def test_semantic_object_direction_invariant():
 
 
 def test_grid_objects_project_through_observer():
-    obj = SemanticObject(id="a", name="A", x=5.0, y=-5.0, frame="grid", radius=0.5)
+    obj = SemanticObject(id="a", name="A", x=5.0, y=-5.0, radius=0.5)
     m = LocalSemanticMap(observer_x=1.0, observer_y=1.0, altitude=2.0, cell_m=0.2,
                          footprint=WIDE, objects=(obj,), step_index=0)
     (w,) = _observations([m])
