@@ -1,8 +1,11 @@
 """Command-line entry points.
 
 Subcommands: run-scenario, batch, plan-global, plan-local-step, fuse,
-gridmask-svg. Exit codes: 0 success, 1 usage/config error, 2 task failure.
-Every output file is written to a temp path and atomically renamed.
+gridmask-svg. Exit codes: 0 success, 1 input error, 2 task failure (or an
+argparse usage error). Every input file is read by
+``scenario.read_json_file`` and checked by the library's readers; ``main``
+alone turns their errors into ``error: ...`` and exit 1. Every output file
+is written to a temp path and atomically renamed.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .gridmask import GridSpec, render_gridmask_svg
 from .local_planner import (
     BlockedError,
     LocalCostWeights,
-    LocalObservation,
     StepThresholds,
     select_direction,
     step_decision,
@@ -27,10 +29,10 @@ from .mission import CommandError, GoalError, parse_command, plan_leg
 from .plotting import render_run_svg
 from .scenario import (
     ScenarioError,
-    _build,
-    _finite_point,
+    build,
     load_scenario,
     local_map_from_json,
+    observation_from_json,
     read_json_file,
     run_scenario,
 )
@@ -65,12 +67,29 @@ def _trace_text(trace: list) -> str:
     return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in trace)
 
 
-def cmd_run_scenario(args) -> int:
+def _json_files(directory: str, what: str) -> list:
+    """The sorted ``*.json`` paths of a directory, at least one."""
     try:
-        scen, result = run_scenario(read_json_file(args.file), args.seed)
+        names = os.listdir(directory)
+    except OSError as e:
+        raise ScenarioError(f"{directory}: cannot list ({e.strerror})") from e
+    files = sorted(os.path.join(directory, f) for f in names if f.endswith(".json"))
+    if not files:
+        raise ScenarioError(f"{directory}: no {what} files found")
+    return files
+
+
+def _in_file(path: str, load, *args):
+    """``load(*args)`` on a document read from ``path``, with the path put in
+    front of a document error."""
+    try:
+        return load(*args)
     except (ScenarioError, CommandError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise type(e)(f"{path}: {e}") from e
+
+
+def cmd_run_scenario(args) -> int:
+    scen, result = run_scenario(read_json_file(args.file), args.seed)
     summary = result.summary()
     summary["config_hash"] = scen.config_hash
     summary["wall_time"] = result.wall_time
@@ -88,34 +107,13 @@ def cmd_batch(args) -> int:
     try:
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [None]
     except ValueError:
-        print(f"error: --seeds: expected comma-separated integers, got {args.seeds!r}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        files = sorted(
-            os.path.join(args.scenarios, f)
-            for f in os.listdir(args.scenarios)
-            if f.endswith(".json")
-        )
-    except OSError as e:
-        print(f"error: {args.scenarios}: cannot list ({e.strerror})", file=sys.stderr)
-        return EXIT_CONFIG
-    if not files:
-        print("error: no scenario files found", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ScenarioError(
+            f"--seeds: expected comma-separated integers, got {args.seeds!r}") from None
     rows = []
-    for path in files:
-        try:
-            doc = read_json_file(path)
-        except ScenarioError as e:  # its message starts with the path
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
+    for path in _json_files(args.scenarios, "scenario"):
+        doc = read_json_file(path)
         for seed in seeds:
-            try:
-                scen, result = run_scenario(doc, seed)
-            except (ScenarioError, CommandError) as e:
-                print(f"error: {path}: {e}", file=sys.stderr)
-                return EXIT_CONFIG
+            scen, result = _in_file(path, run_scenario, doc, seed)
             errors = [p["error_m"] for p in result.placements if not p["approach"]]
             rows.append((os.path.basename(path), scen.config_hash[:12],
                          int(result.success), result.collisions, result.steps,
@@ -135,23 +133,19 @@ def cmd_plan_global(args) -> int:
     """The aerial leg the executor would fly for the task's movement goal,
     planned on a map of the scenario's ground-truth objects: for a carry
     task, the transport leg from the carried object."""
-    try:
-        scen = load_scenario(read_json_file(args.scenario))
-        command = parse_command(scen.task, scen.relation_clearance)
-        goal = getattr(command, "goal", None)
-        if goal is None:
-            raise CommandError("task has no single movement goal to plan")
-        ids = {o.name: o.id for o in scen.world.objects}
-        carried = getattr(command, "name", None)
-        if carried is not None and carried not in ids:
-            raise CommandError(f"carried object {carried!r} not in scenario")
-        truth = GlobalSemanticMap(tuple(
-            MapEntry(o.name, o.x, o.y, 1, Confidence.CONFIRMED, o.radius, o.yaw)
-            for o in scen.world.objects))
-        leg = plan_leg(scen.world, truth, scen.config, goal, ids.get(carried), carried)
-    except (ScenarioError, CommandError, GoalError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    scen = load_scenario(read_json_file(args.scenario))
+    command = parse_command(scen.task, scen.relation_clearance)
+    goal = getattr(command, "goal", None)
+    if goal is None:
+        raise CommandError("task has no single movement goal to plan")
+    ids = {o.name: o.id for o in scen.world.objects}
+    carried = getattr(command, "name", None)
+    if carried is not None and carried not in ids:
+        raise CommandError(f"carried object {carried!r} not in scenario")
+    truth = GlobalSemanticMap(tuple(
+        MapEntry(o.name, o.x, o.y, 1, Confidence.CONFIRMED, o.radius, o.yaw)
+        for o in scen.world.objects))
+    leg = plan_leg(scen.world, truth, scen.config, goal, ids.get(carried), carried)
     result = leg.result
     doc = {
         "already_at_goal": result.already_at_goal,
@@ -173,44 +167,11 @@ def cmd_plan_global(args) -> int:
     return EXIT_OK
 
 
-def _observation_from_json(doc) -> LocalObservation:
-    """A local observation from its JSON document; every point must be two
-    finite numbers and every obstacle [x, y, r] with a non-negative r."""
-    if not isinstance(doc, dict):
-        raise ValueError("$: expected object")
-    parts, obstacles = doc.get("parts"), doc.get("obstacles", [])
-    if not isinstance(parts, dict):
-        raise ValueError("$.parts: expected object with head, body and tail")
-    if not isinstance(obstacles, list):
-        raise ValueError("$.obstacles: expected list")
-    pairs = []
-    for i, o in enumerate(obstacles):
-        x, y, r = _finite_point(o, f"$.obstacles[{i}]", ("x", "y", "r"))
-        if r < 0.0:
-            raise ValueError(f"$.obstacles[{i}]: radius must be non-negative, got {r}")
-        pairs.append(((x, y), r))
-    target = doc.get("target")
-    return LocalObservation(
-        main=_finite_point(doc.get("main"), "$.main"),
-        target=None if target is None else _finite_point(target, "$.target"),
-        obstacles=tuple(pairs),
-        head=_finite_point(parts.get("head"), "$.parts.head"),
-        tail=_finite_point(parts.get("tail"), "$.parts.tail"),
-        body=_finite_point(parts.get("body"), "$.parts.body"),
-    )
-
-
 def cmd_plan_local_step(args) -> int:
-    try:
-        with open(args.observation, "r", encoding="utf-8") as fh:
-            obs = _observation_from_json(json.load(fh))
-        weights = LocalCostWeights()
-        if args.weights:
-            with open(args.weights, "r", encoding="utf-8") as fh:
-                weights = _build(LocalCostWeights, json.load(fh), "$")
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    obs = observation_from_json(read_json_file(args.observation))
+    weights = LocalCostWeights()
+    if args.weights:
+        weights = build(LocalCostWeights, read_json_file(args.weights), "$")
     try:
         choice = select_direction(obs, weights)
     except BlockedError as e:
@@ -228,26 +189,10 @@ def cmd_plan_local_step(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    try:
-        files = sorted(
-            os.path.join(args.maps, f)
-            for f in os.listdir(args.maps)
-            if f.endswith(".json")
-        )
-        if not files:
-            raise ValueError("no local map files found")
-        maps = []
-        for path in files:
-            doc = read_json_file(path)  # its message starts with the path
-            try:
-                maps.append(local_map_from_json(doc))
-            except ScenarioError as e:
-                raise ScenarioError(f"{path}: {e}") from e
-        params = FusionParams(merge_radius=args.merge_radius,
-                              conflict_radius=args.conflict_radius)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    maps = [_in_file(path, local_map_from_json, read_json_file(path))
+            for path in _json_files(args.maps, "local map")]
+    params = build(FusionParams, {"merge_radius": args.merge_radius,
+                                  "conflict_radius": args.conflict_radius}, "fuse")
     global_map = fuse(maps, params)
     _atomic_write(args.out, dump_global_map(global_map) + "\n")
     print(f"entries={len(global_map.entries)}")
@@ -255,11 +200,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_gridmask_svg(args) -> int:
-    try:
-        spec = GridSpec(args.width, args.height, args.cell)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    spec = build(GridSpec, {"image_width": args.width, "image_height": args.height,
+                            "cell_size": args.cell}, "gridmask-svg")
     _atomic_write(args.out, render_gridmask_svg(spec))
     return EXIT_OK
 
@@ -311,7 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ScenarioError, CommandError, GoalError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Scenario files: schema validation, config hashing, world construction, and
 the one mission run (load, parse, decompose, execute). Local-map documents,
-the input of ``agnav fuse``, are checked by the same section rules.
+the input of ``agnav fuse``, and local observations, the input of ``agnav
+plan-local-step``, are checked by the same section rules.
 
 A scenario is one JSON document holding the arena, the objects, both robot
 poses, the camera/noise models, every planner weight, and the task string.
@@ -26,7 +27,7 @@ from typing import NamedTuple, Optional
 
 from .global_planner import GlobalCostWeights
 from .gridmask import CameraModel
-from .local_planner import LocalCostWeights
+from .local_planner import LocalCostWeights, LocalObservation
 from .mission import (
     ExecutionResult,
     GoalSpec,
@@ -46,7 +47,8 @@ from .sim_world import DroneState, GroundRobot, SimObject, SimParams, WorldState
 
 
 class ScenarioError(ValueError):
-    """Scenario file violates the schema; message carries the field path."""
+    """An input file or option violates its schema; the message carries the
+    file or the field path."""
 
 
 _REQUIRED = object()
@@ -119,14 +121,20 @@ def _section(doc, path: str, spec: dict, skip=()) -> dict:
     return out
 
 
-def _build(cls, doc, path: str, **fixed):
-    """A dataclass from its section; ``fixed`` fields are set by the loader,
-    not by the document. A rejected value is reported with the section."""
-    kwargs = _section(doc, path, _spec(cls), skip=fixed)
+def _new(cls, path: str, **kwargs):
+    """``cls(**kwargs)``; a value the class rejects is reported with the
+    section."""
     try:
-        return cls(**kwargs, **fixed)
+        return cls(**kwargs)
     except ValueError as e:
         raise ScenarioError(f"{path}: {e}") from e
+
+
+def build(cls, doc, path: str, **fixed):
+    """A dataclass from its section (a document object, or command-line
+    values keyed by field name); ``fixed`` fields are set by the caller, not
+    by the section. A rejected value is reported with the section."""
+    return _new(cls, path, **_section(doc, path, _spec(cls), skip=fixed), **fixed)
 
 
 _TOP = {
@@ -169,8 +177,8 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
     """Validate a parsed scenario document and build the world and config."""
     top = _section(doc, "$", _TOP)
     seed = top["seed"] if seed_override is None else seed_override
-    camera = _build(CameraModel, top["camera"], "$.camera")
-    noise = _build(NoiseModel, top["noise"], "$.noise", seed=seed)
+    camera = build(CameraModel, top["camera"], "$.camera")
+    noise = build(NoiseModel, top["noise"], "$.noise", seed=seed)
 
     a = _section(top["arena"], "$.arena", _ARENA)
     arena = (a["xmin"], a["xmax"], a["ymin"], a["ymax"])
@@ -180,29 +188,30 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
     objects = []
     seen_ids = set()
     for i, o in enumerate(top["objects"]):
-        kwargs = _section(o, f"$.objects[{i}]", _OBJECT)
+        path = f"$.objects[{i}]"
+        kwargs = _section(o, path, _OBJECT)
         if kwargs["id"] is None:
             kwargs["id"] = kwargs["name"]
         if kwargs["id"] in seen_ids:
-            raise ScenarioError(f"$.objects[{i}].id: duplicate id {kwargs['id']!r}")
+            raise ScenarioError(f"{path}.id: duplicate id {kwargs['id']!r}")
         seen_ids.add(kwargs["id"])
-        objects.append(SimObject(**kwargs))
+        objects.append(_new(SimObject, path, **kwargs))
 
-    drone = _build(DroneState, {"altitude": camera.altitude, **top["drone"]}, "$.drone",
-                   waypoint_index=0)
+    drone = build(DroneState, {"altitude": camera.altitude, **top["drone"]}, "$.drone",
+                  waypoint_index=0)
     if abs(drone.altitude - camera.altitude) > 1e-9:
         raise ScenarioError("$.drone.altitude: must match $.camera.altitude")
-    robot = _build(GroundRobot, {"heading": 0.0, **top["ground_robot"]}, "$.ground_robot")
+    robot = build(GroundRobot, {"heading": 0.0, **top["ground_robot"]}, "$.ground_robot")
 
-    sim = _build(SimParams, top["sim"], "$.sim")
+    sim = build(SimParams, top["sim"], "$.sim")
     ex = _section(top["execution"], "$.execution", _EXECUTION)
     clearance = ex.pop("relation_clearance")
     config = MissionConfig(
         camera=camera,
         noise=noise,
-        global_weights=_build(GlobalCostWeights, top["global_weights"], "$.global_weights"),
-        local_weights=_build(LocalCostWeights, top["local_weights"], "$.local_weights"),
-        fusion=_build(FusionParams, top["fusion"], "$.fusion"),
+        global_weights=build(GlobalCostWeights, top["global_weights"], "$.global_weights"),
+        local_weights=build(LocalCostWeights, top["local_weights"], "$.local_weights"),
+        fusion=build(FusionParams, top["fusion"], "$.fusion"),
         arena=arena,
         **ex,
     )
@@ -240,19 +249,45 @@ def local_map_from_json(doc) -> LocalSemanticMap:
     if not top["cell_m"] > 0.0:
         raise ScenarioError(f"$.cell_m: must be positive, got {top['cell_m']}")
     pose = _section(top["pose"], "$.pose", _POSE)
-    objects = tuple(_build(SemanticObject, o, f"$.objects[{i}]")
+    objects = tuple(build(SemanticObject, o, f"$.objects[{i}]")
                     for i, o in enumerate(top["objects"]))
     parts = {k: _finite_point(v, f"$.parts.{k}")
              for k, v in _section(top["parts"], "$.parts", _PARTS).items() if v is not None}
     return LocalSemanticMap(
         observer_x=pose["x"], observer_y=pose["y"], altitude=pose["altitude"],
-        cell_m=top["cell_m"], footprint=_build(Footprint, top["footprint"], "$.footprint"),
+        cell_m=top["cell_m"], footprint=build(Footprint, top["footprint"], "$.footprint"),
         objects=objects, step_index=top["step_index"], parts=parts)
 
 
+_OBSERVATION = {"main": _Field(list), "target": _Field(list, None, nullable=True),
+                "obstacles": _Field(list, []), "parts": _Field(dict)}
+_BODY_PARTS = {k: _Field(list) for k in _PARTS}
+
+
+def observation_from_json(doc) -> LocalObservation:
+    """A local observation from its JSON document, the input of ``agnav
+    plan-local-step``: ``main``, an optional ``target``, ``obstacles`` as
+    ``[x, y, r]`` with a non-negative r, and ``parts.{head,body,tail}``, all
+    in grid cells. The section rules apply and every error message starts
+    with the field path."""
+    top = _section(doc, "$", _OBSERVATION)
+    obstacles = []
+    for i, o in enumerate(top["obstacles"]):
+        x, y, r = _finite_point(o, f"$.obstacles[{i}]", ("x", "y", "r"))
+        if r < 0.0:
+            raise ScenarioError(f"$.obstacles[{i}]: radius must be non-negative, got {r}")
+        obstacles.append(((x, y), r))
+    parts = {k: _finite_point(v, f"$.parts.{k}")
+             for k, v in _section(top["parts"], "$.parts", _BODY_PARTS).items()}
+    target = top["target"]
+    return _new(LocalObservation, "$.parts", main=_finite_point(top["main"], "$.main"),
+                target=None if target is None else _finite_point(target, "$.target"),
+                obstacles=tuple(obstacles), **parts)
+
+
 def read_json_file(path: str) -> dict:
-    """The parsed JSON document of a scenario or local-map file (validated on
-    load). Every error message starts with the path."""
+    """The parsed JSON document of an input file (validated by its reader).
+    Every error message starts with the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)

@@ -69,6 +69,8 @@ class SemanticObject:
     def __post_init__(self):
         if (self.direction is not None) != (self.category == Category.LANDMARK):
             raise ValueError("direction is present exactly for landmark objects")
+        if self.radius < 0.0:
+            raise ValueError(f"radius must be non-negative, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,10 @@ class Footprint:
     xmax: float
     ymin: float
     ymax: float
+
+    def __post_init__(self):
+        if self.xmin > self.xmax or self.ymin > self.ymax:
+            raise ValueError("min bounds must not exceed max bounds")
 
     def contains(self, x: float, y: float) -> bool:
         return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax

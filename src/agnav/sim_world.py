@@ -31,6 +31,10 @@ class SimObject:
     radius: float = 0.1
     movable: bool = True
 
+    def __post_init__(self):
+        if self.radius < 0.0:
+            raise ValueError(f"radius must be non-negative, got {self.radius}")
+
 
 @dataclass
 class DroneState:
@@ -46,6 +50,10 @@ class GroundRobot:
     y: float
     heading: float
     radius: float = 0.25
+
+    def __post_init__(self):
+        if self.radius < 0.0:
+            raise ValueError(f"radius must be non-negative, got {self.radius}")
 
 
 @dataclass(frozen=True)

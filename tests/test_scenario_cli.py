@@ -75,11 +75,13 @@ def test_load_scenario_rejects_unknown_key(path):
 @pytest.mark.parametrize("path, value", [
     ("camera.horizontal_fov", 4.0),
     ("noise.misclassify_prob", 2.0),
+    ("objects.0.radius", -0.5),
+    ("ground_robot.radius", -0.5),
 ])
 def test_load_scenario_dataclass_rule_names_section(path, value):
     doc = type_a_scenario(0)
     _set(doc, path, value)
-    section = _json_path(path.split(".")[0])
+    section = _json_path(path.rsplit(".", 1)[0])
     with pytest.raises(ScenarioError, match=re.escape(section + ":")):
         load_scenario(doc)
 
@@ -215,6 +217,8 @@ def test_batch_cli_bad_seed_list_is_a_diagnostic(tmp_path):
     ("run-scenario", "--file", "{missing}", "--trace", "{tmp}/t.jsonl", "--summary", "{tmp}/s.json"),
     ("plan-global", "--scenario", "{missing}", "--out", "{tmp}/p.json"),
     ("batch", "--scenarios", "{missing}", "--out", "{tmp}/m.csv"),
+    ("fuse", "--maps", "{missing}", "--out", "{tmp}/g.json"),
+    ("plan-local-step", "--observation", "{missing}"),
 ])
 def test_cli_missing_input_is_a_diagnostic(tmp_path, command):
     missing = tmp_path / "missing"
@@ -222,6 +226,16 @@ def test_cli_missing_input_is_a_diagnostic(tmp_path, command):
     assert r.returncode == 1
     assert r.stderr.startswith(f"error: {missing}")
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command, what", [
+    (("batch", "--scenarios"), "scenario"),
+    (("fuse", "--maps"), "local map"),
+], ids=["batch", "fuse"])
+def test_cli_empty_input_directory_names_itself(tmp_path, command, what):
+    r = run_cli(*command, str(tmp_path), "--out", str(tmp_path / "out"))
+    assert r.returncode == 1
+    assert r.stderr == f"error: {tmp_path}: no {what} files found\n"
 
 
 def test_plan_global_cli(tmp_path):
@@ -307,8 +321,12 @@ def _local_obs_doc(**changes):
     ({"obstacles": [[2.0, 0.3, -0.2]]}, "$.obstacles[0]"),
     ({"parts": {"head": [1.0, 0.0], "body": [0.0, 0.0], "tail": [True, 0.0]}},
      "$.parts.tail"),
+    ({"mian": [0.0, 0.0]}, "$.mian"),
+    ({"parts": {"head": [1.0, 0.0], "body": [0.0, 0.0], "tail": [-1.0, 0.0],
+                "neck": [0.5, 0.0]}}, "$.parts.neck"),
+    ({"parts": {"head": [1.0, 0.0], "body": [0.0, 0.0], "tail": [1.0, 0.0]}}, "$.parts"),
 ], ids=["short-main", "text-main", "nan-target", "short-obstacle", "negative-radius",
-        "bool-tail"])
+        "bool-tail", "unknown-key", "unknown-part", "head-at-tail"])
 def test_plan_local_step_cli_malformed_observation_is_a_diagnostic(tmp_path, changes, path):
     p = tmp_path / "obs.json"
     p.write_text(json.dumps(_local_obs_doc(**changes)))
@@ -331,6 +349,33 @@ def test_run_scenario_cli_non_finite_number_is_a_diagnostic(tmp_path, path, valu
                 "--trace", str(tmp_path / "t.jsonl"), "--summary", str(tmp_path / "s.json"))
     assert r.returncode == 1
     assert r.stderr == f"error: {_json_path(path)}: expected a finite number\n"
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda d: d.pop("main"), "$.main"),
+    (lambda d: d["parts"].pop("tail"), "$.parts.tail"),
+], ids=["main", "tail"])
+def test_plan_local_step_cli_missing_observation_field_is_a_diagnostic(tmp_path, edit, path):
+    doc = _local_obs_doc()
+    edit(doc)
+    p = tmp_path / "obs.json"
+    p.write_text(json.dumps(doc))
+    r = run_cli("plan-local-step", "--observation", str(p))
+    assert r.returncode == 1
+    assert r.stderr == f"error: {path}: required field missing\n"
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff\xfe" + json.dumps(_local_obs_doc()).encode("utf-16-le"), "not UTF-8"),
+    (b"{", "invalid JSON"),
+], ids=["utf16", "truncated"])
+def test_plan_local_step_cli_unreadable_observation_names_its_path(tmp_path, content, reason):
+    p = tmp_path / "obs.json"
+    p.write_bytes(content)
+    r = run_cli("plan-local-step", "--observation", str(p))
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: {p}: {reason}")
+    assert r.stderr.count("\n") == 1
 
 
 def test_plan_local_step_cli_nan_weight_is_a_diagnostic(tmp_path):
@@ -428,8 +473,11 @@ def _map_doc(edit):
     (lambda d: d.update(frame="world"), "$.frame"),
     (lambda d: d["pose"].update(altitude=None), "$.pose.altitude"),
     (lambda d: d["parts"].update(head=[1.0]), "$.parts.head"),
+    (lambda d: d["footprint"].update(xmin=4.0, xmax=-4.0), "$.footprint"),
+    (lambda d: d["objects"][0].update(radius=-3.0), "$.objects[0]"),
 ], ids=["text-x", "text-objects", "nan-x", "bool-y", "unknown-key", "unknown-category",
-        "negative-cell", "world-frame", "null-altitude", "short-part"])
+        "negative-cell", "world-frame", "null-altitude", "short-part", "inverted-footprint",
+        "negative-radius"])
 def test_fuse_cli_malformed_map_is_a_diagnostic(tmp_path, edit, path):
     maps_dir = tmp_path / "maps"
     maps_dir.mkdir()
@@ -440,6 +488,24 @@ def test_fuse_cli_malformed_map_is_a_diagnostic(tmp_path, edit, path):
     assert r.returncode == 1
     assert r.stderr.startswith(f"error: {bad}: {path}: ")
     assert r.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (("fuse", "--maps", "{maps}", "--merge-radius", "nan"),
+     "fuse.merge_radius: expected a finite number"),
+    (("fuse", "--maps", "{maps}", "--conflict-radius", "-1"), "fuse: radii must be positive"),
+    (("gridmask-svg", "--width", "100", "--height", "100", "--cell", "nan"),
+     "gridmask-svg.cell_size: expected a finite number"),
+], ids=["fuse-nan", "fuse-negative", "gridmask-nan"])
+def test_cli_config_flags_follow_the_section_rules(tmp_path, command, message):
+    maps_dir = tmp_path / "maps"
+    maps_dir.mkdir()
+    (maps_dir / "map0.json").write_text(json.dumps(_map_doc(lambda d: None)))
+    out = tmp_path / "out"
+    r = run_cli(*(a.format(maps=maps_dir) for a in command), "--out", str(out))
+    assert r.returncode == 1
+    assert r.stderr == f"error: {message}\n"
     assert not out.exists()
 
 
