@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Subcommands: run-scenario, batch, plan-global, plan-local-step, fuse,
-gridmask-svg. Exit codes: 0 success, 1 input error, 2 task failure (or an
-argparse usage error). Every input file is read by
+gridmask-svg. Exit codes: 0 success, 1 input error (a malformed command
+line included), 2 task failure. Every input file is read by
 ``scenario.read_json_file`` and checked by the library's readers; ``main``
 alone turns their errors into ``error: ...`` and exit 1. Every output file
 is written to a temp path and atomically renamed.
@@ -206,8 +206,17 @@ def cmd_gridmask_svg(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the input-error code;
+    argparse's own code, 2, is the code of a failed task here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="agnav", description=__doc__)
+    p = _Parser(prog="agnav", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("run-scenario", help="run one scenario end to end")

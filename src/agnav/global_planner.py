@@ -129,18 +129,15 @@ def straight_line_init(main, target, n_controls: int) -> tuple[np.ndarray, bool]
     return (1.0 - t) * a + t * b, False
 
 
-def _evaluate(C: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
-              obstacles: ObstacleSet) -> tuple[list[tuple], np.ndarray | None]:
-    """J over a stack of k control polygons C (k, n, 2), each sampled as
-    P = B @ C[i], and its gradient B^T dJ/dP with respect to every control
-    point. Returns one (length, curvature, obstacle, total) tuple per polygon
-    and the (k, n, 2) gradient, which is None when any total is not finite.
+def _sampled_terms(pts: np.ndarray, weights: GlobalCostWeights, obstacles: ObstacleSet):
+    """The cost terms of a stack of k sampled paths pts (k, m + 1, 2): one
+    (length, curvature, obstacle, total) tuple per path, plus the geometry
+    the gradient reuses: (seg, seg_len, sec, sec_len, diff, dist, pen), the
+    last three None without obstacle terms.
 
-    Each polygon gets the arithmetic of a lone one, value for value: the
-    stacked matmul runs the same gemm per polygon, and every reduction runs
-    along one contiguous row in the same order."""
-    k = len(C)
-    pts = B @ C
+    Each path gets the arithmetic of a lone one, value for value: every
+    reduction runs along one contiguous row in the same order."""
+    k = len(pts)
     seg = pts[:, 1:] - pts[:, :-1]
     seg_len = np.hypot(seg[..., 0], seg[..., 1])
     # second differences at i = 2 .. m-1 (none when m = 2)
@@ -148,8 +145,8 @@ def _evaluate(C: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
     sec_len = np.hypot(sec[..., 0], sec[..., 1])
     lengths = np.add.reduce(seg_len, 1).tolist()
     curvatures = np.add.reduce(sec_len, 1).tolist()
-    use_obstacles = len(obstacles) and weights.q_obstacle > 0.0
-    if use_obstacles:
+    diff = dist = pen = None
+    if len(obstacles) and weights.q_obstacle > 0.0:
         # (k, N, m) over obstacle j and sample i = 1 .. m; O sums the squared
         # penalties sample-major (i, then j), which fixes its rounding
         diff = pts[:, None, 1:, :] - obstacles.centers[:, None, :]
@@ -164,9 +161,22 @@ def _evaluate(C: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
     ql, qc, qo = weights.q_length, weights.q_curvature, weights.q_obstacle
     terms = [(L, K, O, ql * L + qc * K + qo * O)
              for L, K, O in zip(lengths, curvatures, obstacle_terms)]
+    return terms, (seg, seg_len, sec, sec_len, diff, dist, pen)
+
+
+def _evaluate(C: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
+              obstacles: ObstacleSet) -> tuple[list[tuple], np.ndarray | None]:
+    """J over a stack of k control polygons C (k, n, 2), each sampled as
+    P = B @ C[i], and its gradient B^T dJ/dP with respect to every control
+    point. Returns one (length, curvature, obstacle, total) tuple per polygon
+    and the (k, n, 2) gradient, which is None when any total is not finite.
+    The stacked matmul runs the same gemm per polygon as for a lone one."""
+    pts = B @ C
+    terms, (seg, seg_len, sec, sec_len, diff, dist, pen) = _sampled_terms(pts, weights, obstacles)
     if not all(math.isfinite(t[3]) for t in terms):
         return terms, None
 
+    ql, qc, qo = weights.q_length, weights.q_curvature, weights.q_obstacle
     # a zero-length vector contributes a zero subgradient
     dP = np.zeros(pts.shape)
     seg_len[seg_len == 0.0] = 1.0
@@ -180,7 +190,7 @@ def _evaluate(C: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
     dP[:, 3:] += w
     dP[:, 2:-1] -= 2.0 * w
     dP[:, 1:-2] += w
-    if use_obstacles:
+    if diff is not None:
         dist[dist == 0.0] = 1.0
         radial = diff / dist[..., None]
         radial *= pen[..., None]
@@ -192,7 +202,7 @@ def cost_global(path: SplinePath, weights: GlobalCostWeights, obstacles: Obstacl
     """J over the path sampled at u_i = i/m with m = weights.sample_count."""
     us = np.arange(weights.sample_count + 1) / weights.sample_count
     B = basis_matrix(path.knots, path.degree, us)
-    return CostBreakdown(*_evaluate(path.control_points[None], B, weights, obstacles)[0][0])
+    return CostBreakdown(*_sampled_terms(B @ path.control_points[None], weights, obstacles)[0][0])
 
 
 def _min_clearance(pts: np.ndarray, obstacles: ObstacleSet) -> float:

@@ -19,6 +19,7 @@ the candidate better aligned with the goal, then toward the lower index.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -93,12 +94,25 @@ def _arc(dot: float) -> float:
     return math.acos(min(1.0, max(-1.0, dot)))
 
 
-def _scorer(obs: LocalObservation, w: LocalCostWeights):
-    """The cost of a heading as a function of theta alone, returning
-    (align, zero, obstacle, window, total). The terms that depend only on
-    the observation (the goal and zero-point offsets and their lengths, the
-    obstacle offsets from M) are computed here once, so scoring every
-    candidate costs one trigonometric pair and one obstacle pass each."""
+def candidate_theta(index: int, count: int) -> float:
+    """Heading of candidate ``index`` of ``count`` uniform directions."""
+    return 2.0 * math.pi * index / count
+
+
+@functools.lru_cache(maxsize=16)
+def _directions(count: int) -> tuple[tuple[float, float], ...]:
+    """(cos, sin) of every candidate heading, computed once per count."""
+    return tuple((math.cos(theta), math.sin(theta))
+                 for theta in (candidate_theta(i, count) for i in range(count)))
+
+
+def _score(obs: LocalObservation, w: LocalCostWeights, lookahead: float,
+           directions) -> list[tuple[float, float, float, float, float]]:
+    """(align, zero, obstacle, window, total) of each unit heading (dx, dy)
+    of ``directions``, with the ray cut at ``lookahead`` cells. The terms
+    that depend only on the observation (the goal and zero-point offsets and
+    their lengths, the obstacle offsets from M) are computed once, so each
+    heading costs one obstacle pass."""
     mx, my = obs.main
     scale = gx = gy = dist = None
     if obs.target is not None:
@@ -110,37 +124,39 @@ def _scorer(obs: LocalObservation, w: LocalCostWeights):
     zx, zy = -mx, -my
     zdist = math.hypot(zx, zy)
     offsets = [(ox - mx, oy - my, radius) for (ox, oy), radius in obs.obstacles]
-    lookahead, half, d_safe, eps = w.lookahead, w.window_half_extent, w.d_safe, w.epsilon
+    half, d_safe, eps = w.window_half_extent, w.d_safe, w.epsilon
     q_align, q_zero, q_obstacle = w.q_align, w.q_zero, w.q_obstacle
     q_window_open = w.q_window * 0.0  # the window term where it is open
-
-    def terms(theta: float):
-        dx, dy = math.cos(theta), math.sin(theta)
-        align = scale * _arc((dx * gx + dy * gy) / dist) if scale is not None else 0.0
-        zero = _arc((dx * zx + dy * zy) / zdist) if zdist > 0.0 else 0.0
+    acos, hypot = math.acos, math.hypot
+    out = []
+    # _arc inlined: an in-range dot passes unchanged; anything else, NaN
+    # included, clamps as min(1.0, max(-1.0, dot)) does
+    for dx, dy in directions:
+        align = zero = 0.0
+        if scale is not None:
+            dot = (dx * gx + dy * gy) / dist
+            align = scale * acos(dot if -1.0 <= dot <= 1.0 else 1.0 if dot > 1.0 else -1.0)
+        if zdist > 0.0:
+            dot = (dx * zx + dy * zy) / zdist
+            zero = acos(dot if -1.0 <= dot <= 1.0 else 1.0 if dot > 1.0 else -1.0)
         obstacle = 0.0
         for rx, ry, radius in offsets:
             t = rx * dx + ry * dy
             if t < 0.0 or t > lookahead:
                 continue
-            eff = max(0.0, math.hypot(rx - t * dx, ry - t * dy) - radius)
+            eff = max(0.0, hypot(rx - t * dx, ry - t * dy) - radius)
             if eff < d_safe:
                 obstacle += 1.0 / (eff + eps)
         if max(abs(mx + lookahead * dx), abs(my + lookahead * dy)) > half:
-            return align, zero, obstacle, math.inf, math.inf
-        total = q_align * align + q_zero * zero + q_obstacle * obstacle + q_window_open
-        return align, zero, obstacle, 0.0, total
-
-    return terms
+            out.append((align, zero, obstacle, math.inf, math.inf))
+        else:
+            total = q_align * align + q_zero * zero + q_obstacle * obstacle + q_window_open
+            out.append((align, zero, obstacle, 0.0, total))
+    return out
 
 
 def cost_local(theta: float, obs: LocalObservation, w: LocalCostWeights) -> LocalCost:
-    return LocalCost(*_scorer(obs, w)(theta))
-
-
-def candidate_theta(index: int, count: int) -> float:
-    """Heading of candidate ``index`` of ``count`` uniform directions."""
-    return 2.0 * math.pi * index / count
+    return LocalCost(*_score(obs, w, w.lookahead, ((math.cos(theta), math.sin(theta)),))[0])
 
 
 @dataclass(frozen=True)
@@ -153,21 +169,22 @@ class Candidate:
 @dataclass(frozen=True)
 class DirectionChoice:
     """The selected candidate and every candidate's total J, by index. The
-    full cost breakdown (``table``) is rebuilt by the same arithmetic only
-    when read."""
+    full cost breakdown (``table``) is rebuilt by the same arithmetic, with
+    the lookahead the choice was scored with, only when read."""
 
     theta: float
     index: int
     totals: tuple[float, ...]
     obs: LocalObservation = field(repr=False)
     weights: LocalCostWeights = field(repr=False)
+    lookahead: float = field(repr=False)
 
     @property
     def table(self) -> tuple[Candidate, ...]:
-        terms, n = _scorer(self.obs, self.weights), self.weights.candidate_count
-        thetas = [candidate_theta(i, n) for i in range(n)]
-        return tuple(Candidate(i, theta, LocalCost(*terms(theta)))
-                     for i, theta in enumerate(thetas))
+        n = self.weights.candidate_count
+        rows = _score(self.obs, self.weights, self.lookahead, _directions(n))
+        return tuple(Candidate(i, candidate_theta(i, n), LocalCost(*row))
+                     for i, row in enumerate(rows))
 
 
 def _goal_deviation(theta: float, obs: LocalObservation) -> float:
@@ -179,12 +196,18 @@ def _goal_deviation(theta: float, obs: LocalObservation) -> float:
     return _arc((math.cos(theta) * gx + math.sin(theta) * gy) / dist)
 
 
-def select_direction(obs: LocalObservation, w: LocalCostWeights) -> DirectionChoice:
+def select_direction(obs: LocalObservation, w: LocalCostWeights, *,
+                     lookahead: Optional[float] = None) -> DirectionChoice:
     """argmin of cost_local over candidate_count uniform directions, in one
     scan of the totals; the goal-deviation tie-break is evaluated only for
-    tied minima."""
-    terms, n = _scorer(obs, w), w.candidate_count
-    totals = tuple(terms(candidate_theta(i, n))[4] for i in range(n))
+    tied minima. ``lookahead`` (cells, default ``w.lookahead``) cuts the
+    ray; it scores as ``replace(w, lookahead=lookahead)`` would."""
+    if lookahead is None:
+        lookahead = w.lookahead
+    elif not 0.0 < lookahead < math.inf:
+        raise ValueError(f"lookahead must be positive and finite, got {lookahead}")
+    n = w.candidate_count
+    totals = tuple(row[4] for row in _score(obs, w, lookahead, _directions(n)))
     finite = [t for t in totals if math.isfinite(t)]
     if not finite:
         raise BlockedError("all candidate directions exit the window")
@@ -192,7 +215,7 @@ def select_direction(obs: LocalObservation, w: LocalCostWeights) -> DirectionCho
     tied = [i for i, t in enumerate(totals) if t == best]
     index = tied[0] if len(tied) == 1 else min(
         tied, key=lambda i: (_goal_deviation(candidate_theta(i, n), obs), i))
-    return DirectionChoice(candidate_theta(index, n), index, totals, obs, w)
+    return DirectionChoice(candidate_theta(index, n), index, totals, obs, w, lookahead)
 
 
 class MotionKind(Enum):

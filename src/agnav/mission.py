@@ -753,11 +753,10 @@ class MissionExecutor:
                 # the prospective move never extends beyond the goal anchor,
                 # so obstacles sitting behind the goal (the landmark being
                 # placed against) stop vetoing the final approach
-                weights = replace(
-                    self.cfg.local_weights,
-                    lookahead=min(self.cfg.local_weights.lookahead, max(d_obs, 0.5)))
+                weights = self.cfg.local_weights
                 try:
-                    choice = select_direction(obs, weights)
+                    choice = select_direction(
+                        obs, weights, lookahead=min(weights.lookahead, max(d_obs, 0.5)))
                     index = choice.index
                     # hysteresis: keep the previous commanded direction while
                     # it stays near-optimal, so two flanking routes around an
@@ -769,9 +768,8 @@ class MissionExecutor:
                     prev_index = index
                     theta = candidate_theta(index, weights.candidate_count)
                     cost = choice.totals[index]
-                    cmd = step_decision(
-                        obs, theta,
-                        replace(thresholds, angle_tol=self._alignment_gate(d_obs)))
+                    cmd = step_decision(obs, theta, StepThresholds(
+                        thresholds.dist_stop, self._alignment_gate(d_obs), thresholds.step))
                 except BlockedError:
                     if replanned:
                         raise _Failure("local planner blocked twice; aborting")

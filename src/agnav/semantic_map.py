@@ -20,6 +20,14 @@ Fusion follows a fixed rule pipeline over the pooled observations:
    (ties keep both, flagged uncertain);
 6. position each entry at the arithmetic mean of its members.
 
+``fuse`` and ``update`` run the pipeline in two stages. Every call runs rule
+1 and the pool retention (each cluster's newest POOL_CAP observations),
+because the next ``update`` re-fuses from that pool. Rules 2-6 read only the
+clusters, the footprints and conflict_radius, so they run the first time the
+map's ``entries`` (or ``find``) are read, and the result is kept on the map.
+The executor updates the map every tick but reads its entries only when it
+plans a leg, so most maps never run rules 2-6.
+
 Everything is deterministic and permutation-invariant over the input map
 order: observations are canonically sorted before any rule runs.
 """
@@ -118,14 +126,29 @@ class MapEntry:
     orientation: Optional[float] = None
 
 
-@dataclass(frozen=True)
 class GlobalSemanticMap:
-    entries: tuple[MapEntry, ...]
-    revision: int = 0
-    # retained observation pool and per-step footprints, carried so that
-    # update() can re-fuse incrementally
-    pool: tuple = ()
-    footprints: frozenset = frozenset()  # (step_index, Footprint) pairs
+    """The fused map: its ``entries``, its ``revision``, and the retained
+    observation ``pool`` and ``(step_index, Footprint)`` pairs that
+    ``update`` re-fuses from. A map built by ``fuse`` or ``update`` holds its
+    clusters until ``entries`` is first read; see the module docstring."""
+
+    __slots__ = ("revision", "pool", "footprints", "_entries", "_pending")
+
+    def __init__(self, entries: tuple[MapEntry, ...], revision: int = 0,
+                 pool: tuple = (), footprints: frozenset = frozenset()):
+        self._entries = tuple(entries)
+        self.revision = revision
+        self.pool = pool
+        self.footprints = footprints
+        self._pending = None  # (clusters, conflict_radius) until entries is read
+
+    @property
+    def entries(self) -> tuple[MapEntry, ...]:
+        if self._pending is not None:
+            groups, conflict_radius = self._pending
+            self._entries = _resolve(groups, self.footprints, conflict_radius)
+            self._pending = None
+        return self._entries
 
     def find(self, name: str) -> Optional[MapEntry]:
         for e in self.entries:
@@ -272,7 +295,26 @@ def fuse(maps, params: FusionParams = FusionParams()) -> GlobalSemanticMap:
 
 def _fuse_pool(pool: list[_Obs], footprints: frozenset, params: FusionParams,
                revision: int) -> GlobalSemanticMap:
-    clusters = [_Cluster(members=g) for g in _cluster_records(pool, params.merge_radius)]
+    """Rule 1 and the pool retention; rules 2-6 wait on the map."""
+    groups = _cluster_records(pool, params.merge_radius)
+    # retention policy: every cluster keeps its newest POOL_CAP members,
+    # removed ones included. Suppressed sightings must stay poolable or a
+    # moved object's first observation at the new spot (a covered singleton)
+    # could never accumulate the support to migrate the entry.
+    retained: list[_Obs] = []
+    for g in groups:
+        retained.extend(g if len(g) <= POOL_CAP
+                        else sorted(g, key=lambda m: (-m.step, m.oid))[:POOL_CAP])
+    retained.sort(key=_obs_key)
+    out = GlobalSemanticMap((), revision, tuple(retained), footprints)
+    out._pending = (groups, params.conflict_radius)
+    return out
+
+
+def _resolve(groups: list[list[_Obs]], footprints: frozenset,
+             conflict_radius: float) -> tuple[MapEntry, ...]:
+    """Rules 2-6 over the clusters of rule 1: the map's entries."""
+    clusters = [_Cluster(members=g) for g in groups]
 
     # rule 2: covered singletons are spurious, isolated ones merely uncertain
     for c in clusters:
@@ -314,22 +356,16 @@ def _fuse_pool(pool: list[_Obs], footprints: frozenset, params: FusionParams,
             if b.removed or b.name == a.name:
                 continue
             bx, by = b.mean
-            if math.hypot(ax - bx, ay - by) <= params.conflict_radius:
+            if math.hypot(ax - bx, ay - by) <= conflict_radius:
                 if a.support > b.support:
                     b.removed = True
                 else:
                     a.uncertain = True
                     b.uncertain = True
 
+    # rule 6: each kept cluster becomes an entry at its members' mean
     entries = []
-    retained: list[_Obs] = []
     for c in clusters:
-        # retention policy: every cluster keeps its newest POOL_CAP members,
-        # removed ones included. Suppressed sightings must stay poolable or a
-        # moved object's first observation at the new spot (a covered
-        # singleton) could never accumulate the support to migrate the entry.
-        newest = sorted(c.members, key=lambda m: (-m.step, m.oid))[:POOL_CAP]
-        retained.extend(newest)
         if c.removed:
             continue
         x, y = c.mean
@@ -344,13 +380,7 @@ def _fuse_pool(pool: list[_Obs], footprints: frozenset, params: FusionParams,
             orientation=_circular_mean([m.orientation for m in c.members]),
         ))
     entries.sort(key=lambda e: (e.name, e.x, e.y))
-    retained.sort(key=_obs_key)
-    return GlobalSemanticMap(
-        entries=tuple(entries),
-        revision=revision,
-        pool=tuple(retained),
-        footprints=footprints,
-    )
+    return tuple(entries)
 
 
 def update(global_map: GlobalSemanticMap, new_map: LocalSemanticMap,

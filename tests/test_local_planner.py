@@ -1,10 +1,12 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from agnav.local_planner import (
     BlockedError,
+    DirectionChoice,
     LocalCostWeights,
     LocalObservation,
     MotionKind,
@@ -152,9 +154,23 @@ SCAN_WEIGHTS = [
 @pytest.mark.parametrize("w", SCAN_WEIGHTS)
 def test_scan_totals_and_choice_bit_identical_600_random(w):
     rng = random.Random(21)
+    caps = random.Random(22)  # a second stream, so the observations stay as drawn
     ties = blocked = 0
     for _ in range(600):
         obs = random_obs(rng)
+        # a lookahead cap scores as the weights with that lookahead would
+        cap = caps.uniform(0.5, w.lookahead)
+        try:
+            ref = select_direction(obs, replace(w, lookahead=cap))
+        except BlockedError:
+            with pytest.raises(BlockedError):
+                select_direction(obs, w, lookahead=cap)
+        else:
+            got = select_direction(obs, w, lookahead=cap)
+            assert [t.hex() for t in got.totals] == [t.hex() for t in ref.totals]
+            assert (got.index, got.theta.hex()) == (ref.index, ref.theta.hex())
+            assert [c.cost.total.hex() for c in got.table] == [t.hex() for t in got.totals]
+            assert [c.cost for c in got.table] == [c.cost for c in ref.table]
         expected = [per_candidate_total(2.0 * math.pi * i / w.candidate_count, obs, w)
                     for i in range(w.candidate_count)]
         want = per_candidate_choice(obs, w)
@@ -173,6 +189,30 @@ def test_scan_totals_and_choice_bit_identical_600_random(w):
         assert ties > 100
     if w.window_half_extent == 7.0:
         assert blocked > 10
+
+
+def test_scan_clamps_a_nan_dot_like_arc():
+    # an infinite goal offset with a NaN component gives a NaN dot product;
+    # it clamps to -1 as min(1.0, max(-1.0, nan)) does, so the zero-scaled
+    # alignment term stays 0 and no total turns NaN
+    w = LocalCostWeights()
+    obs = obs_at((0.5, -0.5), target=(math.inf, math.nan))
+    choice = select_direction(obs, w)
+    expected = [per_candidate_total(2.0 * math.pi * i / w.candidate_count, obs, w)
+                for i in range(w.candidate_count)]
+    assert not any(math.isnan(t) for t in expected)
+    assert [t.hex() for t in choice.totals] == [t.hex() for t in expected]
+    # min(1.0, max(-1.0, nan)) is -1.0: a NaN dot reads as the opposite heading
+    far = obs_at((math.inf, math.nan))
+    assert cost_local(0.0, far, w).zero == math.pi
+    table = DirectionChoice(0.0, 0, (), far, w, 1.0).table  # every candidate blocked
+    assert all(c.cost.zero == math.pi for c in table)
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, math.inf, math.nan])
+def test_lookahead_cap_must_be_positive_and_finite(cap):
+    with pytest.raises(ValueError, match="lookahead"):
+        select_direction(obs_at((0.0, 0.0), target=(3.0, 0.0)), LocalCostWeights(), lookahead=cap)
 
 
 def test_aligned_case_zero_cost():

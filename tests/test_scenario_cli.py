@@ -213,6 +213,15 @@ def test_batch_cli_bad_seed_list_is_a_diagnostic(tmp_path):
     assert not (tmp_path / "m.csv").exists()
 
 
+def test_cli_usage_error_is_an_input_error():
+    # a malformed command line exits 1 like every other input error; 2 is
+    # left to a failed task
+    r = run_cli("batch", "--scenarios", "x")
+    assert r.returncode == 1
+    assert r.stderr.endswith("agnav batch: error: the following arguments are required: --out\n")
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize("command", [
     ("run-scenario", "--file", "{missing}", "--trace", "{tmp}/t.jsonl", "--summary", "{tmp}/s.json"),
     ("plan-global", "--scenario", "{missing}", "--out", "{tmp}/p.json"),

@@ -8,15 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agnav.semantic_map import (
+    POOL_CAP,
     Category,
     Confidence,
     Direction,
     Footprint,
     FusionParams,
     LocalSemanticMap,
+    MapEntry,
     SemanticObject,
+    _circular_mean,
     _cluster_records,
+    _obs_key,
     _observations,
+    _vote_name,
     fuse,
     left_sum,
     local_map_to_json,
@@ -298,6 +303,144 @@ def test_entry_mean_within_member_bounds():
     out = fuse(maps, FusionParams(merge_radius=0.5, conflict_radius=0.5))
     e = out.entries[0]
     assert 0.0 <= e.x <= 0.2 and 0.0 <= e.y <= 0.1
+
+
+def eager_fuse_pool(pool, footprints, params):
+    """Reference: the whole rule pipeline run at once on a pool, as fusion
+    ran before rules 2-6 waited for a read. Returns (entries, retained)."""
+    clusters = []
+    for g in _cluster_records(pool, params.merge_radius):
+        n = len(g)
+        clusters.append({
+            "members": g, "name": "", "uncertain": False, "removed": False,
+            "support": len({m.step for m in g}), "newest": max(m.step for m in g),
+            "mean": (left_sum(m.x for m in g) / n, left_sum(m.y for m in g) / n)})
+    for c in clusters:  # rule 2
+        if c["support"] == 1:
+            x, y = c["mean"]
+            step = c["members"][0].step
+            if any(s != step and fp.contains(x, y) for s, fp in footprints):
+                c["removed"] = True
+            else:
+                c["uncertain"] = True
+    for c in clusters:  # rule 3
+        if not c["removed"]:
+            c["name"], tie = _vote_name(c["members"])
+            c["uncertain"] = c["uncertain"] or tie
+    by_name = {}
+    for c in clusters:  # rule 4
+        if not c["removed"]:
+            by_name.setdefault(c["name"], []).append(c)
+    for _, group in sorted(by_name.items()):
+        group.sort(key=lambda c: (-c["newest"], -c["support"], c["mean"]))
+        for c in group[1:]:
+            c["removed"] = True
+    alive = sorted((c for c in clusters if not c["removed"]),
+                   key=lambda c: (-c["support"], c["name"], c["mean"]))
+    for i, a in enumerate(alive):  # rule 5
+        if a["removed"]:
+            continue
+        for b in alive[i + 1:]:
+            if b["removed"] or b["name"] == a["name"]:
+                continue
+            if math.dist(a["mean"], b["mean"]) <= params.conflict_radius:
+                if a["support"] > b["support"]:
+                    b["removed"] = True
+                else:
+                    a["uncertain"] = b["uncertain"] = True
+    entries, retained = [], []
+    for c in clusters:  # retention, then rule 6
+        retained.extend(sorted(c["members"], key=lambda m: (-m.step, m.oid))[:POOL_CAP])
+        if c["removed"]:
+            continue
+        members = c["members"]
+        entries.append(MapEntry(
+            name=c["name"], x=c["mean"][0], y=c["mean"][1], support_count=c["support"],
+            confidence=(Confidence.UNCERTAIN if c["uncertain"] or c["support"] < 2
+                        else Confidence.CONFIRMED),
+            radius=left_sum(m.radius for m in members) / len(members),
+            orientation=_circular_mean([m.orientation for m in members])))
+    entries.sort(key=lambda e: (e.name, e.x, e.y))
+    retained.sort(key=_obs_key)
+    return tuple(entries), tuple(retained)
+
+
+def eager_chain(maps, updates, params):
+    """(entries, pool, footprints) after fuse(maps) and after each update."""
+    footprints = frozenset((m.step_index, m.footprint) for m in maps)
+    entries, pool = eager_fuse_pool(_observations(maps), footprints, params)
+    states = [(entries, pool, footprints)]
+    for m in updates:
+        merged = {_obs_key(o): o for o in pool}
+        for o in _observations([m]):
+            merged.setdefault(_obs_key(o), o)
+        footprints = footprints | {(m.step_index, m.footprint)}
+        entries, pool = eager_fuse_pool(sorted(merged.values(), key=_obs_key), footprints, params)
+        states.append((entries, pool, footprints))
+    return states
+
+
+def assert_chain_matches_eager(maps, updates, params):
+    """Fuse then update twice over: one chain reads ``entries`` after every
+    step, the other only at the end. Both must match the eager reference,
+    and reading entries must leave every later pool as it was."""
+    states = eager_chain(maps, updates, params)
+    read = fuse(maps, params)
+    unread = fuse(maps, params)
+    for k, (entries, pool, footprints) in enumerate(states):
+        if k:
+            read = update(read, updates[k - 1], params)
+            unread = update(unread, updates[k - 1], params)
+        assert repr(read.entries) == repr(entries)
+        for g in (read, unread):
+            assert g.pool == pool
+            assert g.footprints == footprints
+            assert g.revision == k
+    assert repr(unread.entries) == repr(states[-1][0])
+    assert repr(unread.find("A")) == repr(next((e for e in states[-1][0] if e.name == "A"), None))
+
+
+SPOTS = [(0.0, 0.0), (0.12, 0.0), (0.4, 0.1), (-1.0, 0.8)]
+
+
+@st.composite
+def local_maps(draw):
+    objects = []
+    for _ in range(draw(st.integers(0, 4))):
+        sx, sy = draw(st.sampled_from(SPOTS))
+        objects.append(SemanticObject(
+            id=draw(st.sampled_from("abc")), name=draw(st.sampled_from("ABC")),
+            x=sx + draw(st.floats(-0.06, 0.06)), y=sy + draw(st.floats(-0.06, 0.06)),
+            radius=draw(st.sampled_from([0.0, 0.1, 0.25])),
+            orientation=draw(st.none() | st.floats(-3.0, 3.0))))
+    x0, y0 = draw(st.floats(-2.0, 0.5)), draw(st.floats(-2.0, 0.5))
+    return LocalSemanticMap(
+        observer_x=draw(st.sampled_from([0.0, 0.3])), observer_y=0.0, altitude=2.0,
+        cell_m=draw(st.sampled_from([1.0, 0.5])),
+        footprint=Footprint(x0, x0 + draw(st.floats(0.0, 3.0)), y0, y0 + draw(st.floats(0.0, 3.0))),
+        objects=tuple(objects), step_index=draw(st.integers(0, 14)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps=st.lists(local_maps(), min_size=1, max_size=3),
+       updates=st.lists(local_maps(), max_size=12),
+       merge_radius=st.sampled_from([0.05, 0.1, 0.3]),
+       conflict_radius=st.sampled_from([0.2, 0.5]))
+def test_fusion_on_read_matches_eager_pipeline(maps, updates, merge_radius, conflict_radius):
+    assert_chain_matches_eager(maps, updates, FusionParams(merge_radius, conflict_radius))
+
+
+def test_fusion_on_read_matches_eager_pipeline_past_the_pool_cap():
+    # one spot seen far more often than POOL_CAP, with same-step repeats, so
+    # the retention cut runs on both of its paths
+    rng = random.Random(12)
+    steps = [s // 2 for s in range(40)]
+    maps = [world_map(s, [(rng.choice("ab"), rng.choice("AAB"), rng.uniform(-0.05, 0.05),
+                           rng.uniform(-0.05, 0.05)), ("far", "C", 2.0 + 0.01 * s, 1.0)],
+                      footprint=Footprint(-3, 3, -3, 3) if s % 3 else Footprint(1, 3, 0, 2))
+            for s in steps]
+    assert_chain_matches_eager(maps[:2], maps[2:], FusionParams(0.1, 0.5))
+    assert max(len(g) for g in _cluster_records(_observations(maps), 0.1)) > 2 * POOL_CAP
 
 
 def test_left_sum_does_not_compensate():
