@@ -145,7 +145,7 @@ def cmd_plan_global(args) -> int:
     truth = GlobalSemanticMap(tuple(
         MapEntry(o.name, o.x, o.y, 1, Confidence.CONFIRMED, o.radius, o.yaw)
         for o in scen.world.objects))
-    leg = plan_leg(scen.world, truth, scen.config, goal, ids.get(carried), carried)
+    leg = plan_leg(scen.world, truth, scen.config, goal, ids.get(carried))
     result = leg.result
     doc = {
         "already_at_goal": result.already_at_goal,

@@ -12,9 +12,10 @@ planning thread with a ground following thread, and manipulation expands to
 approach / attach / transport / detach.
 
 Execution interleaves the two threads in one deterministic tick loop:
-advance the drone, observe, select a ground direction, step the ground
-robot, monitor the carried object (rolling back to re-attach on a drop),
-update the global map at a fixed cadence, and count debounced collisions.
+advance the drone, observe, check the carried object (rolling back to
+re-attach on a drop, before any decision is made for carrying), select a
+ground direction, step the ground robot, update the global map at a fixed
+cadence, and count debounced collisions.
 """
 
 from __future__ import annotations
@@ -417,7 +418,7 @@ class Leg:
 
 def plan_leg(world: WorldState, global_map: Optional[GlobalSemanticMap],
              config: MissionConfig, goal: GoalSpec, carrying: Optional[str] = None,
-             carrying_name: Optional[str] = None, target=None) -> Leg:
+             target=None) -> Leg:
     """Plan the aerial path of one cooperative move.
 
     The leg starts at the steered point (the carried object ``carrying``
@@ -432,7 +433,9 @@ def plan_leg(world: WorldState, global_map: Optional[GlobalSemanticMap],
     start = main_point(world, carrying)
     init, at_goal = straight_line_init(
         (start[0] / cell, start[1] / cell), (end[0] / cell, end[1] / cell), config.n_controls)
-    exclude = {carrying_name, "robot"}
+    exclude = {"robot"}
+    if carrying is not None:
+        exclude.add(world.object_by_id(carrying).name)
     if goal.kind == "object":
         exclude.add(goal.name)
     pairs = [((e.x / cell, e.y / cell), e.radius / cell)
@@ -466,6 +469,10 @@ class _Failure(Exception):
     """Mission failure; the message is the reason reported."""
 
 
+class _Dropped(Exception):
+    """The carried object was lost mid-leg; ``run`` rolls the carry back."""
+
+
 class MissionExecutor:
     """Runs a task plan on a world copy, producing a tick trace and metrics."""
 
@@ -482,8 +489,6 @@ class MissionExecutor:
         self.overlaps: frozenset = frozenset()
         self.collisions = 0
         self.global_map: Optional[GlobalSemanticMap] = None
-        self.carrying: Optional[str] = None       # object id
-        self.carrying_name: Optional[str] = None
         self.rollbacks = 0
         self.path_length = 0.0
 
@@ -512,8 +517,8 @@ class MissionExecutor:
             raise _Failure("step budget exhausted")
 
     def _end_tick(self, phase: str, command=None, theta=None, cost=None, extra=None):
-        """Close a tick in which the world moved: count debounced collisions,
-        extend the ground track, record the tick and advance the step."""
+        """Close a stepping tick: count debounced collisions, extend the
+        ground track, record the tick and advance the step."""
         events, self.overlaps = detect_collisions(self.state, self.overlaps)
         self.collisions += len(events)
         prev = self.track[-1]
@@ -534,16 +539,16 @@ class MissionExecutor:
         # or the endgame live-locks chasing its own pivot.
         bin_width = 2.0 * math.pi / self.cfg.local_weights.candidate_count
         gate = max(self.cfg.angle_tol, 1.05 * bin_width)
-        if self.carrying is not None:
+        if self.state.attachment is not None:
             swing = self.state.params.head_offset * self.state.params.rotate_rate / self.cell
             shift = math.atan2(swing, max(goal_dist_cells, 1e-9))
             gate = max(gate, min(1.3, 1.05 * bin_width + shift))
         return gate
 
     def _plan_drone_path(self, goal: GoalSpec, target) -> list:
-        leg = plan_leg(self.state, self.global_map, self.cfg, goal,
-                       self.carrying, self.carrying_name, target)
+        leg = plan_leg(self.state, self.global_map, self.cfg, goal, self.state.attachment, target)
         self.global_paths.append(leg.waypoints)
+        self.state.drone.waypoint_index = 0
         return leg.waypoints
 
     def _perceive(self, task: TaskContext):
@@ -552,7 +557,8 @@ class MissionExecutor:
         perceived obstacle discs in world meters for ``step_ground``. The
         carried object is never an obstacle."""
         local_map = observe(self.state, self.cfg.camera, task, self.cfg.noise)
-        obstacles = [o for o in local_map.objects if o.id != self.carrying
+        held = self.state.attachment
+        obstacles = [o for o in local_map.objects if o.id != held
                      and (o.category == Category.OBSTACLE or o.is_obstacle_too)]
         ox, oy, cell = local_map.observer_x, local_map.observer_y, local_map.cell_m
         world_obstacles = [((ox + o.x * cell, oy + o.y * cell), o.radius * cell)
@@ -562,7 +568,7 @@ class MissionExecutor:
             return local_map, None, world_obstacles
         main = parts["body"]
         steer_radius = self.state.ground_robot.radius / self.cell
-        carried = next((o for o in local_map.objects if o.id == self.carrying), None)
+        carried = next((o for o in local_map.objects if o.id == held), None)
         if carried is not None:
             main, steer_radius = (carried.x, carried.y), carried.radius
         # the first target by id: observe sorts the objects by id
@@ -572,7 +578,7 @@ class MissionExecutor:
         # trailing body included while carrying): the clearance term then
         # measures surface separation for everything that travels the ray
         inflate = steer_radius
-        if self.carrying is not None:
+        if held is not None:
             inflate = max(inflate, self.state.ground_robot.radius / self.cell)
         obs = LocalObservation(
             main=main, target=target,
@@ -593,7 +599,7 @@ class MissionExecutor:
             while not drone_done(self.state, leg):
                 step_drone(self.state, leg, wait=False)
                 self._end_tick("construct_map")
-            maps.append(_fusion_view(observe(self.state, self.cfg.camera, task, self.cfg.noise)))
+            maps.append(observe(self.state, self.cfg.camera, task, self.cfg.noise))
             self._advance_step()
         self.global_map = fuse(maps, self.cfg.fusion)
         self._record("construct_map", extra={"viewpoints": len(views)})
@@ -601,13 +607,13 @@ class MissionExecutor:
     def _task_context(self, goal: GoalSpec) -> TaskContext:
         if goal.kind == "object":
             return TaskContext(TaskKind.MOVE_TO_OBJECT, target_name=goal.name,
-                               carried_object=self.carrying)
+                               carried_object=self.state.attachment)
         if goal.kind == "relation":
             return TaskContext(TaskKind.CARRY_TO_RELATION, target_name=goal.name,
-                               relation=goal.direction, carried_object=self.carrying)
-        return TaskContext(TaskKind.MOVE_TO_COORDINATE, carried_object=self.carrying)
+                               relation=goal.direction, carried_object=self.state.attachment)
+        return TaskContext(TaskKind.MOVE_TO_COORDINATE, carried_object=self.state.attachment)
 
-    def _run_move(self, goal: GoalSpec, approach: bool, queue: deque):
+    def _run_move(self, goal: GoalSpec, approach: bool):
         """One cooperative subtask: one follower leg, or two for relation
         placements, which stage at an outer point on the landmark's axis and
         then pull straight in. Staging keeps the carried block between the
@@ -619,27 +625,19 @@ class MissionExecutor:
         else:
             stop_m = self.cfg.dist_stop * self.cell
         task = self._task_context(goal)
-
-        legs = [(goal_world, stop_m, True, None)]
-        if not approach:
-            staging = self._staging_point(goal_world)
-            if staging is not None:
-                axis = math.atan2(goal_world[1] - staging[1], goal_world[0] - staging[0])
-                legs = [(staging, 2.0 * stop_m, False, None),
-                        (goal_world, stop_m, True, axis)]
-
-        for leg_goal, leg_stop, final, dock_axis in legs:
-            done = self._follow_leg(leg_goal, leg_stop, task, goal, approach, queue, dock_axis)
-            if not done:
-                return  # rollback re-queued the subtask
-            if final:
-                main = main_point(self.state, self.carrying)
-                self.placements.append({
-                    "goal": goal.kind,
-                    "carrying": self.carrying is not None,
-                    "approach": approach,
-                    "error_m": math.hypot(main[0] - goal_world[0], main[1] - goal_world[1]),
-                })
+        staging = None if approach else self._staging_point(goal_world)
+        dock_axis = None
+        if staging is not None:
+            self._follow_leg(staging, 2.0 * stop_m, task, goal, approach)
+            dock_axis = math.atan2(goal_world[1] - staging[1], goal_world[0] - staging[0])
+        self._follow_leg(goal_world, stop_m, task, goal, approach, dock_axis)
+        main = main_point(self.state, self.state.attachment)
+        self.placements.append({
+            "goal": goal.kind,
+            "carrying": self.state.attachment is not None,
+            "approach": approach,
+            "error_m": math.hypot(main[0] - goal_world[0], main[1] - goal_world[1]),
+        })
 
     def _staging_point(self, goal_world):
         """Outer staging point for goals close to mapped objects (relation
@@ -649,10 +647,10 @@ class MissionExecutor:
         leading. The staging direction is the one whose pull-in corridor
         clears the known objects best: a slot between two blocks is entered
         perpendicular to their row, not through a neighbor."""
-        if self.global_map is None:
-            return None
         off = self.state.params.head_offset
-        others = [e for e in self.global_map.entries if e.name != self.carrying_name]
+        held = self.state.attachment
+        held_name = self.state.object_by_id(held).name if held is not None else None
+        others = [e for e in self.global_map.entries if e.name != held_name]
         if not any(
             0.0 < math.hypot(goal_world[0] - e.x, goal_world[1] - e.y) <= off + 0.35
             for e in others
@@ -680,7 +678,7 @@ class MissionExecutor:
         return None if best is None else best[1]
 
     def _dock_command(self, obs: LocalObservation, axis: float,
-                      thresholds: StepThresholds) -> MotionCommand:
+                      dist_stop: float) -> MotionCommand:
         """Docking decision for the pull-in leg: pure pursuit of the body
         toward the point that puts the steered tip on the goal.
 
@@ -691,10 +689,10 @@ class MissionExecutor:
         """
         anchor = obs.target if obs.target is not None else obs.zero
         main_err = math.hypot(anchor[0] - obs.main[0], anchor[1] - obs.main[1])
-        if main_err < thresholds.dist_stop:
+        if main_err < dist_stop:
             return MotionCommand.stop()
         ax, ay = math.cos(axis), math.sin(axis)
-        arm = (self.state.params.head_offset / self.cell) if self.carrying is not None else 0.0
+        arm = 0.0 if self.state.attachment is None else self.state.params.head_offset / self.cell
         bgx, bgy = anchor[0] - arm * ax, anchor[1] - arm * ay
         body = obs.body
         # while the body sits laterally off the corridor, aim at a capture
@@ -711,16 +709,17 @@ class MissionExecutor:
             aim_t = min(t + 2.0, 0.5)
         aim = (bgx + aim_t * ax, bgy + aim_t * ay)
         desired = math.atan2(aim[1] - body[1], aim[0] - body[0])
-        gate = max(thresholds.angle_tol, 0.15)
+        gate = max(self.cfg.angle_tol, 0.15)
         err = wrap_angle(obs.heading - desired)
         if abs(err) > gate:
             return MotionCommand.rotate(desired)
-        return MotionCommand.forward(thresholds.step)
+        return MotionCommand.forward(self.state.params.ground_step / self.cell)
 
-    def _follow_leg(self, goal_world, stop_m, task, subtask_goal,
-                    approach: bool, queue: deque, dock_axis=None) -> bool:
-        """Tick the leader-follower loop toward one world point. Returns False
-        when a carry rollback interrupted the leg (the subtask is re-queued).
+    def _follow_leg(self, goal_world, stop_m, task, subtask_goal, approach: bool,
+                    dock_axis=None):
+        """Tick the leader-follower loop toward one world point. Raises
+        _Dropped on the tick a carried object is seen lost, before any
+        command is chosen for carrying it.
 
         With ``dock_axis`` set (the pull-in leg after staging) the candidate
         argmin is bypassed: the robot rotates onto the fixed axis once and
@@ -729,9 +728,8 @@ class MissionExecutor:
         staged corridor is straight and already clear.
         """
         waypoints = self._plan_drone_path(subtask_goal, goal_world)
-        self.state.drone.waypoint_index = 0
-        thresholds = StepThresholds(dist_stop=stop_m / self.cell, angle_tol=self.cfg.angle_tol,
-                                    step=self.state.params.ground_step / self.cell)
+        dist_stop = stop_m / self.cell
+        step = self.state.params.ground_step / self.cell
         replanned = False
         prev_index = None
         while True:
@@ -743,10 +741,12 @@ class MissionExecutor:
             # it must fly back to regain the ground robot in view
             step_drone(self.state, waypoints, wait=self.state.drone.waypoint_index > 0)
             local_map, obs, world_obstacles = self._perceive(task)
+            if task.carried_object is not None and not carry_check(self.state, local_map):
+                raise _Dropped
             cmd, theta, cost = MotionCommand.stop(), None, None
             if obs is not None and dock_axis is not None:
                 theta = dock_axis
-                cmd = self._dock_command(obs, dock_axis, thresholds)
+                cmd = self._dock_command(obs, dock_axis, dist_stop)
             elif obs is not None:
                 anchor = obs.target if obs.target is not None else obs.zero
                 d_obs = math.hypot(anchor[0] - obs.main[0], anchor[1] - obs.main[1])
@@ -769,25 +769,20 @@ class MissionExecutor:
                     theta = candidate_theta(index, weights.candidate_count)
                     cost = choice.totals[index]
                     cmd = step_decision(obs, theta, StepThresholds(
-                        thresholds.dist_stop, self._alignment_gate(d_obs), thresholds.step))
+                        dist_stop, self._alignment_gate(d_obs), step))
                 except BlockedError:
                     if replanned:
                         raise _Failure("local planner blocked twice; aborting")
                     replanned = True
                     waypoints = self._plan_drone_path(subtask_goal, goal_world)
-                    self.state.drone.waypoint_index = 0
-                    self._record("move", extra={"replanned": True})
-                    self._advance_step()
+                    self._end_tick("move", extra={"replanned": True})
                     continue
             step_ground(self.state, cmd, world_obstacles)
-            if self.carrying is not None and not carry_check(self.state, local_map):
-                self._handle_rollback(subtask_goal, queue)
-                return False
-            if self.global_map is not None and self.state.step % self.cfg.map_update_every == 0:
+            if self.state.step % self.cfg.map_update_every == 0:
                 self.global_map = update(self.global_map, _fusion_view(local_map),
                                          self.cfg.fusion)
             self._end_tick("move", cmd, theta, cost)
-            main = main_point(self.state, self.carrying)
+            main = main_point(self.state, self.state.attachment)
             dist = math.hypot(main[0] - goal_world[0], main[1] - goal_world[1])
             # exit when the true distance meets the stop ring or the robot
             # itself judged arrival from its (possibly noisy) observation.
@@ -803,23 +798,20 @@ class MissionExecutor:
             else:
                 arrived = dist <= stop_m or stopped
             if arrived and (approach or drone_done(self.state, waypoints)):
-                return True
+                return
 
-    def _handle_rollback(self, goal: GoalSpec, queue: deque):
+    def _rollback(self, name: str, goal: GoalSpec, queue: deque):
         """Drop recovery: release any attachment and re-queue approach,
-        attach, and the interrupted transport leg."""
+        attach, and the interrupted transport leg of ``name``. A mission
+        that exceeds the rollback limit ends with nothing attached."""
+        if self.state.attachment is not None:
+            detach(self.state)
         self.rollbacks += 1
         if self.rollbacks > ROLLBACK_LIMIT:
             raise _Failure("rollback limit exceeded")
-        if self.state.attachment is not None:
-            detach(self.state)
-        name = self.carrying_name
-        self.carrying = None
-        self.carrying_name = None
         # the carry's own detach is still queued
         queue.extendleft(reversed(_carry_subtasks(name, goal)[:-1]))
-        self._record("rollback", extra={"object": name})
-        self._advance_step()
+        self._end_tick("rollback", extra={"object": name})
 
     def _run_attach(self, name: str):
         if self.state.attachment is not None:
@@ -831,15 +823,12 @@ class MissionExecutor:
             candidates = [o for o in local_map.objects
                           if o.name == name and o.id not in ("robot", "zero-point")]
             if obs is None or not candidates:
-                self._record("attach", extra={"waiting": True})
-                self._advance_step()
+                self._end_tick("attach", extra={"waiting": True})
                 continue
             head = local_map.parts["head"]
             target = min(candidates,
                          key=lambda o: (math.hypot(o.x - head[0], o.y - head[1]), o.id))
             if attach(self.state, target.id):
-                self.carrying = target.id
-                self.carrying_name = name
                 self._end_tick("attach", extra={"attached": target.id})
                 return
             body = local_map.parts["body"]
@@ -860,8 +849,6 @@ class MissionExecutor:
         if self.state.attachment is None:
             raise _Failure("detach with nothing attached")
         detach(self.state)
-        self.carrying = None
-        self.carrying_name = None
         self._end_tick("detach")
 
     # -- main loop ----------------------------------------------------------
@@ -885,7 +872,10 @@ class MissionExecutor:
                     approach = (s.goal.kind == "object" and bool(queue)
                                 and queue[0].function == "attach"
                                 and queue[0].object_name == s.goal.name)
-                    self._run_move(s.goal, approach, queue)
+                    try:
+                        self._run_move(s.goal, approach)
+                    except _Dropped:
+                        self._rollback(s.object_name, s.goal, queue)
                 elif s.function == "attach":
                     self._run_attach(s.object_name)
                 else:
