@@ -25,7 +25,7 @@ from .local_planner import (
     select_direction,
     step_decision,
 )
-from .mission import CommandError, GoalError, parse_command, plan_leg
+from .mission import CommandError, GoalError, plan_leg
 from .plotting import render_run_svg
 from .scenario import (
     ScenarioError,
@@ -35,6 +35,7 @@ from .scenario import (
     observation_from_json,
     read_json_file,
     run_scenario,
+    task_command,
 )
 from .semantic_map import (
     Confidence,
@@ -134,7 +135,7 @@ def cmd_plan_global(args) -> int:
     planned on a map of the scenario's ground-truth objects: for a carry
     task, the transport leg from the carried object."""
     scen = load_scenario(read_json_file(args.scenario))
-    command = parse_command(scen.task, scen.relation_clearance)
+    command = task_command(scen)
     goal = getattr(command, "goal", None)
     if goal is None:
         raise CommandError("task has no single movement goal to plan")

@@ -14,8 +14,9 @@ approach / attach / transport / detach.
 Execution interleaves the two threads in one deterministic tick loop:
 advance the drone, observe, check the carried object (rolling back to
 re-attach on a drop, before any decision is made for carrying), select a
-ground direction, step the ground robot, update the global map at a fixed
-cadence, and count debounced collisions.
+ground direction, step the ground robot, queue the local map for fusion at
+a fixed cadence, and count debounced collisions. Queued maps are folded into
+the global map, in order, only when the map is next read.
 """
 
 from __future__ import annotations
@@ -147,6 +148,8 @@ def parse_command(text: str, relation_clearance: float = 0.4):
     m = re.fullmatch(rf"(?:move|carry)\s+{_NAME}\s+to\s+(?:the\s+)?{_DIR}(?:\s+side)?\s+of\s+{_NAME}",
                      s, flags=re.IGNORECASE)
     if m:
+        if m.group(1) == m.group(3):
+            raise CommandError(f"cannot place {m.group(1)!r} relative to itself")
         return Carry(m.group(1), GoalSpec.relation(m.group(3), Direction(m.group(2).lower()),
                                                    relation_clearance))
 
@@ -456,8 +459,9 @@ def construct_map_viewpoints(arena) -> list[tuple[float, float]]:
 
 
 def _fusion_view(local_map):
-    """Strip agent-bound objects (main category, synthetic zero target) so
-    only the static environment is fused into the global map."""
+    """The local map as fused: agent-bound objects (main category, synthetic
+    zero target) stripped, so only the static environment reaches the global
+    map. Runs when a queued map is folded in, never on a tick."""
     keep = tuple(
         o for o in local_map.objects
         if o.category != Category.MAIN and o.id not in ("robot", "zero-point")
@@ -488,11 +492,21 @@ class MissionExecutor:
         self.placements: list = []
         self.overlaps: frozenset = frozenset()
         self.collisions = 0
-        self.global_map: Optional[GlobalSemanticMap] = None
+        self._map: Optional[GlobalSemanticMap] = None
+        self._unfused: list = []  # local maps queued for fusion, oldest first
         self.rollbacks = 0
         self.path_length = 0.0
 
     # -- helpers ----------------------------------------------------------
+
+    @property
+    def global_map(self) -> Optional[GlobalSemanticMap]:
+        """The fused map. Local maps queued since the last read are folded
+        in first, in order, so the map equals the one per-tick fusion gives."""
+        for local_map in self._unfused:
+            self._map = update(self._map, _fusion_view(local_map), self.cfg.fusion)
+        self._unfused.clear()
+        return self._map
 
     def _record(self, phase: str, command=None, theta=None, cost=None, events=(), extra=None):
         rec = {
@@ -505,7 +519,9 @@ class MissionExecutor:
             "theta_star": theta,
             "cost": cost,
             "events": list(events),
-            "map_revision": self.global_map.revision if self.global_map else None,
+            # the revision the map reaches once the queue is folded in
+            "map_revision": (self._map.revision + len(self._unfused)
+                             if self._map is not None else None),
         }
         if extra:
             rec.update(extra)
@@ -601,7 +617,7 @@ class MissionExecutor:
                 self._end_tick("construct_map")
             maps.append(observe(self.state, self.cfg.camera, task, self.cfg.noise))
             self._advance_step()
-        self.global_map = fuse(maps, self.cfg.fusion)
+        self._map, self._unfused = fuse(maps, self.cfg.fusion), []
         self._record("construct_map", extra={"viewpoints": len(views)})
 
     def _task_context(self, goal: GoalSpec) -> TaskContext:
@@ -779,8 +795,7 @@ class MissionExecutor:
                     continue
             step_ground(self.state, cmd, world_obstacles)
             if self.state.step % self.cfg.map_update_every == 0:
-                self.global_map = update(self.global_map, _fusion_view(local_map),
-                                         self.cfg.fusion)
+                self._unfused.append(local_map)
             self._end_tick("move", cmd, theta, cost)
             main = main_point(self.state, self.state.attachment)
             dist = math.hypot(main[0] - goal_world[0], main[1] - goal_world[1])

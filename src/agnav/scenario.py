@@ -29,6 +29,7 @@ from .global_planner import GlobalCostWeights
 from .gridmask import CameraModel
 from .local_planner import LocalCostWeights, LocalObservation
 from .mission import (
+    CommandError,
     ExecutionResult,
     GoalSpec,
     MissionConfig,
@@ -304,12 +305,27 @@ def relation_clearance(scen: Scenario) -> float:
     return scen.relation_clearance
 
 
+def task_command(scen: Scenario):
+    """The scenario's task as a command, checked before anything runs: it
+    must parse, and a coordinate goal must lie inside the arena. A rejected
+    task is reported under ``$.task``."""
+    try:
+        command = parse_command(scen.task, scen.relation_clearance)
+    except CommandError as e:
+        raise ScenarioError(f"$.task: {e}") from e
+    goal = getattr(command, "goal", None)
+    xmin, xmax, ymin, ymax = scen.config.arena
+    if goal is not None and goal.kind == "coordinate" and not (
+            xmin <= goal.x <= xmax and ymin <= goal.y <= ymax):
+        raise ScenarioError(f"$.task: goal ({goal.x:g}, {goal.y:g}) lies outside $.arena")
+    return command
+
+
 def run_scenario(doc: dict, seed: Optional[int] = None) -> tuple[Scenario, ExecutionResult]:
     """One mission end to end: load the document, parse and decompose its
     task, and execute the plan. The result's ``wall_time`` times ``execute``."""
     scen = load_scenario(doc, seed_override=seed)
-    plan = decompose(parse_command(scen.task, scen.relation_clearance),
-                     pitch=scen.config.pitch)
+    plan = decompose(task_command(scen), pitch=scen.config.pitch)
     start = time.perf_counter()
     result = execute(plan, scen.world, scen.config)
     result.wall_time = time.perf_counter() - start

@@ -25,8 +25,11 @@ Fusion follows a fixed rule pipeline over the pooled observations:
 because the next ``update`` re-fuses from that pool. Rules 2-6 read only the
 clusters, the footprints and conflict_radius, so they run the first time the
 map's ``entries`` (or ``find``) are read, and the result is kept on the map.
-The executor updates the map every tick but reads its entries only when it
-plans a leg, so most maps never run rules 2-6.
+The executor queues each tick's local map and calls ``update`` on the queue,
+in order, only when it next reads the map (to plan or re-plan a leg, resolve
+a goal, stage a placement or lay out a word). A mission that never reads the
+map again runs no ``update`` at all, and of the maps it does build only the
+last of each fold runs rules 2-6.
 
 Everything is deterministic and permutation-invariant over the input map
 order: observations are canonically sorted before any rule runs.

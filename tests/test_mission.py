@@ -72,6 +72,12 @@ def test_parse_rejects_unknown():
         parse_command("assemble OK, do not move Z")
 
 
+@pytest.mark.parametrize("task", ["move L to front of L", "carry the L block to left of L"])
+def test_parse_rejects_self_relation(task):
+    with pytest.raises(CommandError, match="relative to itself"):
+        parse_command(task)
+
+
 # -- decomposition -----------------------------------------------------------
 
 def test_decompose_carry_expansion():
@@ -319,14 +325,18 @@ def test_execute_does_not_mutate_input_world():
     assert [(o.id, o.x, o.y) for o in scen.world.objects] == before
 
 
-def test_blocked_window_replans_once_then_fails():
-    # a window smaller than the lookahead ring bars every candidate, so the
-    # executor replans the aerial path once from the current pose and then
-    # reports the blocked state as a task failure
+def _blocked_window_doc():
+    # a window smaller than the lookahead ring bars every candidate
     doc = type_a_scenario(0)
     doc["local_weights"]["window_half_extent"] = 3.0
     doc["local_weights"]["lookahead"] = 5.0
-    _, res = run_scenario(doc)
+    return doc
+
+
+def test_blocked_window_replans_once_then_fails():
+    # the executor replans the aerial path once from the current pose and
+    # then reports the blocked state as a task failure
+    _, res = run_scenario(_blocked_window_doc())
     assert not res.success
     assert "blocked" in res.failure
     replans = [r for r in res.trace if r.get("replanned")]
@@ -396,3 +406,77 @@ def test_preset_suite_digest():
         for seed in range(5):
             _hash_run(h, run_scenario(doc, seed)[1])
     assert h.hexdigest() == "2a81876f351563e22ba39d2bdf6e53fee8365093c8156ac538a1a88e888dc94a"
+
+
+
+def test_blocked_window_fusing_every_tick_digest():
+    # the blocked-window mission fusing every tick: its replan at step 74 is
+    # the one read of the global map in the middle of a leg
+    _, res = run_scenario(_fuse_every_tick(_blocked_window_doc()))
+    h = hashlib.sha256()
+    _hash_run(h, res)
+    assert [r["step"] for r in res.trace if r.get("replanned")] == [74]
+    assert h.hexdigest() == "85fd230a0b027066bde757d2c494012c451863c16cb85268381d5199e4b3fd9b"
+
+
+# -- deferred fusion -----------------------------------------------------------
+
+class _EagerFusionExecutor(MissionExecutor):
+    """Reads the global map after every tick, which folds each queued local
+    map at once: the per-tick fusion the default executor defers."""
+
+    def _end_tick(self, *args, **kwargs):
+        super()._end_tick(*args, **kwargs)
+        self.global_map
+
+
+def assert_deferral_matches_eager(plan, scen):
+    runs = []
+    for cls in (MissionExecutor, _EagerFusionExecutor):
+        executor = cls(plan, scen.world, scen.config)
+        res = executor.run()
+        h = hashlib.sha256()
+        _hash_run(h, res)
+        runs.append((h.hexdigest(), res.summary(), executor.global_map))
+    (digest, summary, fused), (eager_digest, eager_summary, eager) = runs
+    assert digest == eager_digest
+    assert summary == eager_summary
+    assert fused.revision == eager.revision
+    assert fused.entries == eager.entries
+    assert fused.pool == eager.pool
+    assert fused.footprints == eager.footprints
+
+
+def _navigate_style_doc(i):
+    # a noisy move_to mission fusing every tick, goal across the arena
+    doc = _fuse_every_tick(type_a_scenario(i, noise=dict(NOISE_CALIBRATED)))
+    x, y = [(-1.0, 1.2), (1.2, 1.0), (0.0, -1.3), (-1.2, -0.8), (1.0, -1.1)][i]
+    doc["task"] = f"move_to ({x}, {y})"
+    return doc
+
+
+DEFERRAL_CASES = (
+    [g[:3] for g in GOLDEN_DIGESTS]
+    + [("blocked_window", _blocked_window_doc, None),
+       ("blocked_window_fuse_every_tick",
+        lambda: _fuse_every_tick(_blocked_window_doc()), None)]
+    + [(f"navigate_style_{i}", lambda i=i: _navigate_style_doc(i), i) for i in range(5)]
+)
+
+
+@pytest.mark.parametrize("make_doc,seed", [c[1:] for c in DEFERRAL_CASES],
+                         ids=[c[0] for c in DEFERRAL_CASES])
+def test_deferred_fusion_matches_per_tick_fusion(make_doc, seed):
+    scen = load_scenario(make_doc(), seed_override=seed)
+    plan = decompose(parse_command(scen.task, scen.relation_clearance),
+                     pitch=scen.config.pitch)
+    assert_deferral_matches_eager(plan, scen)
+
+
+def test_deferred_fusion_dropped_by_a_later_map_construction():
+    # a second construct_map replaces the map: maps queued on the leg before
+    # it are never fused, as per-tick fusion would have overwritten them
+    scen = load_scenario(_navigate_style_doc(0), seed_override=0)
+    move = decompose(parse_command(scen.task)).subtasks
+    back = decompose(MoveTo(GoalSpec.coordinate(0.0, 0.0))).subtasks
+    assert_deferral_matches_eager(TaskPlan(move + back + move[1:]), scen)

@@ -165,6 +165,24 @@ def test_run_scenario_cli_deterministic(tmp_path):
     assert sa == sb
 
 
+@pytest.mark.parametrize("task, reason", [
+    ("move L to front of L", "cannot place 'L' relative to itself"),
+    ("move_to (9, 9)", "goal (9, 9) lies outside $.arena"),
+    ("carry L to (9, 9)", "goal (9, 9) lies outside $.arena"),
+    ("move_to (0, -2.5)", "goal (0, -2.5) lies outside $.arena"),
+], ids=["self-relation", "move-outside", "carry-outside", "move-below"])
+def test_run_scenario_cli_rejects_nonsense_goal_before_execution(tmp_path, task, reason):
+    doc = type_a_scenario(0)
+    doc["task"] = task
+    p = write_doc(tmp_path, doc)
+    trace = tmp_path / "t.jsonl"
+    r = run_cli("run-scenario", "--file", p, "--trace", str(trace),
+                "--summary", str(tmp_path / "s.json"))
+    assert r.returncode == 1
+    assert r.stderr == f"error: $.task: {reason}\n"
+    assert not trace.exists()
+
+
 def test_batch_cli(tmp_path):
     scen_dir = tmp_path / "scenarios"
     write_scenarios([type_a_scenario(0), type_a_scenario(3)], scen_dir)

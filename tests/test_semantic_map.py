@@ -289,6 +289,23 @@ def test_update_idempotent_for_repeated_map():
     assert twice.revision == base.revision + 2
 
 
+@pytest.mark.parametrize("footprint, kept", [
+    (Footprint(-2, 2, -2, 2), False),
+    (Footprint(5, 9, 5, 9), True),
+])
+def test_footprint_without_pooled_observations_still_removes(footprint, kept):
+    # the step-0 map saw no object, so no pooled observation carries its
+    # step; its footprint alone decides rule 2 for a later singleton inside
+    # it, so footprints cannot be pruned by the steps left in the pool
+    base = fuse([world_map(0, [], footprint=footprint)])
+    assert base.pool == ()
+    out = update(base, world_map(1, [("x", "A", 0.5, 0.5)]))
+    if kept:
+        assert [(e.name, e.confidence) for e in out.entries] == [("A", Confidence.UNCERTAIN)]
+    else:
+        assert out.entries == ()
+
+
 def test_update_moved_object_migrates():
     base = fuse([world_map(0, [("x", "A", 0.0, 0.0)]),
                  world_map(1, [("x", "A", 0.02, 0.0)])])
