@@ -168,23 +168,19 @@ class Candidate:
 
 @dataclass(frozen=True)
 class DirectionChoice:
-    """The selected candidate and every candidate's total J, by index. The
-    full cost breakdown (``table``) is rebuilt by the same arithmetic, with
-    the lookahead the choice was scored with, only when read."""
+    """The selected candidate, every candidate's total J by index, and the
+    (align, zero, obstacle, window, total) rows they were scored from."""
 
     theta: float
     index: int
     totals: tuple[float, ...]
-    obs: LocalObservation = field(repr=False)
-    weights: LocalCostWeights = field(repr=False)
-    lookahead: float = field(repr=False)
+    rows: tuple = field(repr=False)
 
     @property
     def table(self) -> tuple[Candidate, ...]:
-        n = self.weights.candidate_count
-        rows = _score(self.obs, self.weights, self.lookahead, _directions(n))
+        n = len(self.rows)
         return tuple(Candidate(i, candidate_theta(i, n), LocalCost(*row))
-                     for i, row in enumerate(rows))
+                     for i, row in enumerate(self.rows))
 
 
 def _goal_deviation(theta: float, obs: LocalObservation) -> float:
@@ -207,7 +203,8 @@ def select_direction(obs: LocalObservation, w: LocalCostWeights, *,
     elif not 0.0 < lookahead < math.inf:
         raise ValueError(f"lookahead must be positive and finite, got {lookahead}")
     n = w.candidate_count
-    totals = tuple(row[4] for row in _score(obs, w, lookahead, _directions(n)))
+    rows = tuple(_score(obs, w, lookahead, _directions(n)))
+    totals = tuple(row[4] for row in rows)
     finite = [t for t in totals if math.isfinite(t)]
     if not finite:
         raise BlockedError("all candidate directions exit the window")
@@ -215,7 +212,7 @@ def select_direction(obs: LocalObservation, w: LocalCostWeights, *,
     tied = [i for i, t in enumerate(totals) if t == best]
     index = tied[0] if len(tied) == 1 else min(
         tied, key=lambda i: (_goal_deviation(candidate_theta(i, n), obs), i))
-    return DirectionChoice(candidate_theta(index, n), index, totals, obs, w, lookahead)
+    return DirectionChoice(candidate_theta(index, n), index, totals, rows)
 
 
 class MotionKind(Enum):

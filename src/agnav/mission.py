@@ -15,8 +15,8 @@ Execution interleaves the two threads in one deterministic tick loop:
 advance the drone, observe, check the carried object (rolling back to
 re-attach on a drop, before any decision is made for carrying), select a
 ground direction, step the ground robot, queue the local map for fusion at
-a fixed cadence, and count debounced collisions. Queued maps are folded into
-the global map, in order, only when the map is next read.
+a fixed cadence, and count debounced collisions. The queue is folded into
+the global map by one ``update`` call only when the map is next read.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .local_planner import (
     step_decision,
     wrap_angle,
 )
-from .perception import NoiseModel, TaskContext, TaskKind, observe
+from .perception import RESERVED_IDS, NoiseModel, TaskContext, TaskKind, observe
 from .semantic_map import (
     Category,
     Direction,
@@ -400,6 +400,11 @@ class ExecutionResult:
         }
 
 
+def inside_arena(arena, x: float, y: float) -> bool:
+    xmin, xmax, ymin, ymax = arena
+    return xmin <= x <= xmax and ymin <= y <= ymax
+
+
 def main_point(world: WorldState, carrying: Optional[str]) -> tuple[float, float]:
     """World point being steered: the carried object (by id) while carrying,
     otherwise the ground robot."""
@@ -427,8 +432,8 @@ def plan_leg(world: WorldState, global_map: Optional[GlobalSemanticMap],
     The leg starts at the steered point (the carried object ``carrying``
     while carrying, otherwise the robot) and ends at ``target``, by default
     the resolved goal. Every mapped object is an obstacle except the carried
-    one, the robot, and the goal object of an object goal; a relation's
-    landmark stays one. A leg already at its goal flies the single start
+    one and the goal object of an object goal; a relation's landmark stays
+    one. A leg already at its goal flies the single start
     point.
     """
     cell = ground_scale(config.camera).cell_m
@@ -436,7 +441,7 @@ def plan_leg(world: WorldState, global_map: Optional[GlobalSemanticMap],
     start = main_point(world, carrying)
     init, at_goal = straight_line_init(
         (start[0] / cell, start[1] / cell), (end[0] / cell, end[1] / cell), config.n_controls)
-    exclude = {"robot"}
+    exclude = set()
     if carrying is not None:
         exclude.add(world.object_by_id(carrying).name)
     if goal.kind == "object":
@@ -464,7 +469,7 @@ def _fusion_view(local_map):
     map. Runs when a queued map is folded in, never on a tick."""
     keep = tuple(
         o for o in local_map.objects
-        if o.category != Category.MAIN and o.id not in ("robot", "zero-point")
+        if o.category != Category.MAIN and o.id not in RESERVED_IDS
     )
     return replace(local_map, objects=keep)
 
@@ -501,11 +506,11 @@ class MissionExecutor:
 
     @property
     def global_map(self) -> Optional[GlobalSemanticMap]:
-        """The fused map. Local maps queued since the last read are folded
-        in first, in order, so the map equals the one per-tick fusion gives."""
-        for local_map in self._unfused:
-            self._map = update(self._map, _fusion_view(local_map), self.cfg.fusion)
-        self._unfused.clear()
+        """The fused map, with the local maps queued since the last read
+        folded in first by one ``update`` call."""
+        if self._unfused:
+            self._map = update(self._map, map(_fusion_view, self._unfused), self.cfg.fusion)
+            self._unfused.clear()
         return self._map
 
     def _record(self, phase: str, command=None, theta=None, cost=None, events=(), extra=None):
@@ -636,6 +641,8 @@ class MissionExecutor:
         robot and the landmark, so neither the final walk nor any rotation
         sweeps the robot body past the landmark's flank."""
         goal_world = resolve_goal(goal, self.global_map)
+        if not inside_arena(self.cfg.arena, *goal_world):
+            raise GoalError(f"goal ({goal_world[0]:.2f}, {goal_world[1]:.2f}) lies outside the arena")
         if approach:
             stop_m = self.state.params.head_offset + self.state.params.attach_range / 2.0
         else:
@@ -680,13 +687,12 @@ class MissionExecutor:
             t = max(0.0, min(1.0, (wx * vx + wy * vy) / (vx * vx + vy * vy)))
             return math.hypot(wx - t * vx, wy - t * vy) - e.radius
 
-        xmin, xmax, ymin, ymax = self.cfg.arena
         best = None
         for k in range(16):
             ang = 2.0 * math.pi * k / 16.0
             sx = goal_world[0] + 2.0 * off * math.cos(ang)
             sy = goal_world[1] + 2.0 * off * math.sin(ang)
-            if not (xmin <= sx <= xmax and ymin <= sy <= ymax):
+            if not inside_arena(self.cfg.arena, sx, sy):
                 continue
             score = min((seg_clearance(e, sx, sy) for e in others), default=math.inf)
             if best is None or score > best[0]:
@@ -836,7 +842,7 @@ class MissionExecutor:
         for _ in range(ATTACH_BUDGET):
             local_map, obs, world_obstacles = self._perceive(task)
             candidates = [o for o in local_map.objects
-                          if o.name == name and o.id not in ("robot", "zero-point")]
+                          if o.name == name and o.id not in RESERVED_IDS]
             if obs is None or not candidates:
                 self._end_tick("attach", extra={"waiting": True})
                 continue

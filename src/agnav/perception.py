@@ -25,6 +25,9 @@ from .semantic_map import (
 )
 
 _NORMAL = NormalDist()
+# ids of the objects observe adds for the robot and the zero-point target;
+# a scene object may not use them, nor the robot's name
+RESERVED_IDS = ("robot", "zero-point")
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,10 @@ from .mission import (
     MissionConfig,
     decompose,
     execute,
+    inside_arena,
     parse_command,
 )
-from .perception import NoiseModel
+from .perception import RESERVED_IDS, NoiseModel
 from .semantic_map import (
     Footprint,
     FusionParams,
@@ -193,6 +194,10 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
         kwargs = _section(o, path, _OBJECT)
         if kwargs["id"] is None:
             kwargs["id"] = kwargs["name"]
+        if kwargs["id"] in RESERVED_IDS:
+            raise ScenarioError(f"{path}.id: {kwargs['id']!r} is reserved for the perceiver")
+        if kwargs["name"] == "robot":
+            raise ScenarioError(f"{path}.name: 'robot' is reserved for the perceiver")
         if kwargs["id"] in seen_ids:
             raise ScenarioError(f"{path}.id: duplicate id {kwargs['id']!r}")
         seen_ids.add(kwargs["id"])
@@ -314,9 +319,8 @@ def task_command(scen: Scenario):
     except CommandError as e:
         raise ScenarioError(f"$.task: {e}") from e
     goal = getattr(command, "goal", None)
-    xmin, xmax, ymin, ymax = scen.config.arena
-    if goal is not None and goal.kind == "coordinate" and not (
-            xmin <= goal.x <= xmax and ymin <= goal.y <= ymax):
+    if goal is not None and goal.kind == "coordinate" and not inside_arena(
+            scen.config.arena, goal.x, goal.y):
         raise ScenarioError(f"$.task: goal ({goal.x:g}, {goal.y:g}) lies outside $.arena")
     return command
 

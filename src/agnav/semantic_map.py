@@ -20,16 +20,12 @@ Fusion follows a fixed rule pipeline over the pooled observations:
    (ties keep both, flagged uncertain);
 6. position each entry at the arithmetic mean of its members.
 
-``fuse`` and ``update`` run the pipeline in two stages. Every call runs rule
-1 and the pool retention (each cluster's newest POOL_CAP observations),
-because the next ``update`` re-fuses from that pool. Rules 2-6 read only the
-clusters, the footprints and conflict_radius, so they run the first time the
-map's ``entries`` (or ``find``) are read, and the result is kept on the map.
-The executor queues each tick's local map and calls ``update`` on the queue,
-in order, only when it next reads the map (to plan or re-plan a leg, resolve
-a goal, stage a placement or lay out a word). A mission that never reads the
-map again runs no ``update`` at all, and of the maps it does build only the
-last of each fold runs rules 2-6.
+``update`` folds a sequence of local maps in order. Each map runs rule 1
+and the pool retention (each cluster's newest POOL_CAP observations), since
+the next map re-fuses from that pool; rules 2-6 read only the clusters, the
+footprints and conflict_radius, so a fold resolves once, on the clusters of
+its last map. The executor queues each tick's local map and folds the queue
+with one ``update`` call only when it next reads the map.
 
 Everything is deterministic and permutation-invariant over the input map
 order: observations are canonically sorted before any rule runs.
@@ -43,7 +39,7 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 POOL_CAP = 8  # newest observations retained per cluster
 
@@ -129,35 +125,19 @@ class MapEntry:
     orientation: Optional[float] = None
 
 
+@dataclass(frozen=True)
 class GlobalSemanticMap:
     """The fused map: its ``entries``, its ``revision``, and the retained
     observation ``pool`` and ``(step_index, Footprint)`` pairs that
-    ``update`` re-fuses from. A map built by ``fuse`` or ``update`` holds its
-    clusters until ``entries`` is first read; see the module docstring."""
+    ``update`` re-fuses from."""
 
-    __slots__ = ("revision", "pool", "footprints", "_entries", "_pending")
-
-    def __init__(self, entries: tuple[MapEntry, ...], revision: int = 0,
-                 pool: tuple = (), footprints: frozenset = frozenset()):
-        self._entries = tuple(entries)
-        self.revision = revision
-        self.pool = pool
-        self.footprints = footprints
-        self._pending = None  # (clusters, conflict_radius) until entries is read
-
-    @property
-    def entries(self) -> tuple[MapEntry, ...]:
-        if self._pending is not None:
-            groups, conflict_radius = self._pending
-            self._entries = _resolve(groups, self.footprints, conflict_radius)
-            self._pending = None
-        return self._entries
+    entries: tuple[MapEntry, ...]
+    revision: int = 0
+    pool: tuple = ()
+    footprints: frozenset = frozenset()
 
     def find(self, name: str) -> Optional[MapEntry]:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        return None
+        return next((e for e in self.entries if e.name == name), None)
 
 
 @dataclass(frozen=True)
@@ -293,13 +273,14 @@ def fuse(maps, params: FusionParams = FusionParams()) -> GlobalSemanticMap:
     if not maps:
         raise ValueError("at least one local map required")
     footprints = frozenset((m.step_index, m.footprint) for m in maps)
-    return _fuse_pool(_observations(maps), footprints, params, revision=0)
+    groups, pool = _cluster_pool(_observations(maps), params.merge_radius)
+    return GlobalSemanticMap(_resolve(groups, footprints, params.conflict_radius),
+                             0, pool, footprints)
 
 
-def _fuse_pool(pool: list[_Obs], footprints: frozenset, params: FusionParams,
-               revision: int) -> GlobalSemanticMap:
-    """Rule 1 and the pool retention; rules 2-6 wait on the map."""
-    groups = _cluster_records(pool, params.merge_radius)
+def _cluster_pool(pool: list[_Obs], merge_radius: float) -> tuple[list[list[_Obs]], tuple]:
+    """Rule 1 and the pool retention: the clusters and the retained pool."""
+    groups = _cluster_records(pool, merge_radius)
     # retention policy: every cluster keeps its newest POOL_CAP members,
     # removed ones included. Suppressed sightings must stay poolable or a
     # moved object's first observation at the new spot (a covered singleton)
@@ -309,9 +290,7 @@ def _fuse_pool(pool: list[_Obs], footprints: frozenset, params: FusionParams,
         retained.extend(g if len(g) <= POOL_CAP
                         else sorted(g, key=lambda m: (-m.step, m.oid))[:POOL_CAP])
     retained.sort(key=_obs_key)
-    out = GlobalSemanticMap((), revision, tuple(retained), footprints)
-    out._pending = (groups, params.conflict_radius)
-    return out
+    return groups, tuple(retained)
 
 
 def _resolve(groups: list[list[_Obs]], footprints: frozenset,
@@ -386,15 +365,20 @@ def _resolve(groups: list[list[_Obs]], footprints: frozenset,
     return tuple(entries)
 
 
-def update(global_map: GlobalSemanticMap, new_map: LocalSemanticMap,
+def update(global_map: GlobalSemanticMap, new_maps: Iterable[LocalSemanticMap],
            params: FusionParams = FusionParams()) -> GlobalSemanticMap:
-    """Re-fuse the retained pool plus one new local map; revision increments."""
-    merged: dict = {_obs_key(o): o for o in global_map.pool}
-    for o in _observations([new_map]):
-        merged.setdefault(_obs_key(o), o)
-    pool = sorted(merged.values(), key=_obs_key)
-    footprints = global_map.footprints | {(new_map.step_index, new_map.footprint)}
-    return _fuse_pool(pool, footprints, params, revision=global_map.revision + 1)
+    """Re-fuse the retained pool with each local map of ``new_maps`` in
+    turn, then resolve once; the revision goes up by one per map."""
+    pool, footprints, groups = global_map.pool, global_map.footprints, None
+    for n, m in enumerate(new_maps, 1):
+        # a repeated observation keeps its pooled record
+        merged = {_obs_key(o): o for o in [*_observations([m]), *pool]}
+        footprints = footprints | {(m.step_index, m.footprint)}
+        groups, pool = _cluster_pool(sorted(merged.values(), key=_obs_key), params.merge_radius)
+    if groups is None:
+        return global_map
+    return GlobalSemanticMap(_resolve(groups, footprints, params.conflict_radius),
+                             global_map.revision + n, pool, footprints)
 
 
 # ---------------------------------------------------------------------------

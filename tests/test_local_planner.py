@@ -6,7 +6,6 @@ import pytest
 
 from agnav.local_planner import (
     BlockedError,
-    DirectionChoice,
     LocalCostWeights,
     LocalObservation,
     MotionKind,
@@ -205,8 +204,11 @@ def test_scan_clamps_a_nan_dot_like_arc():
     # min(1.0, max(-1.0, nan)) is -1.0: a NaN dot reads as the opposite heading
     far = obs_at((math.inf, math.nan))
     assert cost_local(0.0, far, w).zero == math.pi
-    table = DirectionChoice(0.0, 0, (), far, w, 1.0).table  # every candidate blocked
-    assert all(c.cost.zero == math.pi for c in table)
+    short = replace(w, lookahead=1.0)
+    table = [cost_local(2.0 * math.pi * i / w.candidate_count, far, short)
+             for i in range(w.candidate_count)]
+    assert all(math.isinf(c.window) for c in table)  # every candidate blocked
+    assert all(c.zero == math.pi for c in table)
 
 
 @pytest.mark.parametrize("cap", [0.0, -1.0, math.inf, math.nan])

@@ -240,6 +240,18 @@ def test_noiseless_type_a_end_to_end():
     assert errors and max(errors) < 0.1  # half a 0.2 m grid cell
 
 
+def test_relation_goal_outside_the_arena_fails():
+    # the front of O at (1.7, 0.3) lies past the arena's +2 m wall: the
+    # carry fails before it leaves, not with the robot outside the arena
+    doc = type_a_scenario(0)
+    assert doc["objects"][1]["name"] == "O"
+    doc["objects"][1].update(x=1.7, y=0.3)
+    _, res = run_scenario(doc)
+    assert not res.success
+    assert res.failure == "goal (2.25, 0.30) lies outside the arena"
+    assert [p["approach"] for p in res.placements] == [True]
+
+
 def test_noiseless_type_b_end_to_end():
     _, res = run_scenario(type_b_scenario(0))
     assert res.success
@@ -471,6 +483,27 @@ def test_deferred_fusion_matches_per_tick_fusion(make_doc, seed):
     plan = decompose(parse_command(scen.task, scen.relation_clearance),
                      pitch=scen.config.pitch)
     assert_deferral_matches_eager(plan, scen)
+
+
+def test_executor_folds_its_queue_with_one_update_call(monkeypatch):
+    import agnav.mission as mission
+
+    folds = []
+    fold = mission.update
+    monkeypatch.setattr(mission, "update",
+                        lambda gm, maps, params: folds.append(list(maps)) or fold(gm, folds[-1], params))
+    scen = load_scenario(_fuse_every_tick(_blocked_window_doc()))
+    executor = MissionExecutor(decompose(parse_command(scen.task, scen.relation_clearance)),
+                               scen.world, scen.config)
+    executor.run()
+    # the replan at step 74 folds every map queued since construct_map in
+    # one call; the blocked state then ends the mission, so the read below
+    # finds an empty queue and folds nothing
+    assert len(folds) == 1
+    steps = [m.step_index for m in folds[0]]
+    assert len(steps) > 1 and steps == list(range(steps[0], 74))
+    assert executor.global_map.revision == len(folds[0])
+    assert len(folds) == 1
 
 
 def test_deferred_fusion_dropped_by_a_later_map_construction():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -43,6 +44,21 @@ def test_load_scenario_field_diagnostics():
     doc = type_a_scenario(0)
     doc["local_weights"]["bogus"] = 1
     with pytest.raises(ScenarioError, match="bogus"):
+        load_scenario(doc)
+
+
+@pytest.mark.parametrize("index, fields, message", [
+    (2, {"name": "robot"}, "$.objects[2].id: 'robot' is reserved"),
+    (1, {"id": "zero-point"}, "$.objects[1].id: 'zero-point' is reserved"),
+    (2, {"id": "v", "name": "robot"}, "$.objects[2].name: 'robot' is reserved"),
+], ids=["name-robot", "id-zero-point", "id-v-name-robot"])
+def test_load_scenario_rejects_a_perceiver_id(index, fields, message):
+    # observe adds objects with these ids (and the robot's name), and the
+    # executor strips them by id or name: a scene object using one would be
+    # dropped from the map or taken for the robot
+    doc = type_a_scenario(5, seed=5)
+    doc["objects"][index].update(fields)
+    with pytest.raises(ScenarioError, match=re.escape(message)):
         load_scenario(doc)
 
 
@@ -315,6 +331,9 @@ def test_plan_local_step_cli(tmp_path):
     assert "theta_deg" in r.stdout
     assert r.stdout.count("\n") >= 37  # header + 36 candidates + command
     assert "command=" in r.stdout
+    # the whole table and command, byte for byte
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+        "51a64bf411cede1f74746592e465eb76ce8c51fc6c1e957d5abcd6d565aaaf27")
 
 
 @pytest.mark.parametrize("weights, field", [
@@ -474,6 +493,8 @@ def test_fuse_cli(tmp_path):
     assert len(doc["entries"]) == 1
     assert doc["entries"][0]["name"] == "O"
     assert doc["entries"][0]["support_count"] == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c9d7af328aedb4275137a5bf16c46726eb2c534b68d60e385e1cdf3be0cf50b3")
 
 
 def _map_doc(edit):

@@ -275,7 +275,7 @@ def test_no_confirmed_conflicts_property():
 def test_update_empty_map_keeps_entries():
     base = fuse([world_map(0, [("x", "A", 0.0, 0.0)]),
                  world_map(1, [("x", "A", 0.02, 0.0)])])
-    out = update(base, world_map(2, []))
+    out = update(base, [world_map(2, [])])
     assert out.revision == base.revision + 1
     assert out.entries == base.entries
 
@@ -283,8 +283,8 @@ def test_update_empty_map_keeps_entries():
 def test_update_idempotent_for_repeated_map():
     m = world_map(1, [("x", "A", 0.02, 0.0)])
     base = fuse([world_map(0, [("x", "A", 0.0, 0.0)]), m])
-    once = update(base, m)
-    twice = update(once, m)
+    once = update(base, [m])
+    twice = update(once, [m])
     assert once.entries == twice.entries
     assert twice.revision == base.revision + 2
 
@@ -299,18 +299,31 @@ def test_footprint_without_pooled_observations_still_removes(footprint, kept):
     # it, so footprints cannot be pruned by the steps left in the pool
     base = fuse([world_map(0, [], footprint=footprint)])
     assert base.pool == ()
-    out = update(base, world_map(1, [("x", "A", 0.5, 0.5)]))
+    out = update(base, [world_map(1, [("x", "A", 0.5, 0.5)])])
     if kept:
         assert [(e.name, e.confidence) for e in out.entries] == [("A", Confidence.UNCERTAIN)]
     else:
         assert out.entries == ()
 
 
+def test_update_resolves_once_per_fold(monkeypatch):
+    import agnav.semantic_map as sm
+
+    calls = []
+    resolve = sm._resolve
+    monkeypatch.setattr(sm, "_resolve", lambda *a: calls.append(a) or resolve(*a))
+    base = fuse([world_map(0, [("x", "A", 0.0, 0.0)])])
+    out = update(base, [world_map(s, [("x", "A", 0.01 * s, 0.0)]) for s in range(1, 6)])
+    assert (len(calls), out.revision) == (2, 5)  # fuse's, then the fold's
+    assert update(out, []) is out
+    assert len(calls) == 2
+
+
 def test_update_moved_object_migrates():
     base = fuse([world_map(0, [("x", "A", 0.0, 0.0)]),
                  world_map(1, [("x", "A", 0.02, 0.0)])])
-    moved1 = update(base, world_map(5, [("x", "A", 3.0, 0.0)]))
-    moved2 = update(moved1, world_map(6, [("x", "A", 3.02, 0.0)]))
+    moved1 = update(base, [world_map(5, [("x", "A", 3.0, 0.0)])])
+    moved2 = update(moved1, [world_map(6, [("x", "A", 3.02, 0.0)])])
     assert len(moved2.entries) == 1
     assert moved2.entries[0].x == pytest.approx(3.01)
 
@@ -323,8 +336,8 @@ def test_entry_mean_within_member_bounds():
 
 
 def eager_fuse_pool(pool, footprints, params):
-    """Reference: the whole rule pipeline run at once on a pool, as fusion
-    ran before rules 2-6 waited for a read. Returns (entries, retained)."""
+    """Reference: the whole rule pipeline run at once on a pool, rule 1, the
+    retention and rules 2-6 together. Returns (entries, retained)."""
     clusters = []
     for g in _cluster_records(pool, params.merge_radius):
         n = len(g)
@@ -398,23 +411,23 @@ def eager_chain(maps, updates, params):
 
 
 def assert_chain_matches_eager(maps, updates, params):
-    """Fuse then update twice over: one chain reads ``entries`` after every
-    step, the other only at the end. Both must match the eager reference,
-    and reading entries must leave every later pool as it was."""
+    """Fuse, then update one map at a time: every step must match the eager
+    reference. One batched ``update`` over all of ``updates`` must reach the
+    last step's map."""
     states = eager_chain(maps, updates, params)
-    read = fuse(maps, params)
-    unread = fuse(maps, params)
+    stepwise = fuse(maps, params)
     for k, (entries, pool, footprints) in enumerate(states):
         if k:
-            read = update(read, updates[k - 1], params)
-            unread = update(unread, updates[k - 1], params)
-        assert repr(read.entries) == repr(entries)
-        for g in (read, unread):
-            assert g.pool == pool
-            assert g.footprints == footprints
-            assert g.revision == k
-    assert repr(unread.entries) == repr(states[-1][0])
-    assert repr(unread.find("A")) == repr(next((e for e in states[-1][0] if e.name == "A"), None))
+            stepwise = update(stepwise, [updates[k - 1]], params)
+        assert repr(stepwise.entries) == repr(entries)
+        assert stepwise.pool == pool
+        assert stepwise.footprints == footprints
+        assert stepwise.revision == k
+    batched = update(fuse(maps, params), iter(updates), params)
+    assert repr(batched.entries) == repr(stepwise.entries)
+    assert (batched.pool, batched.footprints) == (stepwise.pool, stepwise.footprints)
+    assert batched.revision == len(updates)
+    assert repr(batched.find("A")) == repr(next((e for e in states[-1][0] if e.name == "A"), None))
 
 
 SPOTS = [(0.0, 0.0), (0.12, 0.0), (0.4, 0.1), (-1.0, 0.8)]
