@@ -21,11 +21,10 @@ from .gridmask import GridSpec, render_gridmask_svg
 from .local_planner import (
     BlockedError,
     LocalCostWeights,
-    StepThresholds,
     select_direction,
     step_decision,
 )
-from .mission import CommandError, GoalError, plan_leg
+from .mission import CommandError, GoalError, MissionConfig, plan_leg
 from .plotting import render_run_svg
 from .scenario import (
     ScenarioError,
@@ -146,7 +145,9 @@ def cmd_plan_global(args) -> int:
     truth = GlobalSemanticMap(tuple(
         MapEntry(o.name, o.x, o.y, 1, Confidence.CONFIRMED, o.radius, o.yaw)
         for o in scen.world.objects))
-    leg = plan_leg(scen.world, truth, scen.config, goal, ids.get(carried))
+    world = scen.world.copy()
+    world.attachment = ids.get(carried)
+    leg = plan_leg(world, truth, scen.config, goal)
     result = leg.result
     doc = {
         "already_at_goal": result.already_at_goal,
@@ -184,7 +185,7 @@ def cmd_plan_local_step(args) -> int:
         c = cand.cost
         print(f"{math.degrees(cand.theta):.1f},{c.align:.6g},{c.zero:.6g},"
               f"{c.obstacle:.6g},{c.window:.6g},{c.total:.6g},{mark}")
-    cmd = step_decision(obs, choice.theta, StepThresholds())
+    cmd = step_decision(obs, choice.theta, MissionConfig.dist_stop, MissionConfig.angle_tol)
     print(f"command={cmd.kind.value} theta_star_deg={math.degrees(choice.theta):.1f}")
     return EXIT_OK
 

@@ -82,8 +82,6 @@ class GroundScale:
     n_grid: int
     width_real: float
     cell_m: float
-    truncated: bool = False
-    degenerate: bool = False
 
 
 def grid_vertices(spec: GridSpec) -> tuple[list[float], list[float]]:
@@ -127,23 +125,14 @@ def grid_line_indices(spec: GridSpec) -> tuple[list[int], list[int]]:
 def ground_scale(camera: CameraModel) -> GroundScale:
     """Meters-per-cell from altitude, horizontal FOV, and grid interval.
 
-    n_grid = w / r (truncated toward zero when fractional, with a flag),
+    n_grid = w / r (truncated toward zero when fractional),
     width_real = 2 * altitude * tan(FOV / 2), cell_m = width_real / n_grid.
     """
-    ratio = camera.image_width / camera.grid_interval
-    n_grid = int(ratio)
-    truncated = n_grid != ratio
+    n_grid = int(camera.image_width / camera.grid_interval)
     if n_grid == 0:
         raise ValueError("grid_interval exceeds image width (n_grid = 0)")
     width_real = 2.0 * camera.altitude * math.tan(camera.horizontal_fov / 2.0)
-    cell_m = width_real / n_grid
-    return GroundScale(
-        n_grid=n_grid,
-        width_real=width_real,
-        cell_m=cell_m,
-        truncated=truncated,
-        degenerate=cell_m <= 1e-12,  # FOV -> 0 limit collapses the footprint
-    )
+    return GroundScale(n_grid=n_grid, width_real=width_real, cell_m=width_real / n_grid)
 
 
 def grid_to_world(cell_m: float, p, origin=None) -> WorldPoint:

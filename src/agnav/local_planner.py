@@ -61,7 +61,9 @@ class LocalObservation:
     ``main`` is the reference point being steered (the robot body, or the
     carried object while transporting). ``parts`` holds the head/body/tail
     points; heading derives from tail -> head. ``zero`` is the image zero
-    point, the origin of the frame by definition.
+    point, the origin of the frame by definition, and ``anchor`` the point
+    the robot aligns with: the target, or the zero point when no target is
+    seen.
     """
 
     main: tuple[float, float]
@@ -79,6 +81,10 @@ class LocalObservation:
     @property
     def heading(self) -> float:
         return math.atan2(self.head[1] - self.tail[1], self.head[0] - self.tail[0])
+
+    @property
+    def anchor(self) -> tuple[float, float]:
+        return self.target if self.target is not None else self.zero
 
 
 @dataclass(frozen=True)
@@ -184,8 +190,7 @@ class DirectionChoice:
 
 
 def _goal_deviation(theta: float, obs: LocalObservation) -> float:
-    goal = obs.target if obs.target is not None else obs.zero
-    gx, gy = goal[0] - obs.main[0], goal[1] - obs.main[1]
+    gx, gy = obs.anchor[0] - obs.main[0], obs.anchor[1] - obs.main[1]
     dist = math.hypot(gx, gy)
     if dist == 0.0:
         return 0.0
@@ -226,7 +231,6 @@ class MotionKind(Enum):
 class MotionCommand:
     kind: MotionKind
     target_heading: float = 0.0  # rotate only
-    distance: float = 0.0        # forward/backward, cells
 
     @classmethod
     def stop(cls):
@@ -237,19 +241,12 @@ class MotionCommand:
         return cls(MotionKind.ROTATE, target_heading=target_heading)
 
     @classmethod
-    def forward(cls, distance: float):
-        return cls(MotionKind.FORWARD, distance=distance)
+    def forward(cls):
+        return cls(MotionKind.FORWARD)
 
     @classmethod
-    def backward(cls, distance: float):
-        return cls(MotionKind.BACKWARD, distance=distance)
-
-
-@dataclass(frozen=True)
-class StepThresholds:
-    dist_stop: float = 0.5   # cells
-    angle_tol: float = 0.1   # rad
-    step: float = 0.25       # cells
+    def backward(cls):
+        return cls(MotionKind.BACKWARD)
 
 
 def wrap_angle(a: float) -> float:
@@ -262,28 +259,26 @@ def wrap_angle(a: float) -> float:
     return a
 
 
-def step_decision(obs: LocalObservation, theta_star: float,
-                  thresholds: StepThresholds) -> MotionCommand:
+def step_decision(obs: LocalObservation, theta_star: float, dist_stop: float,
+                  angle_tol: float) -> MotionCommand:
     """Stop / rotate / forward / backward from the selected direction.
 
-    Stop when the goal lies inside dist_stop, whatever the heading: the
-    robot has no goal orientation to meet. Rotation triggers when the
-    heading axis (either facing) misses theta_star beyond angle_tol; the
-    rotation sign is left to the simulator's clearance rule. Otherwise the
-    robot steps forward or backward by the sign of the goal's component
-    along the current heading, so a goal directly behind is reached by
-    backing up rather than turning around.
+    Stop when the anchor lies inside dist_stop (cells), whatever the
+    heading: the robot has no goal orientation to meet. Rotation triggers
+    when the heading axis (either facing) misses theta_star beyond
+    angle_tol; the rotation sign is left to the simulator's clearance rule.
+    Otherwise the robot steps (by the simulator's step length) forward or
+    backward by the sign of the anchor's component along the current
+    heading, so an anchor directly behind is reached by backing up rather
+    than turning around.
     """
-    goal = obs.target if obs.target is not None else obs.zero
     heading = obs.heading
-    gx, gy = goal[0] - obs.main[0], goal[1] - obs.main[1]
-    if math.hypot(gx, gy) < thresholds.dist_stop:
+    gx, gy = obs.anchor[0] - obs.main[0], obs.anchor[1] - obs.main[1]
+    if math.hypot(gx, gy) < dist_stop:
         return MotionCommand.stop()
     axis_err = min(abs(wrap_angle(heading - theta_star)),
                    abs(wrap_angle(heading + math.pi - theta_star)))
-    if axis_err > thresholds.angle_tol:
+    if axis_err > angle_tol:
         return MotionCommand.rotate(theta_star)
     along = gx * math.cos(heading) + gy * math.sin(heading)
-    if along >= 0.0:
-        return MotionCommand.forward(thresholds.step)
-    return MotionCommand.backward(thresholds.step)
+    return MotionCommand.forward() if along >= 0.0 else MotionCommand.backward()

@@ -15,16 +15,20 @@ Execution interleaves the two threads in one deterministic tick loop:
 advance the drone, observe, check the carried object (rolling back to
 re-attach on a drop, before any decision is made for carrying), select a
 ground direction, step the ground robot, queue the local map for fusion at
-a fixed cadence, and count debounced collisions. The queue is folded into
-the global map by one ``update`` call only when the map is next read.
+a fixed cadence, and record debounced collisions. The queue is folded into
+the global map by one ``update`` call only when the map is next read. The
+carried object is always the world's attachment, and the mission totals
+(collisions, path length) are read off the trace and the track.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Optional
 
 from .global_planner import (
@@ -41,7 +45,6 @@ from .local_planner import (
     LocalObservation,
     MotionCommand,
     MotionKind,
-    StepThresholds,
     candidate_theta,
     cost_local,  # noqa: F401 -- not called here; perfbench's tracer wraps it by this name
     select_direction,
@@ -88,6 +91,28 @@ class GoalError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Settings
+
+
+@dataclass(frozen=True)
+class MissionConfig:
+    camera: CameraModel
+    noise: NoiseModel = NoiseModel()
+    global_weights: GlobalCostWeights = GlobalCostWeights()
+    local_weights: LocalCostWeights = LocalCostWeights()
+    fusion: FusionParams = FusionParams()
+    arena: tuple[float, float, float, float] = (-2.0, 2.0, -2.0, 2.0)
+    n_controls: int = 6
+    step_budget: int = 4000
+    map_update_every: int = 10
+    dist_stop: float = 0.5  # cells
+    angle_tol: float = 0.1  # rad
+    pitch: float = 0.4  # meters, word-assembly slot spacing
+    success_radius: float = 0.2  # meters, ground-truth placement tolerance
+    drop_at_step: Optional[int] = None
+
+
+# ---------------------------------------------------------------------------
 # Goals and commands
 
 
@@ -109,7 +134,7 @@ class GoalSpec:
         return cls("object", name=name)
 
     @classmethod
-    def relation(cls, name: str, direction: Direction, clearance: float = 0.4) -> "GoalSpec":
+    def relation(cls, name: str, direction: Direction, clearance: float) -> "GoalSpec":
         return cls("relation", name=name, direction=direction, clearance=clearance)
 
 
@@ -135,7 +160,7 @@ _NAME = r"(?:the\s+)?([A-Za-z0-9_]+)(?:\s+cube|\s+block)?"
 _DIR = r"(front|back|left|right)"
 
 
-def parse_command(text: str, relation_clearance: float = 0.4):
+def parse_command(text: str, relation_clearance: float = GoalSpec.clearance):
     """Parse a task string into a command; raises CommandError with a
     diagnostic for anything outside the grammar."""
     s = " ".join(text.strip().split())
@@ -240,7 +265,7 @@ def _carry_subtasks(name: str, goal: GoalSpec) -> list[Subtask]:
 
 
 def decompose(command, global_map: Optional[GlobalSemanticMap] = None,
-              pitch: float = 0.4) -> TaskPlan:
+              pitch: float = MissionConfig.pitch) -> TaskPlan:
     """Expand a parsed command into a task plan opening with map construction.
 
     Word assembly needs the global map to lay out slots; without one the plan
@@ -268,7 +293,7 @@ def decompose(command, global_map: Optional[GlobalSemanticMap] = None,
 
 
 def plan_word_assembly(word: str, global_map: GlobalSemanticMap, fixed,
-                       pitch: float = 0.4) -> list[tuple[str, GoalSpec]]:
+                       pitch: float) -> list[tuple[str, GoalSpec]]:
     """Slot goals for arranging the word's letter blocks left to right.
 
     Slots are spaced ``pitch`` apart on a horizontal row. A non-empty fixed
@@ -358,24 +383,6 @@ ATTACH_BUDGET = 300  # ticks an attach subtask may take before it fails
 ROLLBACK_LIMIT = 3  # drop recoveries allowed per mission
 
 
-@dataclass(frozen=True)
-class MissionConfig:
-    camera: CameraModel
-    noise: NoiseModel = NoiseModel()
-    global_weights: GlobalCostWeights = GlobalCostWeights()
-    local_weights: LocalCostWeights = LocalCostWeights()
-    fusion: FusionParams = FusionParams()
-    arena: tuple[float, float, float, float] = (-2.0, 2.0, -2.0, 2.0)
-    n_controls: int = 6
-    step_budget: int = 4000
-    map_update_every: int = 10
-    dist_stop: float = StepThresholds.dist_stop  # cells
-    angle_tol: float = StepThresholds.angle_tol  # rad
-    pitch: float = 0.4
-    success_radius: float = 0.2  # meters, ground-truth placement tolerance
-    drop_at_step: Optional[int] = None
-
-
 @dataclass
 class ExecutionResult:
     success: bool
@@ -405,13 +412,12 @@ def inside_arena(arena, x: float, y: float) -> bool:
     return xmin <= x <= xmax and ymin <= y <= ymax
 
 
-def main_point(world: WorldState, carrying: Optional[str]) -> tuple[float, float]:
-    """World point being steered: the carried object (by id) while carrying,
+def main_point(world: WorldState) -> tuple[float, float]:
+    """World point being steered: the attached object while carrying,
     otherwise the ground robot."""
-    if carrying is not None:
-        obj = world.object_by_id(carrying)
-        if obj is not None:
-            return (obj.x, obj.y)
+    if world.attachment is not None:
+        obj = world.object_by_id(world.attachment)
+        return (obj.x, obj.y)
     return (world.ground_robot.x, world.ground_robot.y)
 
 
@@ -425,25 +431,23 @@ class Leg:
 
 
 def plan_leg(world: WorldState, global_map: Optional[GlobalSemanticMap],
-             config: MissionConfig, goal: GoalSpec, carrying: Optional[str] = None,
-             target=None) -> Leg:
+             config: MissionConfig, goal: GoalSpec, target=None) -> Leg:
     """Plan the aerial path of one cooperative move.
 
-    The leg starts at the steered point (the carried object ``carrying``
-    while carrying, otherwise the robot) and ends at ``target``, by default
-    the resolved goal. Every mapped object is an obstacle except the carried
+    The leg starts at the steered point (the world's attached object while
+    carrying, otherwise the robot) and ends at ``target``, by default the
+    resolved goal. Every mapped object is an obstacle except the carried
     one and the goal object of an object goal; a relation's landmark stays
-    one. A leg already at its goal flies the single start
-    point.
+    one. A leg already at its goal flies the single start point.
     """
     cell = ground_scale(config.camera).cell_m
     end = resolve_goal(goal, global_map) if target is None else target
-    start = main_point(world, carrying)
+    start = main_point(world)
     init, at_goal = straight_line_init(
         (start[0] / cell, start[1] / cell), (end[0] / cell, end[1] / cell), config.n_controls)
     exclude = set()
-    if carrying is not None:
-        exclude.add(world.object_by_id(carrying).name)
+    if world.attachment is not None:
+        exclude.add(world.object_by_id(world.attachment).name)
     if goal.kind == "object":
         exclude.add(goal.name)
     pairs = [((e.x / cell, e.y / cell), e.radius / cell)
@@ -496,11 +500,9 @@ class MissionExecutor:
         self.global_paths: list = []
         self.placements: list = []
         self.overlaps: frozenset = frozenset()
-        self.collisions = 0
         self._map: Optional[GlobalSemanticMap] = None
         self._unfused: list = []  # local maps queued for fusion, oldest first
         self.rollbacks = 0
-        self.path_length = 0.0
 
     # -- helpers ----------------------------------------------------------
 
@@ -538,14 +540,11 @@ class MissionExecutor:
             raise _Failure("step budget exhausted")
 
     def _end_tick(self, phase: str, command=None, theta=None, cost=None, extra=None):
-        """Close a stepping tick: count debounced collisions, extend the
+        """Close a stepping tick: detect debounced collisions, extend the
         ground track, record the tick and advance the step."""
         events, self.overlaps = detect_collisions(self.state, self.overlaps)
-        self.collisions += len(events)
-        prev = self.track[-1]
         cur = (self.state.ground_robot.x, self.state.ground_robot.y)
-        self.path_length += math.hypot(cur[0] - prev[0], cur[1] - prev[1])
-        if cur != prev:
+        if cur != self.track[-1]:
             self.track.append(cur)
         self._record(phase, command, theta, cost, events, extra)
         self._advance_step()
@@ -567,7 +566,7 @@ class MissionExecutor:
         return gate
 
     def _plan_drone_path(self, goal: GoalSpec, target) -> list:
-        leg = plan_leg(self.state, self.global_map, self.cfg, goal, self.state.attachment, target)
+        leg = plan_leg(self.state, self.global_map, self.cfg, goal, target)
         self.global_paths.append(leg.waypoints)
         self.state.drone.waypoint_index = 0
         return leg.waypoints
@@ -576,11 +575,11 @@ class MissionExecutor:
         """Observe, then read off the local observation (None unless the
         robot's head, body and tail are in view and distinct) and the
         perceived obstacle discs in world meters for ``step_ground``. The
-        carried object is never an obstacle."""
+        carried object is never an obstacle: the perceiver labels it main."""
         local_map = observe(self.state, self.cfg.camera, task, self.cfg.noise)
         held = self.state.attachment
-        obstacles = [o for o in local_map.objects if o.id != held
-                     and (o.category == Category.OBSTACLE or o.is_obstacle_too)]
+        obstacles = [o for o in local_map.objects
+                     if o.category == Category.OBSTACLE or o.is_obstacle_too]
         ox, oy, cell = local_map.observer_x, local_map.observer_y, local_map.cell_m
         world_obstacles = [((ox + o.x * cell, oy + o.y * cell), o.radius * cell)
                            for o in obstacles]
@@ -598,9 +597,7 @@ class MissionExecutor:
         # obstacle discs inflated by the whole moving ensemble's radius (the
         # trailing body included while carrying): the clearance term then
         # measures surface separation for everything that travels the ray
-        inflate = steer_radius
-        if held is not None:
-            inflate = max(inflate, self.state.ground_robot.radius / self.cell)
+        inflate = max(steer_radius, self.state.ground_robot.radius / self.cell)
         obs = LocalObservation(
             main=main, target=target,
             obstacles=tuple(((o.x, o.y), o.radius + inflate) for o in obstacles),
@@ -625,14 +622,14 @@ class MissionExecutor:
         self._map, self._unfused = fuse(maps, self.cfg.fusion), []
         self._record("construct_map", extra={"viewpoints": len(views)})
 
-    def _task_context(self, goal: GoalSpec) -> TaskContext:
+    @staticmethod
+    def _task_context(goal: GoalSpec) -> TaskContext:
         if goal.kind == "object":
-            return TaskContext(TaskKind.MOVE_TO_OBJECT, target_name=goal.name,
-                               carried_object=self.state.attachment)
+            return TaskContext(TaskKind.MOVE_TO_OBJECT, target_name=goal.name)
         if goal.kind == "relation":
             return TaskContext(TaskKind.CARRY_TO_RELATION, target_name=goal.name,
-                               relation=goal.direction, carried_object=self.state.attachment)
-        return TaskContext(TaskKind.MOVE_TO_COORDINATE, carried_object=self.state.attachment)
+                               relation=goal.direction)
+        return TaskContext(TaskKind.MOVE_TO_COORDINATE)
 
     def _run_move(self, goal: GoalSpec, approach: bool):
         """One cooperative subtask: one follower leg, or two for relation
@@ -647,14 +644,13 @@ class MissionExecutor:
             stop_m = self.state.params.head_offset + self.state.params.attach_range / 2.0
         else:
             stop_m = self.cfg.dist_stop * self.cell
-        task = self._task_context(goal)
         staging = None if approach else self._staging_point(goal_world)
         dock_axis = None
         if staging is not None:
-            self._follow_leg(staging, 2.0 * stop_m, task, goal, approach)
+            self._follow_leg(staging, 2.0 * stop_m, goal, approach)
             dock_axis = math.atan2(goal_world[1] - staging[1], goal_world[0] - staging[0])
-        self._follow_leg(goal_world, stop_m, task, goal, approach, dock_axis)
-        main = main_point(self.state, self.state.attachment)
+        self._follow_leg(goal_world, stop_m, goal, approach, dock_axis)
+        main = main_point(self.state)
         self.placements.append({
             "goal": goal.kind,
             "carrying": self.state.attachment is not None,
@@ -709,7 +705,7 @@ class MissionExecutor:
         feedback, no limit cycle). Forward motion then walks the body down
         the staged axis and the carried block arrives on the goal.
         """
-        anchor = obs.target if obs.target is not None else obs.zero
+        anchor = obs.anchor
         main_err = math.hypot(anchor[0] - obs.main[0], anchor[1] - obs.main[1])
         if main_err < dist_stop:
             return MotionCommand.stop()
@@ -735,13 +731,12 @@ class MissionExecutor:
         err = wrap_angle(obs.heading - desired)
         if abs(err) > gate:
             return MotionCommand.rotate(desired)
-        return MotionCommand.forward(self.state.params.ground_step / self.cell)
+        return MotionCommand.forward()
 
-    def _follow_leg(self, goal_world, stop_m, task, subtask_goal, approach: bool,
-                    dock_axis=None):
+    def _follow_leg(self, goal_world, stop_m, subtask_goal, approach: bool, dock_axis=None):
         """Tick the leader-follower loop toward one world point. Raises
-        _Dropped on the tick a carried object is seen lost, before any
-        command is chosen for carrying it.
+        _Dropped on the tick the object carried at the start of the leg is
+        seen lost, before any command is chosen for carrying it.
 
         With ``dock_axis`` set (the pull-in leg after staging) the candidate
         argmin is bypassed: the robot rotates onto the fixed axis once and
@@ -750,8 +745,9 @@ class MissionExecutor:
         staged corridor is straight and already clear.
         """
         waypoints = self._plan_drone_path(subtask_goal, goal_world)
+        task = self._task_context(subtask_goal)
+        held = self.state.attachment
         dist_stop = stop_m / self.cell
-        step = self.state.params.ground_step / self.cell
         replanned = False
         prev_index = None
         while True:
@@ -763,15 +759,14 @@ class MissionExecutor:
             # it must fly back to regain the ground robot in view
             step_drone(self.state, waypoints, wait=self.state.drone.waypoint_index > 0)
             local_map, obs, world_obstacles = self._perceive(task)
-            if task.carried_object is not None and not carry_check(self.state, local_map):
+            if held is not None and not carry_check(self.state, local_map):
                 raise _Dropped
             cmd, theta, cost = MotionCommand.stop(), None, None
             if obs is not None and dock_axis is not None:
                 theta = dock_axis
                 cmd = self._dock_command(obs, dock_axis, dist_stop)
             elif obs is not None:
-                anchor = obs.target if obs.target is not None else obs.zero
-                d_obs = math.hypot(anchor[0] - obs.main[0], anchor[1] - obs.main[1])
+                d_obs = math.hypot(obs.anchor[0] - obs.main[0], obs.anchor[1] - obs.main[1])
                 # the prospective move never extends beyond the goal anchor,
                 # so obstacles sitting behind the goal (the landmark being
                 # placed against) stop vetoing the final approach
@@ -790,8 +785,7 @@ class MissionExecutor:
                     prev_index = index
                     theta = candidate_theta(index, weights.candidate_count)
                     cost = choice.totals[index]
-                    cmd = step_decision(obs, theta, StepThresholds(
-                        dist_stop, self._alignment_gate(d_obs), step))
+                    cmd = step_decision(obs, theta, dist_stop, self._alignment_gate(d_obs))
                 except BlockedError:
                     if replanned:
                         raise _Failure("local planner blocked twice; aborting")
@@ -803,7 +797,7 @@ class MissionExecutor:
             if self.state.step % self.cfg.map_update_every == 0:
                 self._unfused.append(local_map)
             self._end_tick("move", cmd, theta, cost)
-            main = main_point(self.state, self.state.attachment)
+            main = main_point(self.state)
             dist = math.hypot(main[0] - goal_world[0], main[1] - goal_world[1])
             # exit when the true distance meets the stop ring or the robot
             # itself judged arrival from its (possibly noisy) observation.
@@ -838,30 +832,28 @@ class MissionExecutor:
         if self.state.attachment is not None:
             raise _Failure("attach requested while something is already attached")
         task = TaskContext(TaskKind.MOVE_TO_OBJECT, target_name=name)
-        step = self.state.params.ground_step / self.cell
         for _ in range(ATTACH_BUDGET):
             local_map, obs, world_obstacles = self._perceive(task)
-            candidates = [o for o in local_map.objects
-                          if o.name == name and o.id not in RESERVED_IDS]
+            candidates = [o for o in local_map.objects if o.category == Category.TARGET]
             if obs is None or not candidates:
                 self._end_tick("attach", extra={"waiting": True})
                 continue
-            head = local_map.parts["head"]
+            head = obs.head
             target = min(candidates,
                          key=lambda o: (math.hypot(o.x - head[0], o.y - head[1]), o.id))
             if attach(self.state, target.id):
                 self._end_tick("attach", extra={"attached": target.id})
                 return
-            body = local_map.parts["body"]
+            body = obs.body
             bearing = math.atan2(target.y - body[1], target.x - body[0])
             err = wrap_angle(bearing - self.state.ground_robot.heading)
             head_dist_m = math.hypot(target.x - head[0], target.y - head[1]) * local_map.cell_m
             if abs(err) > self.state.params.attach_angle_tol * 0.5:
                 cmd = MotionCommand.rotate(bearing)
             elif head_dist_m > self.state.params.attach_range:
-                cmd = MotionCommand.forward(step)
+                cmd = MotionCommand.forward()
             else:
-                cmd = MotionCommand.backward(step)
+                cmd = MotionCommand.backward()
             step_ground(self.state, cmd, world_obstacles)
             self._end_tick("attach", cmd)
         raise _Failure(f"attach on {name!r} did not engage within the attach budget")
@@ -882,11 +874,9 @@ class MissionExecutor:
                 s = queue.popleft()
                 if s.function == "construct_map":
                     self._run_construct_map()
-                    assembly = self.plan.pending_assembly
-                    if assembly is not None:
-                        for letter, goal in plan_word_assembly(
-                                assembly.word, self.global_map, assembly.fixed, self.cfg.pitch):
-                            queue.extend(_carry_subtasks(letter, goal))
+                    if self.plan.pending_assembly is not None:
+                        queue.extend(decompose(self.plan.pending_assembly, self.global_map,
+                                               self.cfg.pitch).subtasks[1:])
                 elif s.function == "planning_start":
                     queue.popleft()  # the paired following_start
                     # an attach approach when an attach on the goal object follows
@@ -910,9 +900,10 @@ class MissionExecutor:
         return ExecutionResult(
             success=failure is None and placed_ok,
             trace=self.trace,
-            collisions=self.collisions,
+            collisions=sum(len(rec["events"]) for rec in self.trace),
             steps=self.state.step,
-            path_length=self.path_length,
+            path_length=reduce(operator.add, (math.hypot(b[0] - a[0], b[1] - a[1])
+                                              for a, b in zip(self.track, self.track[1:])), 0.0),
             placements=self.placements,
             failure=failure if failure is not None else (
                 None if placed_ok else "final placement outside success radius"),

@@ -2,7 +2,8 @@
 
 Projects simulator ground truth into the aerial camera frame (orthographic,
 image-center-relative grid cells), applies calibrated deterministic noise,
-and assigns task-conditioned semantic roles. Noise is counter-based: every
+and assigns task-conditioned semantic roles; the carried object is the
+world's attachment. Noise is counter-based: every
 random draw hashes (seed, step, object id, channel) so identical inputs give
 byte-identical maps with no shared generator state.
 """
@@ -57,13 +58,12 @@ class TaskContext:
 
     ``target_name`` is the goal object for move_to_object and the landmark
     reference for carry_to_relation; ``relation`` is set exactly for
-    carry_to_relation; ``carried_object`` is the id being transported, if any.
+    carry_to_relation.
     """
 
     kind: str
     target_name: Optional[str] = None
     relation: Optional[Direction] = None
-    carried_object: Optional[str] = None
 
     def __post_init__(self):
         if (self.relation is not None) != (self.kind == TaskKind.CARRY_TO_RELATION):
@@ -127,7 +127,7 @@ def observe(world, camera: CameraModel, task: TaskContext, noise: NoiseModel) ->
             if _uniform(noise.seed, step, o.id, "mis") < noise.misclassify_prob:
                 others = [n for n in alphabet if n != o.name]
                 name = others[int(_uniform(noise.seed, step, o.id, "sub") * len(others))]
-        category, direction, obstacle_too = _role(o.id, name, task)
+        category, direction, obstacle_too = _role(o.id, name, task, world.attachment)
         objects.append(SemanticObject(
             id=o.id,
             name=name,
@@ -185,15 +185,16 @@ def observe(world, camera: CameraModel, task: TaskContext, noise: NoiseModel) ->
     )
 
 
-def _role(oid: str, name: str, task: TaskContext):
+def _role(oid: str, name: str, task: TaskContext, carried: Optional[str]):
     """Task-conditioned (category, direction, is_obstacle_too) of one scene
     object as observed under ``name``. Map construction assigns no roles; the
-    carried object is main; the task's goal object is the target; a relation
-    reference is a landmark carrying its direction and doubling as an
-    obstacle; everything else is an obstacle."""
+    carried object (id ``carried``, the world's attachment) is main; the
+    task's goal object is the target; a relation reference is a landmark
+    carrying its direction and doubling as an obstacle; everything else is
+    an obstacle."""
     if task.kind == TaskKind.MAP_CONSTRUCTION:
         return None, None, False
-    if oid == task.carried_object:
+    if oid == carried:
         return Category.MAIN, None, False
     if name == task.target_name and task.kind == TaskKind.MOVE_TO_OBJECT:
         return Category.TARGET, None, False

@@ -139,6 +139,15 @@ def noise_batch_suite() -> list[dict]:
     return out
 
 
+def heldout_suite() -> list[dict]:
+    """Every type-A and type-B layout under the calibrated noise (13
+    scenarios); run over seeds 0-9 for the held-out report."""
+    out = [type_a_scenario(i, noise=dict(NOISE_CALIBRATED)) for i in range(len(_TYPE_A_LAYOUTS))]
+    out.extend(type_b_scenario(i, noise=dict(NOISE_CALIBRATED))
+               for i in range(len(_TYPE_B_LAYOUTS)))
+    return out
+
+
 def write_scenarios(scenarios: list[dict], directory) -> list[str]:
     import os
 

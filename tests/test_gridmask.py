@@ -64,7 +64,6 @@ def test_ground_scale_closed_form():
     assert scale.n_grid == 20
     assert abs(scale.width_real - 4.0) < 1e-12
     assert abs(scale.cell_m - 0.2) < 1e-12
-    assert not scale.truncated and not scale.degenerate
     assert abs(scale.cell_m * scale.n_grid - scale.width_real) < 1e-12
 
 
@@ -76,12 +75,6 @@ def test_ground_scale_high_precision_tangent():
 def test_ground_scale_truncation_flag():
     scale = ground_scale(CameraModel(2.0, math.pi / 2, 1600, 96))
     assert scale.n_grid == 16
-    assert scale.truncated
-
-
-def test_ground_scale_degenerate_flag():
-    scale = ground_scale(CameraModel(1.0, 1e-12, 1600, 80))
-    assert scale.degenerate
 
 
 def test_ground_scale_rejections():

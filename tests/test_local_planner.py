@@ -9,7 +9,6 @@ from agnav.local_planner import (
     LocalCostWeights,
     LocalObservation,
     MotionKind,
-    StepThresholds,
     cost_local,
     select_direction,
     step_decision,
@@ -362,32 +361,27 @@ def test_tie_breaks_by_index_when_all_zero():
 
 
 def test_step_decision_rotate():
-    th = StepThresholds()
     obs = obs_at((0, 0), target=(0, 5), heading=0.0)
-    cmd = step_decision(obs, math.pi / 2, th)
+    cmd = step_decision(obs, math.pi / 2, 0.5, 0.1)
     assert cmd.kind == MotionKind.ROTATE
     assert cmd.target_heading == pytest.approx(math.pi / 2)
 
 
 def test_step_decision_forward():
-    th = StepThresholds(step=0.25)
     obs = obs_at((0, 0), target=(0, 5), heading=math.pi / 2)
-    cmd = step_decision(obs, math.pi / 2, th)
+    cmd = step_decision(obs, math.pi / 2, 0.5, 0.1)
     assert cmd.kind == MotionKind.FORWARD
-    assert cmd.distance == 0.25
 
 
 def test_step_decision_stop_within_distance():
-    th = StepThresholds(dist_stop=0.5)
     obs = obs_at((0, 0.3), target=(0, 0), heading=math.pi / 2)
-    assert step_decision(obs, -math.pi / 2, th).kind == MotionKind.STOP
+    assert step_decision(obs, -math.pi / 2, 0.5, 0.1).kind == MotionKind.STOP
 
 
 def test_step_decision_backward_aligned_opposite():
     # goal 1 cell behind along the heading axis: back up instead of turning
-    th = StepThresholds(dist_stop=0.5)
     obs = obs_at((0, 1.0), target=(0, 0), heading=math.pi / 2)
-    cmd = step_decision(obs, -math.pi / 2, th)
+    cmd = step_decision(obs, -math.pi / 2, 0.5, 0.1)
     assert cmd.kind == MotionKind.BACKWARD
 
 

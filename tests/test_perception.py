@@ -119,8 +119,9 @@ def test_observe_roles_carry_to_relation():
         SimObject("O", "O", 1.0, 0.0),
         SimObject("V", "V", -1.0, 0.0),
     ], robot=(0.2, 0.2, 0.0))
+    world.attachment = "L"
     task = TaskContext(TaskKind.CARRY_TO_RELATION, target_name="O",
-                       relation=Direction.FRONT, carried_object="L")
+                       relation=Direction.FRONT)
     out = {o.id: o for o in observe(world, CAMERA, task, NoiseModel()).objects}
     assert out["L"].category == Category.MAIN
     assert out["robot"].category == Category.MAIN

@@ -111,14 +111,14 @@ def test_rotation_clear_takes_shorter_way():
 
 def test_forward_moves_along_heading():
     state = make_state(robot=(0, 0, 0))
-    step_ground(state, MotionCommand.forward(1.0), [])
+    step_ground(state, MotionCommand.forward(), [])
     assert state.ground_robot.x == pytest.approx(PARAMS.ground_step)
     assert state.ground_robot.y == 0.0
 
 
 def test_backward_moves_against_heading():
     state = make_state(robot=(0, 0, math.pi / 2))
-    step_ground(state, MotionCommand.backward(1.0), [])
+    step_ground(state, MotionCommand.backward(), [])
     assert state.ground_robot.y == pytest.approx(-PARAMS.ground_step)
 
 
@@ -135,7 +135,7 @@ def test_attach_success_and_slaving():
     assert state.attachment == "b"
     hx, hy = state.head_point()
     assert (obj.x, obj.y) == (hx, hy)
-    step_ground(state, MotionCommand.forward(1.0), [])
+    step_ground(state, MotionCommand.forward(), [])
     hx, hy = state.head_point()
     assert (obj.x, obj.y) == (hx, hy)
     step_ground(state, MotionCommand.rotate(1.0), [])
