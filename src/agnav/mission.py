@@ -51,7 +51,7 @@ from .local_planner import (
     step_decision,
     wrap_angle,
 )
-from .perception import RESERVED_IDS, NoiseModel, TaskContext, TaskKind, observe
+from .perception import GoalSpec, NoiseModel, observe
 from .semantic_map import (
     Category,
     Direction,
@@ -114,28 +114,6 @@ class MissionConfig:
 
 # ---------------------------------------------------------------------------
 # Goals and commands
-
-
-@dataclass(frozen=True)
-class GoalSpec:
-    kind: str  # coordinate | object | relation
-    x: float = 0.0
-    y: float = 0.0
-    name: Optional[str] = None
-    direction: Optional[Direction] = None
-    clearance: float = 0.4  # meters, relation goals
-
-    @classmethod
-    def coordinate(cls, x: float, y: float) -> "GoalSpec":
-        return cls("coordinate", x=x, y=y)
-
-    @classmethod
-    def object(cls, name: str) -> "GoalSpec":
-        return cls("object", name=name)
-
-    @classmethod
-    def relation(cls, name: str, direction: Direction, clearance: float) -> "GoalSpec":
-        return cls("relation", name=name, direction=direction, clearance=clearance)
 
 
 @dataclass(frozen=True)
@@ -361,19 +339,26 @@ def relation_goal_point(entry, direction: Direction, clearance: float) -> tuple[
     return (entry.x + clearance * math.cos(ang), entry.y + clearance * math.sin(ang))
 
 
-def resolve_goal(goal: GoalSpec, global_map: Optional[GlobalSemanticMap]) -> tuple[float, float]:
+def resolve_goal(goal: GoalSpec, global_map: Optional[GlobalSemanticMap],
+                 arena) -> tuple[float, float]:
     """World point of a goal: the coordinate itself, the mapped object, or
-    the relation point beside the mapped landmark."""
+    the relation point beside the mapped landmark. Raises GoalError unless
+    the point lies inside the arena."""
     if goal.kind == "coordinate":
-        return (goal.x, goal.y)
-    if global_map is None:
-        raise GoalError("goal resolution requires the global map")
-    entry = global_map.find(goal.name)
-    if entry is None:
-        raise GoalError(f"object {goal.name!r} not present in the global map")
-    if goal.kind == "object":
-        return (entry.x, entry.y)
-    return relation_goal_point(entry, goal.direction, goal.clearance)
+        point = (goal.x, goal.y)
+    else:
+        if global_map is None:
+            raise GoalError("goal resolution requires the global map")
+        entry = global_map.find(goal.name)
+        if entry is None:
+            raise GoalError(f"object {goal.name!r} not present in the global map")
+        if goal.kind == "object":
+            point = (entry.x, entry.y)
+        else:
+            point = relation_goal_point(entry, goal.direction, goal.clearance)
+    if not inside_arena(arena, *point):
+        raise GoalError(f"goal ({point[0]:.2f}, {point[1]:.2f}) lies outside the arena")
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +426,7 @@ def plan_leg(world: WorldState, global_map: Optional[GlobalSemanticMap],
     one. A leg already at its goal flies the single start point.
     """
     cell = ground_scale(config.camera).cell_m
-    end = resolve_goal(goal, global_map) if target is None else target
+    end = resolve_goal(goal, global_map, config.arena) if target is None else target
     start = main_point(world)
     init, at_goal = straight_line_init(
         (start[0] / cell, start[1] / cell), (end[0] / cell, end[1] / cell), config.n_controls)
@@ -468,13 +453,10 @@ def construct_map_viewpoints(arena) -> list[tuple[float, float]]:
 
 
 def _fusion_view(local_map):
-    """The local map as fused: agent-bound objects (main category, synthetic
-    zero target) stripped, so only the static environment reaches the global
-    map. Runs when a queued map is folded in, never on a tick."""
-    keep = tuple(
-        o for o in local_map.objects
-        if o.category != Category.MAIN and o.id not in RESERVED_IDS
-    )
+    """The local map as fused: the carried (main) object stripped, so only
+    the static environment reaches the global map. Runs when a queued map
+    is folded in, never on a tick."""
+    keep = tuple(o for o in local_map.objects if o.category != Category.MAIN)
     return replace(local_map, objects=keep)
 
 
@@ -571,12 +553,13 @@ class MissionExecutor:
         self.state.drone.waypoint_index = 0
         return leg.waypoints
 
-    def _perceive(self, task: TaskContext):
-        """Observe, then read off the local observation (None unless the
-        robot's head, body and tail are in view and distinct) and the
-        perceived obstacle discs in world meters for ``step_ground``. The
+    def _perceive(self, goal: GoalSpec):
+        """Observe prompted with ``goal``, then read off the local observation
+        (None unless the robot's head, body and tail are in view and
+        distinct), whose target is the zero point for a coordinate goal, and
+        the perceived obstacle discs in world meters for ``step_ground``. The
         carried object is never an obstacle: the perceiver labels it main."""
-        local_map = observe(self.state, self.cfg.camera, task, self.cfg.noise)
+        local_map = observe(self.state, self.cfg.camera, goal, self.cfg.noise)
         held = self.state.attachment
         obstacles = [o for o in local_map.objects
                      if o.category == Category.OBSTACLE or o.is_obstacle_too]
@@ -591,9 +574,12 @@ class MissionExecutor:
         carried = next((o for o in local_map.objects if o.id == held), None)
         if carried is not None:
             main, steer_radius = (carried.x, carried.y), carried.radius
-        # the first target by id: observe sorts the objects by id
-        target = next(((o.x, o.y) for o in local_map.objects
-                       if o.category == Category.TARGET), None)
+        if goal.kind == "coordinate":
+            target = LocalObservation.zero
+        else:
+            # the first target by id: observe sorts the objects by id
+            target = next(((o.x, o.y) for o in local_map.objects
+                           if o.category == Category.TARGET), None)
         # obstacle discs inflated by the whole moving ensemble's radius (the
         # trailing body included while carrying): the clearance term then
         # measures surface separation for everything that travels the ray
@@ -609,7 +595,6 @@ class MissionExecutor:
 
     def _run_construct_map(self):
         views = construct_map_viewpoints(self.cfg.arena)
-        task = TaskContext(TaskKind.MAP_CONSTRUCTION)
         maps = []
         for vx, vy in views:
             self.state.drone.waypoint_index = 0
@@ -617,19 +602,10 @@ class MissionExecutor:
             while not drone_done(self.state, leg):
                 step_drone(self.state, leg, wait=False)
                 self._end_tick("construct_map")
-            maps.append(observe(self.state, self.cfg.camera, task, self.cfg.noise))
+            maps.append(observe(self.state, self.cfg.camera, None, self.cfg.noise))
             self._advance_step()
         self._map, self._unfused = fuse(maps, self.cfg.fusion), []
         self._record("construct_map", extra={"viewpoints": len(views)})
-
-    @staticmethod
-    def _task_context(goal: GoalSpec) -> TaskContext:
-        if goal.kind == "object":
-            return TaskContext(TaskKind.MOVE_TO_OBJECT, target_name=goal.name)
-        if goal.kind == "relation":
-            return TaskContext(TaskKind.CARRY_TO_RELATION, target_name=goal.name,
-                               relation=goal.direction)
-        return TaskContext(TaskKind.MOVE_TO_COORDINATE)
 
     def _run_move(self, goal: GoalSpec, approach: bool):
         """One cooperative subtask: one follower leg, or two for relation
@@ -637,9 +613,7 @@ class MissionExecutor:
         then pull straight in. Staging keeps the carried block between the
         robot and the landmark, so neither the final walk nor any rotation
         sweeps the robot body past the landmark's flank."""
-        goal_world = resolve_goal(goal, self.global_map)
-        if not inside_arena(self.cfg.arena, *goal_world):
-            raise GoalError(f"goal ({goal_world[0]:.2f}, {goal_world[1]:.2f}) lies outside the arena")
+        goal_world = resolve_goal(goal, self.global_map, self.cfg.arena)
         if approach:
             stop_m = self.state.params.head_offset + self.state.params.attach_range / 2.0
         else:
@@ -745,7 +719,6 @@ class MissionExecutor:
         staged corridor is straight and already clear.
         """
         waypoints = self._plan_drone_path(subtask_goal, goal_world)
-        task = self._task_context(subtask_goal)
         held = self.state.attachment
         dist_stop = stop_m / self.cell
         replanned = False
@@ -758,7 +731,7 @@ class MissionExecutor:
             # path start (waypoint 0 sits over the steered point); before that
             # it must fly back to regain the ground robot in view
             step_drone(self.state, waypoints, wait=self.state.drone.waypoint_index > 0)
-            local_map, obs, world_obstacles = self._perceive(task)
+            local_map, obs, world_obstacles = self._perceive(subtask_goal)
             if held is not None and not carry_check(self.state, local_map):
                 raise _Dropped
             cmd, theta, cost = MotionCommand.stop(), None, None
@@ -831,9 +804,9 @@ class MissionExecutor:
     def _run_attach(self, name: str):
         if self.state.attachment is not None:
             raise _Failure("attach requested while something is already attached")
-        task = TaskContext(TaskKind.MOVE_TO_OBJECT, target_name=name)
+        goal = GoalSpec.object(name)
         for _ in range(ATTACH_BUDGET):
-            local_map, obs, world_obstacles = self._perceive(task)
+            local_map, obs, world_obstacles = self._perceive(goal)
             candidates = [o for o in local_map.objects if o.category == Category.TARGET]
             if obs is None or not candidates:
                 self._end_tick("attach", extra={"waiting": True})

@@ -2,8 +2,9 @@
 
 Projects simulator ground truth into the aerial camera frame (orthographic,
 image-center-relative grid cells), applies calibrated deterministic noise,
-and assigns task-conditioned semantic roles; the carried object is the
-world's attachment. Noise is counter-based: every
+and labels each scene object with its role under the subtask's goal (the
+perceiver's prompt); the carried object is the world's attachment, and the
+robot is reported as its parts, not as an object. Noise is counter-based: every
 random draw hashes (seed, step, object id, channel) so identical inputs give
 byte-identical maps with no shared generator state.
 """
@@ -26,9 +27,6 @@ from .semantic_map import (
 )
 
 _NORMAL = NormalDist()
-# ids of the objects observe adds for the robot and the zero-point target;
-# a scene object may not use them, nor the robot's name
-RESERVED_IDS = ("robot", "zero-point")
 
 
 @dataclass(frozen=True)
@@ -45,29 +43,26 @@ class NoiseModel:
             raise ValueError("misclassify_prob must lie in [0, 1]")
 
 
-class TaskKind:
-    MAP_CONSTRUCTION = "map_construction"
-    MOVE_TO_COORDINATE = "move_to_coordinate"
-    MOVE_TO_OBJECT = "move_to_object"
-    CARRY_TO_RELATION = "carry_to_relation"
-
-
 @dataclass(frozen=True)
-class TaskContext:
-    """What the perceiver is being asked to label for.
+class GoalSpec:
+    kind: str  # coordinate | object | relation
+    x: float = 0.0
+    y: float = 0.0
+    name: Optional[str] = None
+    direction: Optional[Direction] = None
+    clearance: float = 0.4  # meters, relation goals
 
-    ``target_name`` is the goal object for move_to_object and the landmark
-    reference for carry_to_relation; ``relation`` is set exactly for
-    carry_to_relation.
-    """
+    @classmethod
+    def coordinate(cls, x: float, y: float) -> "GoalSpec":
+        return cls("coordinate", x=x, y=y)
 
-    kind: str
-    target_name: Optional[str] = None
-    relation: Optional[Direction] = None
+    @classmethod
+    def object(cls, name: str) -> "GoalSpec":
+        return cls("object", name=name)
 
-    def __post_init__(self):
-        if (self.relation is not None) != (self.kind == TaskKind.CARRY_TO_RELATION):
-            raise ValueError("relation is present exactly for carry_to_relation tasks")
+    @classmethod
+    def relation(cls, name: str, direction: Direction, clearance: float) -> "GoalSpec":
+        return cls("relation", name=name, direction=direction, clearance=clearance)
 
 
 def _uniform(seed: int, step: int, tag: str, channel: str) -> float:
@@ -95,10 +90,12 @@ def _clamp(v: float, lo: float, hi: float) -> float:
     return min(hi, max(lo, v))
 
 
-def observe(world, camera: CameraModel, task: TaskContext, noise: NoiseModel) -> LocalSemanticMap:
-    """One aerial observation of the world from the drone's current pose.
+def observe(world, camera: CameraModel, goal: Optional[GoalSpec],
+            noise: NoiseModel) -> LocalSemanticMap:
+    """One aerial observation of the world from the drone's current pose,
+    prompted with the subtask's ``goal`` (None: map construction).
 
-    Ground-truth objects inside the camera footprint are reported in
+    Ground-truth scene objects inside the camera footprint are reported in
     image-center-relative grid cells, with Gaussian position noise, optional
     name misclassification (substituting another name from the scenario's
     alphabet), and orientation noise. Robot head/body/tail parts are emitted
@@ -127,7 +124,7 @@ def observe(world, camera: CameraModel, task: TaskContext, noise: NoiseModel) ->
             if _uniform(noise.seed, step, o.id, "mis") < noise.misclassify_prob:
                 others = [n for n in alphabet if n != o.name]
                 name = others[int(_uniform(noise.seed, step, o.id, "sub") * len(others))]
-        category, direction, obstacle_too = _role(o.id, name, task, world.attachment)
+        category, direction, obstacle_too = _role(o.id, name, goal, world.attachment)
         objects.append(SemanticObject(
             id=o.id,
             name=name,
@@ -138,16 +135,6 @@ def observe(world, camera: CameraModel, task: TaskContext, noise: NoiseModel) ->
             is_obstacle_too=obstacle_too,
             orientation=o.yaw + _gauss(noise.seed, step, o.id, "yaw", noise.orientation_sigma),
             radius=o.radius / cell,
-        ))
-    if task.kind == TaskKind.MOVE_TO_COORDINATE:
-        # navigation to a coordinate anchors the target role at the image
-        # zero point instead of any physical object
-        objects.append(SemanticObject(
-            id="zero-point",
-            name="zero",
-            x=0.0,
-            y=0.0,
-            category=Category.TARGET,
         ))
 
     parts = {}
@@ -162,15 +149,6 @@ def observe(world, camera: CameraModel, task: TaskContext, noise: NoiseModel) ->
             gy = (py - cy) / cell + _gauss(noise.seed, step, "robot:" + tag, "py", noise.position_sigma)
             parts[tag] = (_clamp(gx, -half_w_cells, half_w_cells),
                           _clamp(gy, -half_h_cells, half_h_cells))
-        if task.kind != TaskKind.MAP_CONSTRUCTION:
-            objects.append(SemanticObject(
-                id="robot",
-                name="robot",
-                x=parts["body"][0],
-                y=parts["body"][1],
-                    category=Category.MAIN,
-                radius=robot.radius / cell,
-            ))
     objects.sort(key=lambda s: s.id)
 
     return LocalSemanticMap(
@@ -185,19 +163,20 @@ def observe(world, camera: CameraModel, task: TaskContext, noise: NoiseModel) ->
     )
 
 
-def _role(oid: str, name: str, task: TaskContext, carried: Optional[str]):
-    """Task-conditioned (category, direction, is_obstacle_too) of one scene
-    object as observed under ``name``. Map construction assigns no roles; the
-    carried object (id ``carried``, the world's attachment) is main; the
-    task's goal object is the target; a relation reference is a landmark
-    carrying its direction and doubling as an obstacle; everything else is
-    an obstacle."""
-    if task.kind == TaskKind.MAP_CONSTRUCTION:
+def _role(oid: str, name: str, goal: Optional[GoalSpec], carried: Optional[str]):
+    """(category, direction, is_obstacle_too) of one scene object as observed
+    under ``name``, prompted with ``goal``. Map construction (no goal)
+    assigns no roles; the carried object (id ``carried``, the world's
+    attachment) is main; an object goal's object is the target; a relation
+    goal's reference is a landmark carrying the goal's direction and doubling
+    as an obstacle; everything else is an obstacle. A coordinate goal marks
+    no target: the robot aligns with the image zero point."""
+    if goal is None:
         return None, None, False
     if oid == carried:
         return Category.MAIN, None, False
-    if name == task.target_name and task.kind == TaskKind.MOVE_TO_OBJECT:
+    if name == goal.name and goal.kind == "object":
         return Category.TARGET, None, False
-    if name == task.target_name and task.kind == TaskKind.CARRY_TO_RELATION:
-        return Category.LANDMARK, task.relation, True
+    if name == goal.name and goal.kind == "relation":
+        return Category.LANDMARK, goal.direction, True
     return Category.OBSTACLE, None, False

@@ -38,7 +38,7 @@ from .mission import (
     inside_arena,
     parse_command,
 )
-from .perception import RESERVED_IDS, NoiseModel
+from .perception import NoiseModel
 from .semantic_map import (
     Footprint,
     FusionParams,
@@ -194,10 +194,6 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
         kwargs = _section(o, path, _OBJECT)
         if kwargs["id"] is None:
             kwargs["id"] = kwargs["name"]
-        if kwargs["id"] in RESERVED_IDS:
-            raise ScenarioError(f"{path}.id: {kwargs['id']!r} is reserved for the perceiver")
-        if kwargs["name"] == "robot":
-            raise ScenarioError(f"{path}.name: 'robot' is reserved for the perceiver")
         if kwargs["id"] in seen_ids:
             raise ScenarioError(f"{path}.id: duplicate id {kwargs['id']!r}")
         seen_ids.add(kwargs["id"])

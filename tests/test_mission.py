@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from agnav.local_planner import LocalObservation
 from agnav.mission import (
     ROLLBACK_LIMIT,
     Assemble,
@@ -24,7 +25,7 @@ from agnav.mission import (
 )
 from agnav.presets import NOISE_CALIBRATED, noise_batch_suite, type_a_scenario, type_b_scenario
 from agnav.scenario import load_scenario, run_scenario
-from agnav.semantic_map import Confidence, Direction, GlobalSemanticMap, MapEntry
+from agnav.semantic_map import Category, Confidence, Direction, GlobalSemanticMap, MapEntry
 
 
 def entry(name, x, y, orientation=None):
@@ -250,6 +251,27 @@ def test_relation_goal_outside_the_arena_fails():
     assert not res.success
     assert res.failure == "goal (2.25, 0.30) lies outside the arena"
     assert [p["approach"] for p in res.placements] == [True]
+
+
+def test_perceive_target_rule():
+    # at the start of scenario 0 the drone sits over the robot, with L in
+    # view and O out of it
+    scen = load_scenario(type_a_scenario(0))
+    plan = decompose(parse_command(scen.task, scen.relation_clearance))
+    executor = MissionExecutor(plan, scen.world, scen.config)
+    # a coordinate goal: the robot aligns with the image zero point, which
+    # observe does not report as an object
+    local_map, obs, _ = executor._perceive(GoalSpec.coordinate(1.0, 1.0))
+    assert obs.target == (0.0, 0.0)
+    assert all(o.category != Category.TARGET for o in local_map.objects)
+    # an object goal in view: the object is the target
+    local_map, obs, _ = executor._perceive(GoalSpec.object("L"))
+    assert obs.target == pytest.approx((0.8 / local_map.cell_m, 0.6 / local_map.cell_m))
+    # an object goal out of view: no target, and the anchor is the zero point
+    local_map, obs, _ = executor._perceive(GoalSpec.object("O"))
+    assert "O" not in {o.name for o in local_map.objects}
+    assert obs.target is None
+    assert obs.anchor == LocalObservation.zero
 
 
 def test_noiseless_type_b_end_to_end():

@@ -5,13 +5,7 @@ import statistics
 import pytest
 
 from agnav.gridmask import CameraModel
-from agnav.perception import (
-    NoiseModel,
-    TaskContext,
-    TaskKind,
-    camera_footprint,
-    observe,
-)
+from agnav.perception import GoalSpec, NoiseModel, camera_footprint, observe
 from agnav.semantic_map import Category, Direction, local_map_to_json
 from agnav.sim_world import DroneState, GroundRobot, SimObject, SimParams, WorldState
 
@@ -30,7 +24,7 @@ def make_world(objects, drone=(0.0, 0.0), robot=(0.5, 0.0, 0.0), step=0):
 
 def test_exact_projection_noiseless():
     world = make_world([SimObject("o1", "O", 1.0, 0.0)])
-    m = observe(world, CAMERA, TaskContext(TaskKind.MAP_CONSTRUCTION), NoiseModel())
+    m = observe(world, CAMERA, None, NoiseModel())
     obj = [o for o in m.objects if o.id == "o1"][0]
     assert (obj.x, obj.y) == (5.0, 0.0)
     assert m.cell_m == pytest.approx(0.2)
@@ -38,13 +32,13 @@ def test_exact_projection_noiseless():
 
 def test_object_outside_footprint_absent():
     world = make_world([SimObject("far", "F", 5.0, 5.0)])
-    m = observe(world, CAMERA, TaskContext(TaskKind.MAP_CONSTRUCTION), NoiseModel())
+    m = observe(world, CAMERA, None, NoiseModel())
     assert all(o.id != "far" for o in m.objects)
 
 
 def test_zero_noise_projection_inverts():
     world = make_world([SimObject("o1", "O", 0.73, -1.21)], drone=(0.25, 0.5))
-    m = observe(world, CAMERA, TaskContext(TaskKind.MAP_CONSTRUCTION), NoiseModel())
+    m = observe(world, CAMERA, None, NoiseModel())
     obj = [o for o in m.objects if o.id == "o1"][0]
     wx = m.observer_x + obj.x * m.cell_m
     wy = m.observer_y + obj.y * m.cell_m
@@ -54,24 +48,23 @@ def test_zero_noise_projection_inverts():
 def test_observation_deterministic():
     world = make_world([SimObject("o1", "O", 1.0, 0.3), SimObject("l1", "L", -0.5, 0.2)])
     noise = NoiseModel(position_sigma=0.15, misclassify_prob=0.3, seed=42)
-    task = TaskContext(TaskKind.MOVE_TO_OBJECT, target_name="O")
-    a = json.dumps(local_map_to_json(observe(world, CAMERA, task, noise)), sort_keys=True)
-    b = json.dumps(local_map_to_json(observe(world, CAMERA, task, noise)), sort_keys=True)
+    goal = GoalSpec.object("O")
+    a = json.dumps(local_map_to_json(observe(world, CAMERA, goal, noise)), sort_keys=True)
+    b = json.dumps(local_map_to_json(observe(world, CAMERA, goal, noise)), sort_keys=True)
     assert a == b
     world2 = make_world([SimObject("o1", "O", 1.0, 0.3), SimObject("l1", "L", -0.5, 0.2)],
                         step=1)
-    c = json.dumps(local_map_to_json(observe(world2, CAMERA, task, noise)), sort_keys=True)
+    c = json.dumps(local_map_to_json(observe(world2, CAMERA, goal, noise)), sort_keys=True)
     assert a != c  # the counter advances with the step
 
 
 def test_rayleigh_median_calibration():
     sigma = 0.15
     noise = NoiseModel(position_sigma=sigma, seed=7)
-    task = TaskContext(TaskKind.MAP_CONSTRUCTION)
     deviations = []
     for step in range(10000):
         world = make_world([SimObject("o1", "O", 0.5, 0.5)], step=step)
-        m = observe(world, CAMERA, task, noise)
+        m = observe(world, CAMERA, None, noise)
         o = [x for x in m.objects if x.id == "o1"][0]
         deviations.append(math.hypot(o.x - 2.5, o.y - 2.5))
     median = statistics.median(deviations)
@@ -81,8 +74,8 @@ def test_rayleigh_median_calibration():
 
 def test_role_partition_single_main():
     world = make_world([SimObject("o1", "O", 1.0, 0.0), SimObject("l1", "L", -1.0, 0.5)])
-    task = TaskContext(TaskKind.MOVE_TO_OBJECT, target_name="O")
-    m = observe(world, CAMERA, task, NoiseModel())
+    world.attachment = "l1"
+    m = observe(world, CAMERA, GoalSpec.object("O"), NoiseModel())
     cats = [o.category for o in m.objects]
     assert all(c is not None for c in cats)
     assert sum(1 for c in cats if c == Category.MAIN) == 1
@@ -91,7 +84,7 @@ def test_role_partition_single_main():
 
 def test_parts_emitted_when_robot_in_view():
     world = make_world([], robot=(0.5, 0.0, math.pi / 2))
-    m = observe(world, CAMERA, TaskContext(TaskKind.MAP_CONSTRUCTION), NoiseModel())
+    m = observe(world, CAMERA, None, NoiseModel())
     assert set(m.parts) == {"head", "body", "tail"}
     head, tail = m.parts["head"], m.parts["tail"]
     heading = math.atan2(head[1] - tail[1], head[0] - tail[0])
@@ -100,17 +93,8 @@ def test_parts_emitted_when_robot_in_view():
 
 def test_parts_absent_when_robot_out_of_view():
     world = make_world([], robot=(8.0, 8.0, 0.0))
-    m = observe(world, CAMERA, TaskContext(TaskKind.MAP_CONSTRUCTION), NoiseModel())
+    m = observe(world, CAMERA, None, NoiseModel())
     assert m.parts == {}
-
-
-def test_zero_point_target_for_coordinate_tasks():
-    world = make_world([SimObject("o1", "O", 1.0, 0.0)])
-    m = observe(world, CAMERA, TaskContext(TaskKind.MOVE_TO_COORDINATE), NoiseModel())
-    targets = [o for o in m.objects if o.category == Category.TARGET]
-    assert len(targets) == 1
-    assert targets[0].id == "zero-point"
-    assert (targets[0].x, targets[0].y) == (0.0, 0.0)
 
 
 def test_observe_roles_carry_to_relation():
@@ -120,11 +104,10 @@ def test_observe_roles_carry_to_relation():
         SimObject("V", "V", -1.0, 0.0),
     ], robot=(0.2, 0.2, 0.0))
     world.attachment = "L"
-    task = TaskContext(TaskKind.CARRY_TO_RELATION, target_name="O",
-                       relation=Direction.FRONT)
-    out = {o.id: o for o in observe(world, CAMERA, task, NoiseModel()).objects}
+    goal = GoalSpec.relation("O", Direction.FRONT, GoalSpec.clearance)
+    out = {o.id: o for o in observe(world, CAMERA, goal, NoiseModel()).objects}
+    assert set(out) == {"L", "O", "V"}
     assert out["L"].category == Category.MAIN
-    assert out["robot"].category == Category.MAIN
     assert out["O"].category == Category.LANDMARK
     assert out["O"].direction == Direction.FRONT
     assert out["O"].is_obstacle_too
@@ -133,24 +116,17 @@ def test_observe_roles_carry_to_relation():
 
 def test_observe_roles_map_construction_unlabeled():
     world = make_world([SimObject("L", "L", 0.0, 0.0)])
-    out = observe(world, CAMERA, TaskContext(TaskKind.MAP_CONSTRUCTION), NoiseModel()).objects
+    out = observe(world, CAMERA, None, NoiseModel()).objects
     assert out[0].category is None
 
 
 def test_misclassification_substitutes_other_name():
     world = make_world([SimObject("o1", "O", 1.0, 0.0), SimObject("l1", "L", -1.0, 0.0)])
     noise = NoiseModel(misclassify_prob=1.0, seed=3)
-    m = observe(world, CAMERA, TaskContext(TaskKind.MAP_CONSTRUCTION), noise)
+    m = observe(world, CAMERA, None, noise)
     by_id = {o.id: o for o in m.objects}
     assert by_id["o1"].name == "L"
     assert by_id["l1"].name == "O"
-
-
-def test_task_context_invariant():
-    with pytest.raises(ValueError):
-        TaskContext(TaskKind.MOVE_TO_OBJECT, target_name="O", relation=Direction.LEFT)
-    with pytest.raises(ValueError):
-        TaskContext(TaskKind.CARRY_TO_RELATION, target_name="O")
 
 
 def test_noisy_positions_stay_inside_footprint():
@@ -158,7 +134,7 @@ def test_noisy_positions_stay_inside_footprint():
     fp = camera_footprint(CAMERA, 0.0, 0.0)
     for step in range(50):
         world = make_world([SimObject("edge", "E", 1.9, 1.9)], step=step)
-        m = observe(world, CAMERA, TaskContext(TaskKind.MAP_CONSTRUCTION), noise)
+        m = observe(world, CAMERA, None, noise)
         o = [x for x in m.objects if x.id == "edge"][0]
         wx, wy = m.observer_x + o.x * m.cell_m, m.observer_y + o.y * m.cell_m
         assert fp.contains(wx, wy)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from agnav.mission import MissionExecutor, Subtask, TaskPlan
 from agnav.presets import type_a_scenario, write_scenarios
 from agnav.scenario import ScenarioError, load_scenario
 
@@ -47,19 +48,20 @@ def test_load_scenario_field_diagnostics():
         load_scenario(doc)
 
 
-@pytest.mark.parametrize("index, fields, message", [
-    (2, {"name": "robot"}, "$.objects[2].id: 'robot' is reserved"),
-    (1, {"id": "zero-point"}, "$.objects[1].id: 'zero-point' is reserved"),
-    (2, {"id": "v", "name": "robot"}, "$.objects[2].name: 'robot' is reserved"),
-], ids=["name-robot", "id-zero-point", "id-v-name-robot"])
-def test_load_scenario_rejects_a_perceiver_id(index, fields, message):
-    # observe adds objects with these ids (and the robot's name), and the
-    # executor strips them by id or name: a scene object using one would be
-    # dropped from the map or taken for the robot
+def test_former_perceiver_ids_are_plain_scene_names():
+    # observe reports only scene objects, so no id or name is reserved: an
+    # object with id zero-point and one named robot load and get mapped
     doc = type_a_scenario(5, seed=5)
-    doc["objects"][index].update(fields)
-    with pytest.raises(ScenarioError, match=re.escape(message)):
-        load_scenario(doc)
+    doc["objects"][1]["id"] = "zero-point"
+    doc["objects"][2]["name"] = "robot"
+    scen = load_scenario(doc)
+    assert [o.id for o in scen.world.objects][1:] == ["zero-point", "robot"]
+    executor = MissionExecutor(TaskPlan((Subtask("drone", "construct_map"),)),
+                               scen.world, scen.config)
+    assert executor.run().success
+    for o in doc["objects"][1:]:
+        entry = executor.global_map.find(o["name"])
+        assert (entry.x, entry.y) == pytest.approx((o["x"], o["y"]))
 
 
 def _set(doc, path, value):
@@ -315,6 +317,18 @@ def test_plan_global_cli_plans_the_transport_leg(tmp_path):
     assert poly[0] == pytest.approx([b["x"], b["y"]])
     clearance = min(math.hypot(x - e["x"], y - e["y"]) - e["radius"] for x, y in poly)
     assert clearance >= 0.3
+
+
+def test_plan_global_cli_rejects_a_goal_outside_the_arena(tmp_path):
+    # the front of O at (1.7, 0) lies past the arena's +2 m wall: plan-global
+    # refuses the leg with the check that fails the mission in run-scenario
+    doc = type_a_scenario(0)
+    doc["objects"][1].update(x=1.7, y=0.0, yaw=0.0)
+    out = tmp_path / "path.json"
+    r = run_cli("plan-global", "--scenario", write_doc(tmp_path, doc), "--out", str(out))
+    assert r.returncode == 1
+    assert r.stderr == "error: goal (2.25, 0.00) lies outside the arena\n"
+    assert not out.exists()
 
 
 def test_plan_local_step_cli(tmp_path):
