@@ -266,7 +266,7 @@ def step_decision(obs: LocalObservation, theta_star: float, dist_stop: float,
     Stop when the anchor lies inside dist_stop (cells), whatever the
     heading: the robot has no goal orientation to meet. Rotation triggers
     when the heading axis (either facing) misses theta_star beyond
-    angle_tol; the rotation sign is left to the simulator's clearance rule.
+    angle_tol; the simulator turns toward theta_star the shorter way.
     Otherwise the robot steps (by the simulator's step length) forward or
     backward by the sign of the anchor's component along the current
     heading, so an anchor directly behind is reached by backing up rather

@@ -357,7 +357,9 @@ def resolve_goal(goal: GoalSpec, global_map: Optional[GlobalSemanticMap],
         else:
             point = relation_goal_point(entry, goal.direction, goal.clearance)
     if not inside_arena(arena, *point):
-        raise GoalError(f"goal ({point[0]:.2f}, {point[1]:.2f}) lies outside the arena")
+        # + 0.0 turns a rounded -0.0 into 0.0: one goal, one spelling
+        x, y = (round(c, 2) + 0.0 for c in point)
+        raise GoalError(f"goal ({x:.2f}, {y:.2f}) lies outside the arena")
     return point
 
 
@@ -556,19 +558,15 @@ class MissionExecutor:
     def _perceive(self, goal: GoalSpec):
         """Observe prompted with ``goal``, then read off the local observation
         (None unless the robot's head, body and tail are in view and
-        distinct), whose target is the zero point for a coordinate goal, and
-        the perceived obstacle discs in world meters for ``step_ground``. The
+        distinct), whose target is the zero point for a coordinate goal. The
         carried object is never an obstacle: the perceiver labels it main."""
         local_map = observe(self.state, self.cfg.camera, goal, self.cfg.noise)
         held = self.state.attachment
         obstacles = [o for o in local_map.objects
                      if o.category == Category.OBSTACLE or o.is_obstacle_too]
-        ox, oy, cell = local_map.observer_x, local_map.observer_y, local_map.cell_m
-        world_obstacles = [((ox + o.x * cell, oy + o.y * cell), o.radius * cell)
-                           for o in obstacles]
         parts = local_map.parts
         if not all(k in parts for k in ("head", "body", "tail")) or parts["head"] == parts["tail"]:
-            return local_map, None, world_obstacles
+            return local_map, None
         main = parts["body"]
         steer_radius = self.state.ground_robot.radius / self.cell
         carried = next((o for o in local_map.objects if o.id == held), None)
@@ -589,7 +587,7 @@ class MissionExecutor:
             obstacles=tuple(((o.x, o.y), o.radius + inflate) for o in obstacles),
             head=parts["head"], tail=parts["tail"], body=parts["body"],
         )
-        return local_map, obs, world_obstacles
+        return local_map, obs
 
     # -- phases ------------------------------------------------------------
 
@@ -731,7 +729,7 @@ class MissionExecutor:
             # path start (waypoint 0 sits over the steered point); before that
             # it must fly back to regain the ground robot in view
             step_drone(self.state, waypoints, wait=self.state.drone.waypoint_index > 0)
-            local_map, obs, world_obstacles = self._perceive(subtask_goal)
+            local_map, obs = self._perceive(subtask_goal)
             if held is not None and not carry_check(self.state, local_map):
                 raise _Dropped
             cmd, theta, cost = MotionCommand.stop(), None, None
@@ -766,7 +764,7 @@ class MissionExecutor:
                     waypoints = self._plan_drone_path(subtask_goal, goal_world)
                     self._end_tick("move", extra={"replanned": True})
                     continue
-            step_ground(self.state, cmd, world_obstacles)
+            step_ground(self.state, cmd)
             if self.state.step % self.cfg.map_update_every == 0:
                 self._unfused.append(local_map)
             self._end_tick("move", cmd, theta, cost)
@@ -806,7 +804,7 @@ class MissionExecutor:
             raise _Failure("attach requested while something is already attached")
         goal = GoalSpec.object(name)
         for _ in range(ATTACH_BUDGET):
-            local_map, obs, world_obstacles = self._perceive(goal)
+            local_map, obs = self._perceive(goal)
             candidates = [o for o in local_map.objects if o.category == Category.TARGET]
             if obs is None or not candidates:
                 self._end_tick("attach", extra={"waiting": True})
@@ -827,7 +825,7 @@ class MissionExecutor:
                 cmd = MotionCommand.forward()
             else:
                 cmd = MotionCommand.backward()
-            step_ground(self.state, cmd, world_obstacles)
+            step_ground(self.state, cmd)
             self._end_tick("attach", cmd)
         raise _Failure(f"attach on {name!r} did not engage within the attach budget")
 

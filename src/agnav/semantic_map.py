@@ -371,8 +371,9 @@ def update(global_map: GlobalSemanticMap, new_maps: Iterable[LocalSemanticMap],
     turn, then resolve once; the revision goes up by one per map."""
     pool, footprints, groups = global_map.pool, global_map.footprints, None
     for n, m in enumerate(new_maps, 1):
-        # a repeated observation keeps its pooled record
-        merged = {_obs_key(o): o for o in [*_observations([m]), *pool]}
+        # a repeated observation keeps its pooled record, and an id repeated
+        # within one map keeps its first record
+        merged = {_obs_key(o): o for o in [*reversed(_observations([m])), *pool]}
         footprints = footprints | {(m.step_index, m.footprint)}
         groups, pool = _cluster_pool(sorted(merged.values(), key=_obs_key), params.merge_radius)
     if groups is None:

@@ -2,11 +2,11 @@
 
 Motion is kinematic: the drone advances along world waypoints at a fixed
 speed (holding position whenever the ground robot falls outside the follow
-radius), and the ground robot executes rotate/forward/backward/stop commands
-with an in-place rotation whose sign is picked by sweeping the path to the
-target heading each way and keeping the clearer one. An attached object is
-slaved to the head offset point every step. Collision events are debounced:
-one event per contiguous overlap run per (body, object) pair.
+radius), and the ground robot executes the rotate/forward/backward/stop
+command the executor chose; an in-place rotation takes the shorter way to
+the target heading, so no motion reads the perceiver's output. An attached
+object is slaved to the head offset point every step. Collision events are
+debounced: one event per contiguous overlap run per (body, object) pair.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Optional
 from .local_planner import MotionCommand, MotionKind, wrap_angle
 
 WAYPOINT_CAPTURE = 0.05  # meters
-ROTATE_CLEAR_CAP = 0.1  # meters, clearance beyond which a rotation sweep is "safe"
 
 
 @dataclass
@@ -166,67 +165,18 @@ def drone_done(state: WorldState, path_world) -> bool:
     return math.hypot(fx - state.drone.x, fy - state.drone.y) <= 1e-9
 
 
-def rotation_direction(state: WorldState, obstacles_world, target_heading: float) -> int:
-    """+1 (counterclockwise) or -1 (clockwise) for an in-place rotation to
-    ``target_heading``.
-
-    Each sign sweeps the head point (inflated by the carried object's radius
-    when attached) along its full angular path to the target heading,
-    sampled every 10 degrees with both endpoints included. The sign with the
-    larger minimum clearance to ``obstacles_world`` ((x, y), radius pairs in
-    meters) wins; a genuinely constrained tie goes counterclockwise.
-    Clearances saturate at ROTATE_CLEAR_CAP, so when both paths are safely
-    clear the rotation takes the shorter way. Comparing the whole path
-    (rather than a fixed leading window) keeps the decision stable from tick
-    to tick: a moving window re-discovers an obstacle sector only after
-    turning toward it and then reverses, oscillating forever.
-    """
-    r, params = state.ground_robot, state.params
-    probe_r = 0.0
-    if state.attachment is not None:
-        obj = state.object_by_id(state.attachment)
-        if obj is not None:
-            probe_r = obj.radius
-
-    def probe(ang: float) -> float:
-        px = r.x + params.head_offset * math.cos(ang)
-        py = r.y + params.head_offset * math.sin(ang)
-        worst = ROTATE_CLEAR_CAP
-        for (ox, oy), orad in obstacles_world:
-            c = math.hypot(ox - px, oy - py) - orad - probe_r
-            worst = min(worst, c)
-        return worst
-
-    grid = math.pi / 18.0
-
-    def path_clearance(sign: int) -> float:
-        span = (sign * (target_heading - r.heading)) % (2.0 * math.pi)
-        # endpoints plus the absolute 10-degree grid inside the swept
-        # interval; anchoring samples to a global grid keeps both sweep
-        # directions and successive ticks numerically comparable
-        lo = r.heading if sign > 0 else r.heading - span
-        hi = r.heading + span if sign > 0 else r.heading
-        worst = min(probe(lo), probe(hi))
-        k = math.ceil(lo / grid)
-        while k * grid < hi:
-            if k * grid > lo:
-                worst = min(worst, probe(k * grid))
-            k += 1
-        return worst
-
-    ccw, cw = path_clearance(1), path_clearance(-1)
-    if ccw != cw:
-        return 1 if ccw > cw else -1
-    if ccw >= ROTATE_CLEAR_CAP and wrap_angle(target_heading - r.heading) < 0.0:
-        return -1
-    return 1
+def rotation_direction(state: WorldState, target_heading: float) -> int:
+    """+1 (counterclockwise) or -1 (clockwise): an in-place rotation to
+    ``target_heading`` takes the shorter way, and a half turn goes
+    counterclockwise."""
+    return -1 if wrap_angle(target_heading - state.ground_robot.heading) < 0.0 else 1
 
 
-def step_ground(state: WorldState, cmd: MotionCommand, obstacles_world) -> None:
+def step_ground(state: WorldState, cmd: MotionCommand) -> None:
     """Execute one motion command tick; the attached object follows the head."""
     r, params = state.ground_robot, state.params
     if cmd.kind == MotionKind.ROTATE:
-        sign = rotation_direction(state, obstacles_world, cmd.target_heading)
+        sign = rotation_direction(state, cmd.target_heading)
         # angular distance to the target going in the chosen direction
         delta = wrap_angle(cmd.target_heading - r.heading)
         remaining = delta % (2.0 * math.pi) if sign > 0 else (-delta) % (2.0 * math.pi)

@@ -261,14 +261,14 @@ def test_perceive_target_rule():
     executor = MissionExecutor(plan, scen.world, scen.config)
     # a coordinate goal: the robot aligns with the image zero point, which
     # observe does not report as an object
-    local_map, obs, _ = executor._perceive(GoalSpec.coordinate(1.0, 1.0))
+    local_map, obs = executor._perceive(GoalSpec.coordinate(1.0, 1.0))
     assert obs.target == (0.0, 0.0)
     assert all(o.category != Category.TARGET for o in local_map.objects)
     # an object goal in view: the object is the target
-    local_map, obs, _ = executor._perceive(GoalSpec.object("L"))
+    local_map, obs = executor._perceive(GoalSpec.object("L"))
     assert obs.target == pytest.approx((0.8 / local_map.cell_m, 0.6 / local_map.cell_m))
     # an object goal out of view: no target, and the anchor is the zero point
-    local_map, obs, _ = executor._perceive(GoalSpec.object("O"))
+    local_map, obs = executor._perceive(GoalSpec.object("O"))
     assert "O" not in {o.name for o in local_map.objects}
     assert obs.target is None
     assert obs.anchor == LocalObservation.zero
@@ -455,13 +455,16 @@ def test_preset_suite_digest():
     # one digest over the 35 preset missions of the benchmark suite: the ten
     # noiseless type-A runs, then each noisy scenario at seeds 0-4. It pins
     # bytes only; one of the 35 (noisy type B 1, seed 0) fails its task.
+    # Re-pinned when an in-place turn began to take the shorter way: the old
+    # sweep-clearance rule picked the other way on 11 of the suite's rotate
+    # ticks, which changes the bytes of 3 missions but no outcome.
     h = hashlib.sha256()
     for i in range(10):
         _hash_run(h, run_scenario(type_a_scenario(i, seed=i))[1])
     for doc in noise_batch_suite():
         for seed in range(5):
             _hash_run(h, run_scenario(doc, seed)[1])
-    assert h.hexdigest() == "2a81876f351563e22ba39d2bdf6e53fee8365093c8156ac538a1a88e888dc94a"
+    assert h.hexdigest() == "8c666c58935aa1efd1f1a6131491c8b660c728e48751f3ad602e4f5fb4f64fe2"
 
 
 

@@ -331,6 +331,23 @@ def test_plan_global_cli_rejects_a_goal_outside_the_arena(tmp_path):
     assert not out.exists()
 
 
+def test_arena_error_reads_the_same_from_run_scenario_and_plan_global(tmp_path):
+    # run-scenario resolves the relation point from the fused map, where O's
+    # y is a tiny negative float, and plan-global from the scene; the two
+    # print one goal the same way, with no "-0.00"
+    doc = type_a_scenario(0)
+    doc["objects"][1].update(x=1.7, y=0.0, yaw=0.0)
+    path = write_doc(tmp_path, doc)
+    summary = tmp_path / "s.json"
+    r = run_cli("run-scenario", "--file", path, "--trace", str(tmp_path / "t.jsonl"),
+                "--summary", str(summary))
+    assert r.returncode == 2, r.stderr
+    failure = json.loads(summary.read_text())["failure"]
+    assert failure == "goal (2.25, 0.00) lies outside the arena"
+    r = run_cli("plan-global", "--scenario", path, "--out", str(tmp_path / "p.json"))
+    assert r.stderr == f"error: {failure}\n"
+
+
 def test_plan_local_step_cli(tmp_path):
     obs = {
         "main": [0.0, 0.0],

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -458,6 +459,16 @@ def local_maps(draw):
        conflict_radius=st.sampled_from([0.2, 0.5]))
 def test_fusion_on_read_matches_eager_pipeline(maps, updates, merge_radius, conflict_radius):
     assert_chain_matches_eager(maps, updates, FusionParams(merge_radius, conflict_radius))
+
+
+def test_update_keeps_the_first_record_of_an_id_repeated_in_one_map():
+    # a property-test counterexample: one map reports id 'a' twice, and
+    # update kept the second record where the eager reference keeps the first
+    empty = LocalSemanticMap(observer_x=0.0, observer_y=0.0, altitude=2.0, cell_m=1.0,
+                             footprint=Footprint(0.0, 0.0, 0.0, 0.0), objects=(), step_index=1)
+    twice = replace(empty, step_index=0, objects=tuple(
+        SemanticObject(id="a", name="A", x=0.0, y=0.0, radius=r) for r in (0.0, 0.1)))
+    assert_chain_matches_eager([empty], [twice], FusionParams(0.05, 0.2))
 
 
 def test_fusion_on_read_matches_eager_pipeline_past_the_pool_cap():

@@ -89,42 +89,36 @@ def test_drone_parks_exactly_on_final_waypoint():
     assert math.hypot(state.drone.x - 0.5, state.drone.y - 0.33) <= 1e-9
 
 
-def test_rotation_avoids_left_obstacle():
-    state = make_state(robot=(0, 0, 0))
-    # block 0.2 m to the left: the counterclockwise sweep passes right by it
-    obstacles = [((0.0, 0.2), 0.15)]
-    assert rotation_direction(state, obstacles, math.pi) == -1
-
-
-def test_rotation_tie_goes_counterclockwise():
-    state = make_state(robot=(0, 0, 0))
-    # symmetric constraining blocks on both sides: genuine tie
-    obstacles = [((0.0, 0.35), 0.1), ((0.0, -0.35), 0.1)]
-    assert rotation_direction(state, obstacles, math.pi) == 1
-
-
-def test_rotation_clear_takes_shorter_way():
-    state = make_state(robot=(0, 0, 0))
-    assert rotation_direction(state, [], -0.3) == -1
-    assert rotation_direction(state, [], 0.3) == 1
+@pytest.mark.parametrize("target, objects, sign", [
+    pytest.param(-0.3, (), -1, id="clockwise"),
+    pytest.param(0.3, (), 1, id="counterclockwise"),
+    pytest.param(math.pi, (), 1, id="half-turn"),
+    # a block 0.2 m to the left does not change the way the turn takes
+    pytest.param(math.pi, (SimObject("b", "B", 0.0, 0.2, radius=0.15),), 1, id="object-left"),
+])
+def test_rotation_takes_shorter_way(target, objects, sign):
+    state = make_state(objects=objects, robot=(0, 0, 0))
+    assert rotation_direction(state, target) == sign
+    step_ground(state, MotionCommand.rotate(target))
+    assert state.ground_robot.heading == pytest.approx(sign * min(PARAMS.rotate_rate, abs(target)))
 
 
 def test_forward_moves_along_heading():
     state = make_state(robot=(0, 0, 0))
-    step_ground(state, MotionCommand.forward(), [])
+    step_ground(state, MotionCommand.forward())
     assert state.ground_robot.x == pytest.approx(PARAMS.ground_step)
     assert state.ground_robot.y == 0.0
 
 
 def test_backward_moves_against_heading():
     state = make_state(robot=(0, 0, math.pi / 2))
-    step_ground(state, MotionCommand.backward(), [])
+    step_ground(state, MotionCommand.backward())
     assert state.ground_robot.y == pytest.approx(-PARAMS.ground_step)
 
 
 def test_rotate_clamps_onto_target():
     state = make_state(robot=(0, 0, 0))
-    step_ground(state, MotionCommand.rotate(0.05), [])
+    step_ground(state, MotionCommand.rotate(0.05))
     assert state.ground_robot.heading == pytest.approx(0.05)
 
 
@@ -135,10 +129,10 @@ def test_attach_success_and_slaving():
     assert state.attachment == "b"
     hx, hy = state.head_point()
     assert (obj.x, obj.y) == (hx, hy)
-    step_ground(state, MotionCommand.forward(), [])
+    step_ground(state, MotionCommand.forward())
     hx, hy = state.head_point()
     assert (obj.x, obj.y) == (hx, hy)
-    step_ground(state, MotionCommand.rotate(1.0), [])
+    step_ground(state, MotionCommand.rotate(1.0))
     hx, hy = state.head_point()
     assert (obj.x, obj.y) == (hx, hy)
 
