@@ -12,13 +12,15 @@ planning thread with a ground following thread, and manipulation expands to
 approach / attach / transport / detach.
 
 Execution interleaves the two threads in one deterministic tick loop:
-advance the drone, observe, check the carried object (rolling back to
-re-attach on a drop, before any decision is made for carrying), select a
-ground direction, step the ground robot, queue the local map for fusion at
-a fixed cadence, and record debounced collisions. The queue is folded into
-the global map by one ``update`` call only when the map is next read. The
+advance the drone, observe, check on the observation that the carried
+object still rides the head (``carry_check``; a drop rolls back to
+re-attach before any decision is made for carrying), select a ground
+direction, step the ground robot, queue the local map for fusion at a fixed
+cadence, and record debounced collisions. The queue is folded into the
+global map by one ``update`` call only when the map is next read. The
 carried object is always the world's attachment, and the mission totals
-(collisions, path length) are read off the trace and the track.
+(collisions, path length) are read off the trace and the track. Grid and
+world points convert through ``gridmask``'s helpers.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .global_planner import (
     optimize,
     straight_line_init,
 )
-from .gridmask import CameraModel, ground_scale
+from .gridmask import CameraModel, ground_scale, grid_to_world, world_to_grid
 from .local_planner import (
     BlockedError,
     LocalCostWeights,
@@ -64,7 +66,6 @@ from .semantic_map import (
 from .sim_world import (
     WorldState,
     attach,
-    carry_check,
     detach,
     detect_collisions,
     drone_done,
@@ -431,19 +432,19 @@ def plan_leg(world: WorldState, global_map: Optional[GlobalSemanticMap],
     end = resolve_goal(goal, global_map, config.arena) if target is None else target
     start = main_point(world)
     init, at_goal = straight_line_init(
-        (start[0] / cell, start[1] / cell), (end[0] / cell, end[1] / cell), config.n_controls)
+        world_to_grid(cell, start), world_to_grid(cell, end), config.n_controls)
     exclude = set()
     if world.attachment is not None:
         exclude.add(world.object_by_id(world.attachment).name)
     if goal.kind == "object":
         exclude.add(goal.name)
-    pairs = [((e.x / cell, e.y / cell), e.radius / cell)
+    pairs = [(world_to_grid(cell, (e.x, e.y)), e.radius / cell)
              for e in (global_map.entries if global_map else ()) if e.name not in exclude]
     result = optimize(init, config.global_weights, ObstacleSet.from_pairs(pairs))
     if at_goal:
         return Leg(result, [start])
-    pts = sample(result.path, config.global_weights.sample_count) * cell
-    return Leg(result, [(float(p[0]), float(p[1])) for p in pts])
+    pts = sample(result.path, config.global_weights.sample_count)
+    return Leg(result, [grid_to_world(cell, p) for p in pts.tolist()])
 
 
 def construct_map_viewpoints(arena) -> list[tuple[float, float]]:
@@ -468,6 +469,19 @@ class _Failure(Exception):
 
 class _Dropped(Exception):
     """The carried object was lost mid-leg; ``run`` rolls the carry back."""
+
+
+def carry_check(state: WorldState, observed_map) -> bool:
+    """True when the observed carried object still rides near the observed
+    head. On False the executor raises ``_Dropped``, which rolls the carry
+    back (re-runs the attach subtask). Losing sight of the object or the
+    head counts as a drop."""
+    head = observed_map.parts.get("head")
+    carried = next((o for o in observed_map.objects if o.id == state.attachment), None)
+    if head is None or carried is None:  # nothing attached matches no object
+        return False
+    dist_m = math.hypot(carried.x - head[0], carried.y - head[1]) * observed_map.cell_m
+    return dist_m <= state.params.carry_radius
 
 
 class MissionExecutor:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional
 
-from .gridmask import CameraModel, ground_scale
+from .gridmask import CameraModel, ground_scale, world_to_grid
 from .semantic_map import (
     Category,
     Direction,
@@ -113,12 +113,18 @@ def observe(world, camera: CameraModel, goal: Optional[GoalSpec],
     step = world.step
     alphabet = sorted({o.name for o in world.objects})
 
+    def project(tag: str, x: float, y: float) -> tuple[float, float]:
+        # grid point of a world point, with position noise, clamped into view
+        gx, gy = world_to_grid(cell, (x, y), (cx, cy))
+        gx += _gauss(noise.seed, step, tag, "px", noise.position_sigma)
+        gy += _gauss(noise.seed, step, tag, "py", noise.position_sigma)
+        return _clamp(gx, -half_w_cells, half_w_cells), _clamp(gy, -half_h_cells, half_h_cells)
+
     objects = []
     for o in world.objects:
         if not fp.contains(o.x, o.y):
             continue
-        gx = (o.x - cx) / cell + _gauss(noise.seed, step, o.id, "px", noise.position_sigma)
-        gy = (o.y - cy) / cell + _gauss(noise.seed, step, o.id, "py", noise.position_sigma)
+        gx, gy = project(o.id, o.x, o.y)
         name = o.name
         if noise.misclassify_prob > 0.0 and len(alphabet) > 1:
             if _uniform(noise.seed, step, o.id, "mis") < noise.misclassify_prob:
@@ -128,8 +134,7 @@ def observe(world, camera: CameraModel, goal: Optional[GoalSpec],
         objects.append(SemanticObject(
             id=o.id,
             name=name,
-            x=_clamp(gx, -half_w_cells, half_w_cells),
-            y=_clamp(gy, -half_h_cells, half_h_cells),
+            x=gx, y=gy,
             category=category,
             direction=direction,
             is_obstacle_too=obstacle_too,
@@ -140,15 +145,11 @@ def observe(world, camera: CameraModel, goal: Optional[GoalSpec],
     parts = {}
     robot = world.ground_robot
     if fp.contains(robot.x, robot.y):
-        hx = robot.x + world.params.head_offset * math.cos(robot.heading)
-        hy = robot.y + world.params.head_offset * math.sin(robot.heading)
-        tx = robot.x - world.params.head_offset * math.cos(robot.heading)
-        ty = robot.y - world.params.head_offset * math.sin(robot.heading)
-        for tag, (px, py) in (("head", (hx, hy)), ("body", (robot.x, robot.y)), ("tail", (tx, ty))):
-            gx = (px - cx) / cell + _gauss(noise.seed, step, "robot:" + tag, "px", noise.position_sigma)
-            gy = (py - cy) / cell + _gauss(noise.seed, step, "robot:" + tag, "py", noise.position_sigma)
-            parts[tag] = (_clamp(gx, -half_w_cells, half_w_cells),
-                          _clamp(gy, -half_h_cells, half_h_cells))
+        ax = world.params.head_offset * math.cos(robot.heading)
+        ay = world.params.head_offset * math.sin(robot.heading)
+        for tag, px, py in (("head", robot.x + ax, robot.y + ay), ("body", robot.x, robot.y),
+                            ("tail", robot.x - ax, robot.y - ay)):
+            parts[tag] = project("robot:" + tag, px, py)
     objects.sort(key=lambda s: s.id)
 
     return LocalSemanticMap(

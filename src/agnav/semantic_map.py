@@ -3,13 +3,10 @@
 Fusion follows a fixed rule pipeline over the pooled observations:
 
 1. cluster observations whose world positions chain within merge_radius
-   (single-linkage transitive closure). The search hashes each observation
-   into square buckets 2 * merge_radius wide and grows each component by
-   breadth-first search over the 3 x 3 buckets around each member. Any two
-   points within merge_radius of each other differ by at most half a bucket
-   along each axis, so, however ``x / width`` rounds, they land in the same
-   or adjacent buckets: the search runs the same exact pair test over the
-   same pairs as an all-pairs scan would, in near-linear time;
+   (single-linkage transitive closure), growing each component breadth-first
+   by the exact pair test against every later observation in canonical
+   order. The pass is quadratic in the pool, which POOL_CAP keeps to a few
+   observations per object;
 2. drop clusters seen by exactly one map while lying inside another map's
    footprint; keep sole-visibility singletons flagged uncertain;
 3. name each cluster by majority vote over member names (ties keep the
@@ -40,6 +37,8 @@ import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
+
+from .gridmask import grid_to_world
 
 POOL_CAP = 8  # newest observations retained per cluster
 
@@ -178,40 +177,18 @@ def _observations(maps) -> list[_Obs]:
     its map's observer pose, in canonical order."""
     obs = []
     for m in maps:
-        step, ox, oy, cell = m.step_index, m.observer_x, m.observer_y, m.cell_m
+        origin, cell = (m.observer_x, m.observer_y), m.cell_m
         for o in m.objects:
-            obs.append(_Obs(step, o.id, ox + o.x * cell, oy + o.y * cell, o.name,
-                            o.radius * cell, o.orientation))
+            x, y = grid_to_world(cell, (o.x, o.y), origin)
+            obs.append(_Obs(m.step_index, o.id, x, y, o.name, o.radius * cell, o.orientation))
     obs.sort(key=_obs_key)
     return obs
-
-
-def _bucket(o: _Obs, width: float):
-    """Spatial-hash cell of an observation; None when a coordinate over the
-    width is not finite. Such records can only link among themselves: a
-    non-finite coordinate fails every pair test, and a finite one that
-    overflows the quotient has float neighbours more than a bucket apart."""
-    try:
-        return (math.floor(o.x / width), math.floor(o.y / width))
-    except (ValueError, OverflowError):
-        return None
 
 
 def _cluster_records(obs: list[_Obs], merge_radius: float) -> list[list[_Obs]]:
     """Single-linkage components of the distance <= merge_radius graph,
     ordered by each component's canonically-first member, members in
-    canonical order. See rule 1 of the module docstring for the search."""
-    width = 2.0 * merge_radius
-    cells = [_bucket(o, width) for o in obs]
-    buckets: dict = {}
-    for i, cell in enumerate(cells):
-        buckets.setdefault(cell, []).append(i)
-    near = {None: buckets.get(None)}
-    for cell in buckets:
-        if cell is not None:
-            cx, cy = cell
-            near[cell] = [j for gx in (cx - 1, cx, cx + 1) for gy in (cy - 1, cy, cy + 1)
-                          for j in buckets.get((gx, gy), ())]
+    canonical order (rule 1 of the module docstring)."""
     seen = [False] * len(obs)
     groups = []
     for start in range(len(obs)):
@@ -221,7 +198,7 @@ def _cluster_records(obs: list[_Obs], merge_radius: float) -> list[list[_Obs]]:
         comp = [start]
         for a in comp:  # grows while iterated: breadth-first
             ax, ay = obs[a].x, obs[a].y
-            for b in near[cells[a]]:
+            for b in range(start + 1, len(obs)):
                 if not seen[b] and math.hypot(ax - obs[b].x, ay - obs[b].y) <= merge_radius:
                     seen[b] = True
                     comp.append(b)

@@ -4,9 +4,11 @@ Motion is kinematic: the drone advances along world waypoints at a fixed
 speed (holding position whenever the ground robot falls outside the follow
 radius), and the ground robot executes the rotate/forward/backward/stop
 command the executor chose; an in-place rotation takes the shorter way to
-the target heading, so no motion reads the perceiver's output. An attached
-object is slaved to the head offset point every step. Collision events are
-debounced: one event per contiguous overlap run per (body, object) pair.
+the target heading. The simulator reads no perceiver output; whether a
+carry still holds is the executor's judgment (``mission.carry_check``). An
+attached object is slaved to the head offset point every step. Collision
+events are debounced: one event per contiguous overlap run per (body,
+object) pair.
 """
 
 from __future__ import annotations
@@ -177,9 +179,7 @@ def step_ground(state: WorldState, cmd: MotionCommand) -> None:
     r, params = state.ground_robot, state.params
     if cmd.kind == MotionKind.ROTATE:
         sign = rotation_direction(state, cmd.target_heading)
-        # angular distance to the target going in the chosen direction
-        delta = wrap_angle(cmd.target_heading - r.heading)
-        remaining = delta % (2.0 * math.pi) if sign > 0 else (-delta) % (2.0 * math.pi)
+        remaining = abs(wrap_angle(cmd.target_heading - r.heading))
         r.heading = wrap_angle(r.heading + sign * min(params.rotate_rate, remaining))
     elif cmd.kind == MotionKind.FORWARD:
         r.x += params.ground_step * math.cos(r.heading)
@@ -218,26 +218,6 @@ def detach(state: WorldState) -> str:
     released = state.attachment
     state.attachment = None
     return released
-
-
-def carry_check(state: WorldState, observed_map) -> bool:
-    """True when the observed carried object still rides near the observed
-    head; False requests a rollback (re-run the attach subtask). Losing
-    sight of the object or the head is treated as a rollback."""
-    if state.attachment is None:
-        return False
-    head = observed_map.parts.get("head")
-    if head is None:
-        return False
-    carried = None
-    for o in observed_map.objects:
-        if o.id == state.attachment:
-            carried = o
-            break
-    if carried is None:
-        return False
-    dist_m = math.hypot(carried.x - head[0], carried.y - head[1]) * observed_map.cell_m
-    return dist_m <= state.params.carry_radius
 
 
 def detect_collisions(state: WorldState, previous_overlaps: frozenset) -> tuple[list, frozenset]:

@@ -122,8 +122,8 @@ def pool_of(points):
 @pytest.mark.parametrize("radius", [0.1, 0.05, 0.15, 0.2, 0.3])
 def test_cluster_exact_on_lattices(radius):
     # 0.1-m lattice points, negative coordinates included: neighbours sit
-    # exactly (up to rounding of i * 0.1) one radius apart and many land on
-    # bucket edges, where x / (2 * radius) rounds either way
+    # exactly (up to rounding of i * 0.1) one radius apart, so the rounding
+    # of each pair's distance decides the exact test
     rng = random.Random(int(radius * 100))
     lattice = [(i * 0.1, j * 0.1) for i in range(-12, 13) for j in range(-12, 13)]
     for _ in range(20):
@@ -132,8 +132,9 @@ def test_cluster_exact_on_lattices(radius):
 
 
 def test_cluster_exact_across_bucket_edges():
-    # pairs straddling the edges k * 2r of the buckets, at, just inside and
-    # just outside the radius
+    # pairs at, just inside and just outside the radius, straddling the
+    # multiples k * 2r, where a spatial index with cells 2r wide would put
+    # its cell edges
     radius = 0.1
     points = []
     for k in range(-4, 5):
@@ -154,7 +155,8 @@ def test_cluster_exact_with_duplicates_and_nonfinite():
     got = _cluster_records(obs, 0.1)
     assert got == all_pairs_groups(obs, 0.1)
     assert sorted(len(g) for g in got) == [1] * 6 + [2, 3, 5]
-    # radii whose bucket width over- or underflows the quotient
+    # subnormal and near-maximal radii, whose scaled coordinates would
+    # under- or overflow in an indexed search
     points += [(1e-16, 0.0), (1e-16, 0.0), (2e-16, 0.0), (1e-300, 1e-300)]
     obs = pool_of(points)
     for radius in (5e-324, 1e-300, 1e307, 1e308):
