@@ -49,7 +49,7 @@ class GlobalCostWeights:
     q_length: float = 1.0
     q_curvature: float = 5.0
     q_obstacle: float = 50.0
-    d_safe: float = 1.5  # grid cells
+    d_safe: float = 2.5  # grid cells
     sample_count: int = 64
 
     def __post_init__(self):

@@ -69,6 +69,8 @@ class CameraModel:
             raise ValueError("grid_interval must be positive")
         if self.image_width <= 0:
             raise ValueError("image_width must be positive")
+        if self.image_height is not None and self.image_height <= 0:
+            raise ValueError("image_height must be positive")
 
     @property
     def height(self) -> int:

@@ -37,7 +37,7 @@ class LocalCostWeights:
     q_obstacle: float = 2.0
     q_window: float = 1.0
     beta: float = 5.0
-    d_safe: float = 1.5       # cells
+    d_safe: float = 1.2       # cells
     epsilon: float = 1e-6     # cells
     lookahead: float = 5.0    # cells
     window_half_extent: float = 10.0  # cells
@@ -48,8 +48,8 @@ class LocalCostWeights:
             raise ValueError("weights must be finite")
         if min(self.q_align, self.q_zero, self.q_obstacle, self.q_window, self.beta) < 0:
             raise ValueError("weights must be non-negative")
-        if self.epsilon <= 0 or self.d_safe <= 0 or self.lookahead <= 0:
-            raise ValueError("epsilon, d_safe, and lookahead must be positive")
+        if min(self.epsilon, self.d_safe, self.lookahead, self.window_half_extent) <= 0:
+            raise ValueError("epsilon, d_safe, lookahead, and window_half_extent must be positive")
         if self.candidate_count < 4:
             raise ValueError("candidate_count must be at least 4")
 

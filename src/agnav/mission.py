@@ -34,6 +34,7 @@ from functools import reduce
 from typing import Optional
 
 from .global_planner import (
+    DEGREE,
     GlobalCostWeights,
     GlobalPlanResult,
     ObstacleSet,
@@ -106,11 +107,17 @@ class MissionConfig:
     n_controls: int = 6
     step_budget: int = 4000
     map_update_every: int = 10
-    dist_stop: float = 0.5  # cells
+    dist_stop: float = 0.45  # cells
     angle_tol: float = 0.1  # rad
     pitch: float = 0.4  # meters, word-assembly slot spacing
     success_radius: float = 0.2  # meters, ground-truth placement tolerance
     drop_at_step: Optional[int] = None
+
+    def __post_init__(self):
+        if self.map_update_every < 1:
+            raise ValueError("map_update_every must be at least 1")
+        if self.n_controls < DEGREE + 1:
+            raise ValueError(f"n_controls must be at least degree+1 = {DEGREE + 1}")
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ class GoalSpec:
     y: float = 0.0
     name: Optional[str] = None
     direction: Optional[Direction] = None
-    clearance: float = 0.4  # meters, relation goals
+    clearance: float = 0.55  # meters, relation goals
 
     @classmethod
     def coordinate(cls, x: float, y: float) -> "GoalSpec":

@@ -14,18 +14,8 @@ import json
 
 def base_scenario(task: str, objects: list[dict], seed: int = 0,
                   noise: dict | None = None, drop_at_step: int | None = None) -> dict:
-    execution: dict = {
-        "dist_stop": 0.45,
-        "angle_tol": 0.1,
-        "relation_clearance": 0.55,
-        "n_controls": 6,
-        "step_budget": 4000,
-        "map_update_every": 10,
-        "success_radius": 0.2,
-    }
-    if drop_at_step is not None:
-        execution["drop_at_step"] = drop_at_step
-    return {
+    """The task, the scene and the hardware; every other setting is its default."""
+    doc = {
         "seed": seed,
         "task": task,
         "arena": {"xmin": -2.0, "xmax": 2.0, "ymin": -2.0, "ymax": 2.0},
@@ -37,42 +27,12 @@ def base_scenario(task: str, objects: list[dict], seed: int = 0,
         },
         "noise": noise or {},
         "objects": objects,
-        "drone": {"x": -1.4, "y": -1.4, "altitude": 2.0},
+        "drone": {"x": -1.4, "y": -1.4},
         "ground_robot": {"x": -1.4, "y": -1.4, "heading": 0.0, "radius": 0.25},
-        "sim": {
-            "drone_speed": 0.1,
-            "ground_step": 0.05,
-            "rotate_rate": 0.2,
-            "follow_radius": 1.0,
-            "attach_range": 0.15,
-            "attach_angle_tol": 0.15,
-            "carry_radius": 0.2,
-            "head_offset": 0.4,
-        },
-        "global_weights": {
-            "q_length": 1.0,
-            "q_curvature": 5.0,
-            "q_obstacle": 50.0,
-            "d_safe": 2.5,
-            "sample_count": 64,
-        },
-        "local_weights": {
-            "q_align": 1.0,
-            "q_zero": 0.5,
-            "q_obstacle": 2.0,
-            "q_window": 1.0,
-            "beta": 5.0,
-            "d_safe": 1.2,
-            "epsilon": 1e-6,
-            "lookahead": 5.0,
-            "window_half_extent": 10.0,
-            "candidate_count": 36,
-        },
-        # conflict radius below the word pitch: assembled letters legitimately
-        # sit 0.4 m apart and must not trigger the mislabel-conflict rule
-        "fusion": {"merge_radius": 0.1, "conflict_radius": 0.3},
-        "execution": execution,
     }
+    if drop_at_step is not None:
+        doc["execution"] = {"drop_at_step": drop_at_step}
+    return doc
 
 
 def _block(name: str, x: float, y: float, yaw: float = 0.0) -> dict:

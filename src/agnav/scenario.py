@@ -4,11 +4,12 @@ the input of ``agnav fuse``, and local observations, the input of ``agnav
 plan-local-step``, are checked by the same section rules.
 
 A scenario is one JSON document holding the arena, the objects, both robot
-poses, the camera/noise models, every planner weight, and the task string.
-Each section's schema is read off the dataclass it builds, so a field's type
-and default live in one place. Validation reports field-level paths (unknown
-keys included) so a bad file fails with a usable diagnostic rather than a
-traceback.
+poses, the camera/noise models, and the task string; the planner weight,
+simulator, fusion and execution sections are optional. Each section's schema
+is read off the dataclass it builds, so a field's type and default live in
+one place, and the defaults are the values the missions run with.
+Validation reports field-level paths (unknown keys included) so a bad file
+fails with a usable diagnostic rather than a traceback.
 """
 
 from __future__ import annotations
@@ -208,7 +209,8 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
     sim = build(SimParams, top["sim"], "$.sim")
     ex = _section(top["execution"], "$.execution", _EXECUTION)
     clearance = ex.pop("relation_clearance")
-    config = MissionConfig(
+    config = _new(
+        MissionConfig, "$.execution",
         camera=camera,
         noise=noise,
         global_weights=build(GlobalCostWeights, top["global_weights"], "$.global_weights"),

@@ -142,7 +142,9 @@ class GlobalSemanticMap:
 @dataclass(frozen=True)
 class FusionParams:
     merge_radius: float = 0.1     # meters
-    conflict_radius: float = 0.5  # meters
+    # below the word pitch: assembled letters legitimately sit 0.4 m apart
+    # and must not trigger the mislabel-conflict rule
+    conflict_radius: float = 0.3  # meters
 
     def __post_init__(self):
         if self.merge_radius <= 0 or self.conflict_radius <= 0:

@@ -64,7 +64,7 @@ def test_parse_move_to_object():
 
 def test_parse_relational_carry():
     cmd = parse_command("move the L cube to the front side of the O cube")
-    assert cmd == Carry("L", GoalSpec.relation("O", Direction.FRONT, 0.4))
+    assert cmd == Carry("L", GoalSpec.relation("O", Direction.FRONT, 0.55))
     cmd = parse_command("carry I to back of U", relation_clearance=0.5)
     assert cmd == Carry("I", GoalSpec.relation("U", Direction.BACK, 0.5))
 
@@ -301,7 +301,7 @@ def test_long_horizon_word_assembly_end_to_end():
         _block("V", -0.4, 0.8), _block("E", 1.1, 0.6),
     ]
     doc = base_scenario("assemble LOVE, do not move L and V", objects)
-    doc["execution"]["step_budget"] = 8000
+    doc.setdefault("execution", {})["step_budget"] = 8000
     _, res = run_scenario(doc)
     assert res.success
     assert res.collisions == 0
@@ -404,7 +404,7 @@ def test_rollback_limit_ends_the_mission():
     # while the block is still held, so every rollback must release it
     # before the re-attach; the rollback past the limit ends the mission
     doc = type_a_scenario(0, noise=dict(NOISE_CALIBRATED))
-    doc["sim"]["carry_radius"] = 0.05
+    doc.setdefault("sim", {})["carry_radius"] = 0.05
     scen = load_scenario(doc, seed_override=0)
     plan = decompose(parse_command(scen.task, scen.relation_clearance), pitch=scen.config.pitch)
     executor = MissionExecutor(plan, scen.world, scen.config)
@@ -447,8 +447,9 @@ def test_execute_does_not_mutate_input_world():
 def _blocked_window_doc():
     # a window smaller than the lookahead ring bars every candidate
     doc = type_a_scenario(0)
-    doc["local_weights"]["window_half_extent"] = 3.0
-    doc["local_weights"]["lookahead"] = 5.0
+    weights = doc.setdefault("local_weights", {})
+    weights["window_half_extent"] = 3.0
+    weights["lookahead"] = 5.0
     return doc
 
 
@@ -475,7 +476,7 @@ def test_attach_on_immovable_block_fails_cleanly():
 # -- pinned trace bytes -------------------------------------------------------
 
 def _fuse_every_tick(doc):
-    doc["execution"]["map_update_every"] = 1
+    doc.setdefault("execution", {})["map_update_every"] = 1
     return doc
 
 

@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
-from agnav.mission import MissionExecutor, Subtask, TaskPlan
-from agnav.presets import type_a_scenario, write_scenarios
+from agnav.mission import GoalSpec, MissionConfig, MissionExecutor, Subtask, TaskPlan
+from agnav.presets import NOISE_CALIBRATED, type_a_scenario, type_b_scenario, write_scenarios
 from agnav.scenario import ScenarioError, load_scenario
+from agnav.sim_world import SimParams
 
 
 def run_cli(*args):
@@ -43,7 +44,7 @@ def test_load_scenario_field_diagnostics():
     with pytest.raises(ScenarioError, match=r"objects\[0\]"):
         load_scenario(doc)
     doc = type_a_scenario(0)
-    doc["local_weights"]["bogus"] = 1
+    doc.setdefault("local_weights", {})["bogus"] = 1
     with pytest.raises(ScenarioError, match="bogus"):
         load_scenario(doc)
 
@@ -65,10 +66,11 @@ def test_former_perceiver_ids_are_plain_scene_names():
 
 
 def _set(doc, path, value):
-    """Set a dotted key path of a scenario document (list indices allowed)."""
+    """Set a dotted key path of a scenario document (list indices allowed),
+    creating a missing section."""
     *parents, leaf = path.split(".")
     for key in parents:
-        doc = doc[int(key)] if isinstance(doc, list) else doc[key]
+        doc = doc[int(key)] if isinstance(doc, list) else doc.setdefault(key, {})
     doc[leaf] = value
 
 
@@ -95,6 +97,10 @@ def test_load_scenario_rejects_unknown_key(path):
     ("noise.misclassify_prob", 2.0),
     ("objects.0.radius", -0.5),
     ("ground_robot.radius", -0.5),
+    ("camera.image_height", 0),
+    ("local_weights.window_half_extent", 0.0),
+    ("execution.map_update_every", 0),
+    ("execution.n_controls", 3),
 ])
 def test_load_scenario_dataclass_rule_names_section(path, value):
     doc = type_a_scenario(0)
@@ -129,6 +135,40 @@ def test_run_scenario_cli_bad_fov_is_a_diagnostic(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("key, value, reason", [
+    ("map_update_every", 0, "map_update_every must be at least 1"),
+    ("n_controls", 3, "n_controls must be at least degree+1 = 4"),
+    ("n_controls", 1, "n_controls must be at least degree+1 = 4"),
+])
+def test_run_scenario_cli_bad_execution_value_is_a_diagnostic(tmp_path, key, value, reason):
+    doc = type_a_scenario(0)
+    doc["execution"] = {key: value}
+    r = run_cli("run-scenario", "--file", write_doc(tmp_path, doc),
+                "--trace", str(tmp_path / "t.jsonl"), "--summary", str(tmp_path / "s.json"))
+    assert r.returncode == 1
+    assert r.stderr == f"error: $.execution: {reason}\n"
+
+
+PRESETS = ([(f"type_a_{i}", type_a_scenario(i)) for i in range(10)]
+           + [(f"type_b_{i}", type_b_scenario(i)) for i in range(3)]
+           + [("noisy_type_a_0", type_a_scenario(0, noise=dict(NOISE_CALIBRATED))),
+              ("drop130", type_a_scenario(0, drop_at_step=130))])
+
+
+@pytest.mark.parametrize("doc", [p[1] for p in PRESETS], ids=[p[0] for p in PRESETS])
+def test_presets_state_only_task_scene_hardware(doc):
+    # a preset names its task, scene and hardware; every planner weight,
+    # simulator and execution setting is the dataclass default
+    assert not {"sim", "global_weights", "local_weights", "fusion"} & set(doc)
+    assert set(doc.get("execution", {})) <= {"drop_at_step"}
+    scen = load_scenario(doc)
+    cfg = scen.config
+    assert cfg == MissionConfig(camera=cfg.camera, noise=cfg.noise, arena=cfg.arena,
+                                drop_at_step=doc.get("execution", {}).get("drop_at_step"))
+    assert scen.world.params == SimParams()
+    assert scen.relation_clearance == GoalSpec.clearance
+
+
 def test_run_scenario_cli_success(tmp_path):
     p = write_doc(tmp_path, type_a_scenario(0, seed=1))
     r = run_cli("run-scenario", "--file", p,
@@ -159,7 +199,7 @@ def test_run_scenario_cli_schema_error(tmp_path):
 
 def test_run_scenario_cli_task_failure_exit_code(tmp_path):
     doc = type_a_scenario(0)
-    doc["execution"]["step_budget"] = 50  # cannot finish
+    doc.setdefault("execution", {})["step_budget"] = 50  # cannot finish
     p = write_doc(tmp_path, doc)
     r = run_cli("run-scenario", "--file", p,
                 "--trace", str(tmp_path / "t.jsonl"),
@@ -362,9 +402,12 @@ def test_plan_local_step_cli(tmp_path):
     assert "theta_deg" in r.stdout
     assert r.stdout.count("\n") >= 37  # header + 36 candidates + command
     assert "command=" in r.stdout
-    # the whole table and command, byte for byte
+    assert r.stdout.endswith("command=rotate theta_star_deg=320.0\n")
+    # the whole table and command, byte for byte. Re-pinned when the
+    # LocalCostWeights defaults became the executor's weights (d_safe 1.2
+    # cells): without --weights the table now scores as a mission does
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
-        "51a64bf411cede1f74746592e465eb76ce8c51fc6c1e957d5abcd6d565aaaf27")
+        "7d3f4b956de84d322f4224e4a8eebe95df9fda11c2dd171b3b7cc74ce6a88cd1")
 
 
 @pytest.mark.parametrize("weights, field", [
