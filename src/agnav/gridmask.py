@@ -16,17 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-
-class GridPoint(NamedTuple):
-    x: float
-    y: float
-
-
-class WorldPoint(NamedTuple):
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -86,42 +75,16 @@ class GroundScale:
     cell_m: float
 
 
-def grid_vertices(spec: GridSpec) -> tuple[list[float], list[float]]:
-    """Lattice line positions in pixel coordinates, both lists sorted ascending.
-
-    Vertical lines sit at x = w/2 + i*s and horizontal lines at y = h/2 - j*s
-    for every integer i, j keeping the position inside [0, w) x [0, h).
-    """
+def grid_lines(spec: GridSpec) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:
+    """Lattice lines as (index, pixel position) pairs, each axis sorted by
+    position: x = w/2 + i*s and y = h/2 - j*s for every integer i, j keeping
+    the position inside [0, w) x [0, h)."""
     w, h, s = float(spec.image_width), float(spec.image_height), float(spec.cell_size)
-    xs = []
-    i = math.ceil(-w / (2.0 * s)) - 2
-    while True:
-        x = w / 2.0 + i * s
-        if x >= w:
-            break
-        if x >= 0.0:
-            xs.append(x)
-        i += 1
-    ys = []
-    j = math.floor(-h / (2.0 * s)) - 2
-    while True:
-        y = h / 2.0 - j * s
-        if y < 0.0:
-            break
-        if y < h:
-            ys.append(y)
-        j += 1
-    ys.reverse()
+    # |index| <= size / (2 s); one more keeps the bound clear of rounding
+    nx, ny = (math.ceil(size / (2.0 * s)) + 1 for size in (w, h))
+    xs = [(i, x) for i in range(-nx, nx + 1) if 0.0 <= (x := w / 2.0 + i * s) < w]
+    ys = [(j, y) for j in range(ny, -ny - 1, -1) if 0.0 <= (y := h / 2.0 - j * s) < h]
     return xs, ys
-
-
-def grid_line_indices(spec: GridSpec) -> tuple[list[int], list[int]]:
-    """Integer lattice indices (i, j) matching :func:`grid_vertices` order."""
-    w, h, s = float(spec.image_width), float(spec.image_height), float(spec.cell_size)
-    xs, ys = grid_vertices(spec)
-    is_ = [round((x - w / 2.0) / s) for x in xs]
-    js = [round((h / 2.0 - y) / s) for y in ys]
-    return is_, js
 
 
 def ground_scale(camera: CameraModel) -> GroundScale:
@@ -137,21 +100,21 @@ def ground_scale(camera: CameraModel) -> GroundScale:
     return GroundScale(n_grid=n_grid, width_real=width_real, cell_m=width_real / n_grid)
 
 
-def grid_to_world(cell_m: float, p, origin=None) -> WorldPoint:
+def grid_to_world(cell_m: float, p, origin=None) -> tuple[float, float]:
     """Scale a grid-frame point to meters, optionally offset by the camera's
     ground-projection point."""
     if cell_m <= 0:
         raise ValueError("cell_m must be positive")
     ox, oy = (0.0, 0.0) if origin is None else (origin[0], origin[1])
-    return WorldPoint(cell_m * p[0] + ox, cell_m * p[1] + oy)
+    return (cell_m * p[0] + ox, cell_m * p[1] + oy)
 
 
-def world_to_grid(cell_m: float, p, origin=None) -> GridPoint:
+def world_to_grid(cell_m: float, p, origin=None) -> tuple[float, float]:
     """Inverse of :func:`grid_to_world`."""
     if cell_m <= 0:
         raise ValueError("cell_m must be positive")
     ox, oy = (0.0, 0.0) if origin is None else (origin[0], origin[1])
-    return GridPoint((p[0] - ox) / cell_m, (p[1] - oy) / cell_m)
+    return ((p[0] - ox) / cell_m, (p[1] - oy) / cell_m)
 
 
 def _fmt(v: float) -> str:
@@ -163,8 +126,7 @@ def render_gridmask_svg(spec: GridSpec) -> str:
     """Deterministic SVG document with one line per lattice line and an index
     label per line. Identical specs produce byte-identical text."""
     w, h = spec.image_width, spec.image_height
-    xs, ys = grid_vertices(spec)
-    is_, js = grid_line_indices(spec)
+    xs, ys = grid_lines(spec)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -172,22 +134,22 @@ def render_gridmask_svg(spec: GridSpec) -> str:
         f'<rect x="0" y="0" width="{_fmt(w)}" height="{_fmt(h)}" '
         'fill="white" stroke="black" stroke-width="1"/>',
     ]
-    for x in xs:
+    for _, x in xs:
         parts.append(
             f'<line x1="{_fmt(x)}" y1="0" x2="{_fmt(x)}" y2="{_fmt(h)}" '
             'stroke="gray" stroke-width="1"/>'
         )
-    for y in ys:
+    for _, y in ys:
         parts.append(
             f'<line x1="0" y1="{_fmt(y)}" x2="{_fmt(w)}" y2="{_fmt(y)}" '
             'stroke="gray" stroke-width="1"/>'
         )
-    for x, i in zip(xs, is_):
+    for i, x in xs:
         parts.append(
             f'<text x="{_fmt(x + 2)}" y="{_fmt(h - 4)}" font-size="10" '
             f'fill="black">{i}</text>'
         )
-    for y, j in zip(ys, js):
+    for j, y in ys:
         parts.append(
             f'<text x="2" y="{_fmt(y - 2)}" font-size="10" fill="black">{j}</text>'
         )

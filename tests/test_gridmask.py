@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,8 @@ from hypothesis import strategies as st
 from agnav.gridmask import (
     CameraModel,
     GridSpec,
-    grid_line_indices,
+    grid_lines,
     grid_to_world,
-    grid_vertices,
     ground_scale,
     render_gridmask_svg,
     world_to_grid,
@@ -19,14 +20,19 @@ from agnav.gridmask import (
 S_CELL_35_12 = 0.23944788291959231097
 
 
+def positions(spec):
+    xs, ys = grid_lines(spec)
+    return [x for _, x in xs], [y for _, y in ys]
+
+
 def test_vertices_800x600():
-    xs, ys = grid_vertices(GridSpec(800, 600, 80))
+    xs, ys = positions(GridSpec(800, 600, 80))
     assert xs == [0, 80, 160, 240, 320, 400, 480, 560, 640, 720]
     assert ys == [60, 140, 220, 300, 380, 460, 540]
 
 
 def test_vertices_square_boundary():
-    xs, ys = grid_vertices(GridSpec(160, 160, 80))
+    xs, ys = positions(GridSpec(160, 160, 80))
     assert xs == [0, 80]
     assert ys == [0, 80]
 
@@ -34,20 +40,34 @@ def test_vertices_square_boundary():
 def test_vertex_count_1600():
     # independent enumeration of integers i with 0 <= 800 + 80 i < 1600
     expected = sum(1 for i in range(-100, 100) if 0 <= 800 + 80 * i < 1600)
-    xs, _ = grid_vertices(GridSpec(1600, 1600, 80))
+    xs, _ = positions(GridSpec(1600, 1600, 80))
     assert expected == 20
     assert len(xs) == expected
 
 
 def test_vertices_on_lattice():
     spec = GridSpec(801, 601, 80)
-    xs, ys = grid_vertices(spec)
+    xs, ys = positions(spec)
     for x in xs:
         assert 0 <= x < 801
         assert math.isclose((x - 801 / 2) % 80, 0, abs_tol=1e-12) or math.isclose(
             (x - 801 / 2) % 80, 80, abs_tol=1e-12)
     for y in ys:
         assert 0 <= y < 601
+
+
+def test_grid_lines_match_integer_enumeration():
+    # every integer index over a range far wider than the image, kept when its
+    # line lies inside it: 0 <= w/2 + i*s < w and 0 <= h/2 - j*s < h
+    rng = random.Random(0)
+    for _ in range(1000):
+        w, h = rng.randint(1, 400), rng.randint(1, 400)
+        s = rng.choice([float(rng.randint(1, min(w, h))), rng.uniform(1.0, min(w, h))])
+        span = range(-2 * max(w, h), 2 * max(w, h) + 1)
+        xs = [(i, w / 2 + i * s) for i in span if 0 <= w / 2 + i * s < w]
+        ys = sorted(((j, h / 2 - j * s) for j in span if 0 <= h / 2 - j * s < h),
+                    key=lambda p: p[1])
+        assert grid_lines(GridSpec(w, h, s)) == (xs, ys)
 
 
 def test_spec_invariants():
@@ -116,8 +136,6 @@ def test_round_trip_world_grid(x, y, cell, ox, oy):
 
 
 def test_round_trip_1000_points():
-    import random
-
     rng = random.Random(0)
     for _ in range(1000):
         p = (rng.uniform(-10, 10), rng.uniform(-10, 10))
@@ -140,8 +158,17 @@ def test_svg_deterministic():
 
 def test_svg_label_indices():
     spec = GridSpec(800, 600, 80)
-    is_, _ = grid_line_indices(spec)
-    assert is_ == list(range(-5, 5))
+    xs, _ = grid_lines(spec)
+    assert [i for i, _ in xs] == list(range(-5, 5))
     svg = render_gridmask_svg(spec)
-    for i in is_:
+    for i, _ in xs:
         assert f">{i}</text>" in svg
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (GridSpec(1600, 1600, 80), "0cb6b339509f0487dff6b9d3d56336ee797072868bd8c0889c438cefa99aa023"),
+    (GridSpec(801, 601, 80), "097ad91e05a394be8adedf00884560fc259f8ba2381fe99a18076fe49eafe879"),
+])
+def test_svg_bytes_pinned(spec, digest):
+    # the overlay's exact bytes, the 1600 x 1600 one as CI renders it
+    assert hashlib.sha256(render_gridmask_svg(spec).encode()).hexdigest() == digest

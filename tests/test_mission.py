@@ -285,6 +285,27 @@ def test_perceive_target_rule():
     assert obs.anchor == LocalObservation.zero
 
 
+def test_attach_engages_the_block_perceive_reports():
+    # two blocks named L in view: L2, the larger id, sits just off the head,
+    # while L1 lies to the robot's left. The attach engages L1, the first
+    # target by id that the approach homes on, by turning and driving to it.
+    from agnav.presets import base_scenario, _block
+
+    doc = base_scenario("carry L to (1.0, 1.0)", [
+        {**_block("L", -1.4, -0.7), "id": "L1"}, {**_block("L", -0.9, -1.4), "id": "L2"}])
+    scen = load_scenario(doc)
+    executor = MissionExecutor(decompose(parse_command(scen.task)), scen.world, scen.config)
+    local_map, obs = executor._perceive(GoalSpec.object("L"))
+    near = min(local_map.objects, key=lambda o: math.dist((o.x, o.y), obs.head))
+    reported = next(o for o in local_map.objects if (o.x, o.y) == obs.target)
+    assert (near.id, reported.id) == ("L2", "L1")
+    executor._run_attach("L")
+    assert executor.state.attachment == "L1"
+    commands = [rec["command"] for rec in executor.trace if rec["phase"] == "attach"]
+    assert "rotate" in commands and "forward" in commands
+    assert "backward" not in commands
+
+
 def test_noiseless_type_b_end_to_end():
     _, res = run_scenario(type_b_scenario(0))
     assert res.success

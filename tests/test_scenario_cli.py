@@ -139,6 +139,10 @@ def test_run_scenario_cli_bad_fov_is_a_diagnostic(tmp_path):
     ("map_update_every", 0, "map_update_every must be at least 1"),
     ("n_controls", 3, "n_controls must be at least degree+1 = 4"),
     ("n_controls", 1, "n_controls must be at least degree+1 = 4"),
+    ("pitch", 0, "pitch must be positive"),
+    ("dist_stop", -1, "dist_stop must be positive"),
+    ("dist_stop", 0, "dist_stop must be positive"),
+    ("success_radius", -1, "success_radius must be positive"),
 ])
 def test_run_scenario_cli_bad_execution_value_is_a_diagnostic(tmp_path, key, value, reason):
     doc = type_a_scenario(0)
