@@ -17,6 +17,17 @@ Minimization is deterministic L-BFGS on the interior control points
 s^T y / y^T y initial scaling and a normalized steepest first step make the
 argmin invariant under a common positive scaling of the three weights.
 
+With the endpoints pinned to a and b, J >= q_length * |b - a|, since
+L >= |b - a|, K >= 0 and O >= 0. The degree-p B-spline over clamped knots t
+whose control point i lies on the chord at the Greville abscissa
+xi_i = (t_{i+1} + ... + t_{i+p}) / p traces the segment as
+S(u) = a + u (b - a) (linear precision; de Boor, A Practical Guide to
+Splines). Its uniform samples thus give L = |b - a| and K = 0, up to
+rounding, and it meets the bound wherever they clear the band (O = 0).
+When the straight seed's samples clear the band, optimize returns that
+chord without a descent if its O is 0 and its J is no higher than the
+seed's; otherwise it descends as below.
+
 When the straight seed enters the d_safe band, two bowed seeds are descended
 beside it, in lockstep: each round evaluates the trial points of all
 still-active seeds in one call on a (k, n, 2) stack, and each seed then
@@ -322,6 +333,14 @@ def _descend_lockstep(seeds: list[np.ndarray], B: np.ndarray, weights: GlobalCos
 def optimize(init_controls, weights: GlobalCostWeights, obstacles: ObstacleSet) -> GlobalPlanResult:
     """Minimize J over the interior control points; endpoints never move.
 
+    When the straight seed's samples clear the d_safe band, the chord with
+    Greville-spaced control points is the global minimizer whenever its own
+    samples clear the band too (J = q_length * |b - a|, the lower bound, up
+    to rounding). It is returned when its obstacle term is 0 and its cost
+    is no higher than the seed's, with history [J(seed), J(chord)] and
+    converged True: one closed-form step, which ``agnav plan-global``
+    reports as 1 iteration. Otherwise the seed is descended.
+
     Deterministic: when the straight seed penetrates the d_safe band the
     descent can sit on a symmetry saddle, so two laterally bowed seeds are
     also descended and the lowest final cost wins (ties prefer the straight
@@ -342,7 +361,18 @@ def optimize(init_controls, weights: GlobalCostWeights, obstacles: ObstacleSet) 
     B = basis_matrix(knots, DEGREE, us)
 
     seeds = [controls]
-    if _min_clearance(B @ controls, obstacles) < weights.d_safe:
+    if _min_clearance(B @ controls, obstacles) >= weights.d_safe:
+        # the chord with control points at the Greville abscissae
+        xi = (sum(knots[j:j + len(controls)] for j in range(1, DEGREE + 1)) / DEGREE)[:, None]
+        line = (1.0 - xi) * controls[0] + xi * controls[-1]
+        line[[0, -1]] = controls[[0, -1]]
+        (seed_terms, line_terms), _ = _sampled_terms(B @ np.array([controls, line]),
+                                                     weights, obstacles)
+        if line_terms[2] == 0.0 and line_terms[3] <= seed_terms[3]:
+            return GlobalPlanResult(SplinePath(line, DEGREE, knots),
+                                    [seed_terms[3], line_terms[3]],
+                                    CostBreakdown(*line_terms), True)
+    else:
         chord = controls[-1] - controls[0]
         norm = float(np.hypot(chord[0], chord[1]))
         if norm > 0.0:

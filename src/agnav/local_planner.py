@@ -117,8 +117,8 @@ def _score(obs: LocalObservation, w: LocalCostWeights, lookahead: float,
     """(align, zero, obstacle, window, total) of each unit heading (dx, dy)
     of ``directions``, with the ray cut at ``lookahead`` cells. The terms
     that depend only on the observation (the goal and zero-point offsets and
-    their lengths, the obstacle offsets from M) are computed once, so each
-    heading costs one obstacle pass."""
+    their lengths, the offsets from M of the obstacles in reach) are computed
+    once, so each heading costs one pass over the obstacles in reach."""
     mx, my = obs.main
     scale = gx = gy = dist = None
     if obs.target is not None:
@@ -129,11 +129,18 @@ def _score(obs: LocalObservation, w: LocalCostWeights, lookahead: float,
             scale = w.beta / dist
     zx, zy = -mx, -my
     zdist = math.hypot(zx, zy)
-    offsets = [(ox - mx, oy - my, radius) for (ox, oy), radius in obs.obstacles]
     half, d_safe, eps = w.window_half_extent, w.d_safe, w.epsilon
     q_align, q_zero, q_obstacle = w.q_align, w.q_zero, w.q_obstacle
     q_window_open = w.q_window * 0.0  # the window term where it is open
     acos, hypot = math.acos, math.hypot
+    # an obstacle out of reach scores on no ray: |r| <= t + |r - t d|, so
+    # beyond lookahead + d_safe + radius either t > lookahead or its surface
+    # lies d_safe or more off the ray (the margin covers rounding)
+    offsets = []
+    for (ox, oy), radius in obs.obstacles:
+        rx, ry = ox - mx, oy - my
+        if not hypot(rx, ry) > (lookahead + d_safe + radius) * (1.0 + 1e-9):
+            offsets.append((rx, ry, radius))
     out = []
     # _arc inlined: an in-range dot passes unchanged; anything else, NaN
     # included, clamps as min(1.0, max(-1.0, dot)) does

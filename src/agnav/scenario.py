@@ -209,6 +209,8 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
     sim = build(SimParams, top["sim"], "$.sim")
     ex = _section(top["execution"], "$.execution", _EXECUTION)
     clearance = ex.pop("relation_clearance")
+    if not clearance > 0.0:
+        raise ScenarioError("$.execution: relation_clearance must be positive")
     config = _new(
         MissionConfig, "$.execution",
         camera=camera,

@@ -155,9 +155,10 @@ def test_gradient_matches_central_differences_50_scenes():
 
 
 def test_optimize_no_obstacles_stays_straight():
-    # the equally spaced straight polygon is the geometric minimizer; descent
-    # may redistribute interior points along the line (the clamped-knot
-    # parameterization is not arclength-uniform) but never bends it
+    # with nothing in the band the minimizer is the chord with Greville-spaced
+    # control points: optimize moves the equally spaced interior points along
+    # the line (their clamped-knot parameterization is not arclength-uniform)
+    # but never bends it
     init, _ = straight_line_init((0, 0), (4, 0), 5)
     res = optimize(init, GlobalCostWeights(), ObstacleSet.from_pairs([]))
     assert res.converged
@@ -263,7 +264,8 @@ def test_optimize_rejects_short_polygon():
 
 # ---------------------------------------------------------------------------
 # Reference: the sequential per-seed descent that optimize's lockstep descent
-# replaces, kept verbatim. optimize must reproduce it bit for bit.
+# replaces, kept verbatim, and the closed-form chord that optimize returns on
+# a clear leg in its place. optimize must reproduce it bit for bit.
 
 
 def reference_cost_and_grad(controls, B, weights, obstacles):
@@ -370,18 +372,38 @@ def bowed_seeds(controls, weights, obstacles):
     return [controls + amp * bump, controls - amp * bump]
 
 
+def greville_chord(controls, knots):
+    """The chord from the first to the last control point, with control
+    point i at the Greville abscissa (t[i+1] + ... + t[i+DEGREE]) / DEGREE."""
+    line = controls.copy()
+    for i in range(1, len(controls) - 1):
+        xi = sum(knots[i + 1:i + DEGREE + 1]) / DEGREE
+        line[i] = (1.0 - xi) * controls[0] + xi * controls[-1]
+    return line
+
+
+def sample_clearance(pts, obstacles):
+    """Least surface distance from a sample to an obstacle (inf for none)."""
+    return (np.hypot(pts[:, None, 0] - obstacles.centers[None, :, 0],
+                     pts[:, None, 1] - obstacles.centers[None, :, 1])
+            - obstacles.radii[None, :]).min(initial=math.inf)
+
+
 def reference_optimize(controls, weights, obstacles):
-    """(controls, breakdown, history, converged) of the sequential descent."""
+    """(controls, breakdown, history, converged) of the sequential descent,
+    or of the Greville chord where the straight seed's samples clear the
+    band and the chord is clear and no costlier."""
     knots = clamped_uniform_knots(len(controls), DEGREE)
     B = basis_matrix(knots, DEGREE, np.arange(weights.sample_count + 1) / weights.sample_count)
     seeds = [controls]
-    pts = B @ controls
-    if len(obstacles):
-        clear = (np.hypot(pts[:, None, 0] - obstacles.centers[None, :, 0],
-                          pts[:, None, 1] - obstacles.centers[None, :, 1])
-                 - obstacles.radii[None, :]).min()
-        if clear < weights.d_safe:
-            seeds += bowed_seeds(controls, weights, obstacles)
+    if sample_clearance(B @ controls, obstacles) < weights.d_safe:
+        seeds += bowed_seeds(controls, weights, obstacles)
+    else:
+        line = greville_chord(controls, knots)
+        seed_bd, _ = reference_cost_and_grad(controls, B, weights, obstacles)
+        line_bd, _ = reference_cost_and_grad(line, B, weights, obstacles)
+        if line_bd.obstacle == 0.0 and line_bd.total <= seed_bd.total:
+            return line, line_bd, [seed_bd.total, line_bd.total], True
     best = None
     for seed in seeds:
         run = reference_descend(seed, B, weights, obstacles)
@@ -426,12 +448,102 @@ def identity_scenes(count):
         yield init, weights, ObstacleSet.from_pairs(pairs)
 
 
+def clear_scenes(count):
+    """Seeded optimize inputs whose chord clears the d_safe band: 4-9
+    control points, sample counts 16/32/64 and 0-3 obstacles whose surface
+    lies beyond d_safe from every point of the chord."""
+    rng = random.Random(22)
+    for i in range(count):
+        n = 4 + i % 6
+        start = (rng.uniform(-2, 2), rng.uniform(-2, 2))
+        ang = rng.uniform(-math.pi, math.pi)
+        chord = rng.uniform(2, 10)
+        goal = (start[0] + chord * math.cos(ang), start[1] + chord * math.sin(ang))
+        init, _ = straight_line_init(start, goal, n)
+        scale = 10.0 if rng.random() < 0.5 else 1.0
+        weights = GlobalCostWeights(
+            q_length=scale * rng.uniform(0.5, 2.0),
+            q_curvature=scale * rng.uniform(1.0, 9.0),
+            q_obstacle=scale * rng.uniform(10.0, 90.0),
+            d_safe=rng.uniform(0.6, 2.0),
+            sample_count=rng.choice((16, 32, 64)),
+        )
+        pairs = []
+        for _ in range(rng.randint(0, 3)):
+            t = rng.uniform(-0.2, 1.2)
+            radius = rng.uniform(0, 0.6)
+            off = rng.choice((-1.0, 1.0)) * (weights.d_safe + radius + rng.uniform(0.01, 2.0))
+            pairs.append(((start[0] + t * (goal[0] - start[0]) - off * math.sin(ang),
+                           start[1] + t * (goal[1] - start[1]) + off * math.cos(ang)), radius))
+        yield init, weights, ObstacleSet.from_pairs(pairs)
+
+
+def test_optimize_clear_chord_is_the_global_optimum_240_scenes():
+    # J >= q_length * |b - a|; the Greville-spaced chord meets the bound, up
+    # to rounding, and is never worse than the descent it replaces
+    for init, weights, obstacles in clear_scenes(240):
+        res = optimize(init, weights, obstacles)
+        cps = res.path.control_points
+        assert cps[0].tobytes() == init[0].tobytes()
+        assert cps[-1].tobytes() == init[-1].tobytes()
+        chord = float(np.hypot(*(init[-1] - init[0])))
+        assert res.breakdown.obstacle == 0.0
+        assert abs(res.breakdown.length - chord) <= 1e-12 * chord
+        assert res.breakdown.curvature <= 1e-9 * chord
+        B = basis_matrix(res.path.knots, DEGREE,
+                         np.arange(weights.sample_count + 1) / weights.sample_count)
+        _, descended, _, _ = reference_descend(init, B, weights, obstacles)
+        assert res.breakdown.total <= descended.total
+
+
+def bowed_around_midpoint_obstacle():
+    # the input bows around an obstacle on the chord, so its samples clear
+    # the band and the Greville chord's do not
+    init, _ = straight_line_init((0.0, 0.0), (8.0, 0.0), 6)
+    init[1:-1, 1] += 3.0
+    return init, GlobalCostWeights(d_safe=1.0), ObstacleSet.from_pairs([((4.0, 0.0), 0.3)])
+
+
+def perturbed_chord_no_costlier_than_the_chord():
+    # the Greville chord moved by an ulp here and there: where rounding
+    # makes it cheaper than the chord itself, the chord does not beat it
+    rng = random.Random(5)
+    weights, obstacles = GlobalCostWeights(), ObstacleSet.from_pairs([])
+    B = basis_matrix(clamped_uniform_knots(6, DEGREE), DEGREE, np.arange(65) / 64)
+    line = greville_chord(straight_line_init((0.9, -3.7), (4.2, -0.3), 6)[0],
+                          clamped_uniform_knots(6, DEGREE))
+    line_bd, _ = reference_cost_and_grad(line, B, weights, obstacles)
+    while True:
+        init = line.copy()
+        init[1:-1] = np.nextafter(init[1:-1], [[rng.choice((-np.inf, np.inf)) for _ in "xy"]
+                                               for _ in init[1:-1]])
+        if reference_cost_and_grad(init, B, weights, obstacles)[0].total < line_bd.total:
+            return init, weights, obstacles
+
+
+@pytest.mark.parametrize("scene", [bowed_around_midpoint_obstacle,
+                                   perturbed_chord_no_costlier_than_the_chord],
+                         ids=["chord-enters-band", "chord-costlier"])
+def test_optimize_clear_seed_falls_back_to_the_descent(scene):
+    init, weights, obstacles = scene()
+    knots = clamped_uniform_knots(len(init), DEGREE)
+    B = basis_matrix(knots, DEGREE, np.arange(weights.sample_count + 1) / weights.sample_count)
+    assert sample_clearance(B @ init, obstacles) >= weights.d_safe
+    c, bd, history, converged = reference_descend(init, B, weights, obstacles)
+    res = optimize(init, weights, obstacles)
+    assert res.path.control_points.tobytes() != greville_chord(init, knots).tobytes()
+    assert res.path.control_points.tobytes() == c.tobytes()
+    assert history_bytes(res.cost_history) == history_bytes(history)
+    assert res.converged == converged
+    assert res.breakdown == bd
+
+
 def history_bytes(history):
     return np.array(history, dtype=float).tobytes()
 
 
 def test_lockstep_descent_bit_identical_to_sequential_1020_scenes():
-    bowed_wins = 0
+    bowed_wins = closed_form = 0
     for init, weights, obstacles in identity_scenes(1020):
         c, bd, history, converged = reference_optimize(init, weights, obstacles)
         res = optimize(init, weights, obstacles)
@@ -441,8 +553,11 @@ def test_lockstep_descent_bit_identical_to_sequential_1020_scenes():
         assert res.breakdown == bd
         bowed_wins += history[0] != cost_global(
             make_clamped_uniform(init, DEGREE), weights, obstacles).total
-    # the lockstep rounds with several seeds decide the result often
+        closed_form += c.tobytes() == greville_chord(init, res.path.knots).tobytes()
+    # the lockstep rounds with several seeds decide the result often, and
+    # the closed form decides it on many clear scenes
     assert bowed_wins >= 300
+    assert closed_form >= 250
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

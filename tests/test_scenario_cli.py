@@ -143,6 +143,8 @@ def test_run_scenario_cli_bad_fov_is_a_diagnostic(tmp_path):
     ("dist_stop", -1, "dist_stop must be positive"),
     ("dist_stop", 0, "dist_stop must be positive"),
     ("success_radius", -1, "success_radius must be positive"),
+    ("relation_clearance", 0.0, "relation_clearance must be positive"),
+    ("relation_clearance", -0.55, "relation_clearance must be positive"),
 ])
 def test_run_scenario_cli_bad_execution_value_is_a_diagnostic(tmp_path, key, value, reason):
     doc = type_a_scenario(0)
@@ -346,6 +348,21 @@ def test_plan_global_cli(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["already_at_goal"] is True
     assert doc["iterations"] == 0
+
+
+def test_plan_global_cli_clear_leg_is_one_closed_form_step(tmp_path):
+    # the leg from the robot at (-1.4, -1.4) to (-1.4, 1.4) clears every
+    # block by more than d_safe: the Greville-spaced chord, 14 cells long
+    doc = type_a_scenario(0)
+    doc["task"] = "move_to (-1.4, 1.4)"
+    out = tmp_path / "path.json"
+    r = run_cli("plan-global", "--scenario", write_doc(tmp_path, doc), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(out.read_text())
+    assert doc["iterations"] == 1 and doc["converged"] is True
+    assert doc["cost"]["obstacle"] == 0.0
+    assert doc["cost"]["length"] == pytest.approx(14.0, rel=1e-12)
+    assert all(x == pytest.approx(-7.0, abs=1e-12) for x, _ in doc["control_points"])
 
 
 def test_plan_global_cli_plans_the_transport_leg(tmp_path):
