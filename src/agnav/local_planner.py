@@ -112,27 +112,51 @@ def _directions(count: int) -> tuple[tuple[float, float], ...]:
                  for theta in (candidate_theta(i, count) for i in range(count)))
 
 
+def _arcs(directions, ux: float, uy: float, dist: float) -> list[float]:
+    """arccos of each unit heading's dot with (ux, uy) / dist. _arc inlined:
+    an in-range dot passes unchanged; anything else, NaN included, clamps as
+    min(1.0, max(-1.0, dot)) does."""
+    acos = math.acos
+    out = []
+    for dx, dy in directions:
+        dot = (dx * ux + dy * uy) / dist
+        out.append(acos(dot if -1.0 <= dot <= 1.0 else 1.0 if dot > 1.0 else -1.0))
+    return out
+
+
 def _score(obs: LocalObservation, w: LocalCostWeights, lookahead: float,
            directions) -> list[tuple[float, float, float, float, float]]:
     """(align, zero, obstacle, window, total) of each unit heading (dx, dy)
     of ``directions``, with the ray cut at ``lookahead`` cells. The terms
     that depend only on the observation (the goal and zero-point offsets and
     their lengths, the offsets from M of the obstacles in reach) are computed
-    once, so each heading costs one pass over the obstacles in reach."""
+    once, so each heading costs one pass over the obstacles in reach. When
+    the target is the zero point, the alignment arcs are the zero-point arcs;
+    with no obstacle in reach and every ray endpoint inside the window, the
+    rows are built without the per-heading obstacle and window tests."""
     mx, my = obs.main
-    scale = gx = gy = dist = None
-    if obs.target is not None:
+    zx, zy = -mx, -my
+    zdist = math.hypot(zx, zy)
+    n = len(directions)
+    zeros = _arcs(directions, zx, zy, zdist) if zdist > 0.0 else [0.0] * n
+    aligns = [0.0] * n
+    if obs.target == LocalObservation.zero:
+        # T = Z: the goal offset 0 - M is -M up to the sign of a zero, which
+        # changes no dot product's value, so the alignment arc is the zero arc
+        if zdist > 0.0:
+            scale = w.beta / zdist
+            aligns = [scale * arc for arc in zeros]
+    elif obs.target is not None:
         tx, ty = obs.target
         gx, gy = tx - mx, ty - my
         dist = math.hypot(gx, gy)
         if dist > 0.0:
             scale = w.beta / dist
-    zx, zy = -mx, -my
-    zdist = math.hypot(zx, zy)
+            aligns = [scale * arc for arc in _arcs(directions, gx, gy, dist)]
     half, d_safe, eps = w.window_half_extent, w.d_safe, w.epsilon
     q_align, q_zero, q_obstacle = w.q_align, w.q_zero, w.q_obstacle
     q_window_open = w.q_window * 0.0  # the window term where it is open
-    acos, hypot = math.acos, math.hypot
+    hypot = math.hypot
     # an obstacle out of reach scores on no ray: |r| <= t + |r - t d|, so
     # beyond lookahead + d_safe + radius either t > lookahead or its surface
     # lies d_safe or more off the ray (the margin covers rounding)
@@ -141,17 +165,16 @@ def _score(obs: LocalObservation, w: LocalCostWeights, lookahead: float,
         rx, ry = ox - mx, oy - my
         if not hypot(rx, ry) > (lookahead + d_safe + radius) * (1.0 + 1e-9):
             offsets.append((rx, ry, radius))
+    if not offsets and ((abs(mx) + lookahead) * (1.0 + 1e-9) < half
+                        and (abs(my) + lookahead) * (1.0 + 1e-9) < half):
+        # no ray endpoint leaves the window (|m + l d| <= |m| + l per axis)
+        # and no obstacle is in reach: every obstacle and window term is 0
+        q_no_obstacle = q_obstacle * 0.0
+        return [(align, zero, 0.0, 0.0,
+                 q_align * align + q_zero * zero + q_no_obstacle + q_window_open)
+                for align, zero in zip(aligns, zeros)]
     out = []
-    # _arc inlined: an in-range dot passes unchanged; anything else, NaN
-    # included, clamps as min(1.0, max(-1.0, dot)) does
-    for dx, dy in directions:
-        align = zero = 0.0
-        if scale is not None:
-            dot = (dx * gx + dy * gy) / dist
-            align = scale * acos(dot if -1.0 <= dot <= 1.0 else 1.0 if dot > 1.0 else -1.0)
-        if zdist > 0.0:
-            dot = (dx * zx + dy * zy) / zdist
-            zero = acos(dot if -1.0 <= dot <= 1.0 else 1.0 if dot > 1.0 else -1.0)
+    for (dx, dy), align, zero in zip(directions, aligns, zeros):
         obstacle = 0.0
         for rx, ry, radius in offsets:
             t = rx * dx + ry * dy
@@ -217,13 +240,18 @@ def select_direction(obs: LocalObservation, w: LocalCostWeights, *,
     n = w.candidate_count
     rows = tuple(_score(obs, w, lookahead, _directions(n)))
     totals = tuple(row[4] for row in rows)
-    finite = [t for t in totals if math.isfinite(t)]
-    if not finite:
+    index, best, tied = None, math.inf, False
+    for i, t in enumerate(totals):  # the least finite total and its first index
+        if t < best:
+            if math.isfinite(t):
+                index, best, tied = i, t, False
+        elif t == best and index is not None:
+            tied = True
+    if index is None:
         raise BlockedError("all candidate directions exit the window")
-    best = min(finite)
-    tied = [i for i, t in enumerate(totals) if t == best]
-    index = tied[0] if len(tied) == 1 else min(
-        tied, key=lambda i: (_goal_deviation(candidate_theta(i, n), obs), i))
+    if tied:
+        index = min((i for i, t in enumerate(totals) if t == best),
+                    key=lambda i: (_goal_deviation(candidate_theta(i, n), obs), i))
     return DirectionChoice(candidate_theta(index, n), index, totals, rows)
 
 

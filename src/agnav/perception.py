@@ -5,8 +5,10 @@ image-center-relative grid cells), applies calibrated deterministic noise,
 and labels each scene object with its role under the subtask's goal (the
 perceiver's prompt); the carried object is the world's attachment, and the
 robot is reported as its parts, not as an object. Noise is counter-based: every
-random draw hashes (seed, step, object id, channel) so identical inputs give
-byte-identical maps with no shared generator state.
+random draw is one SHA-256 over the bytes ``seed|step|tag|channel`` (the tag is
+the object id, or ``robot:<part>``), so identical inputs give byte-identical
+maps with no shared generator state. ``observe`` encodes the ``seed|step|``
+prefix once per call and each tag's prefix once per object.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional
 
-from .gridmask import CameraModel, ground_scale, world_to_grid
+from .gridmask import CameraModel, GroundScale, ground_scale, world_to_grid
 from .semantic_map import (
     Category,
     Direction,
@@ -37,8 +39,11 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.position_sigma < 0 or self.orientation_sigma < 0:
-            raise ValueError("sigmas must be non-negative")
+        # a NaN sigma would pass a bare sign test and put every reported
+        # point on the footprint corner, where the clamp sends a NaN
+        if not all(math.isfinite(s) and s >= 0 for s in (self.position_sigma,
+                                                          self.orientation_sigma)):
+            raise ValueError("sigmas must be finite and non-negative")
         if not 0.0 <= self.misclassify_prob <= 1.0:
             raise ValueError("misclassify_prob must lie in [0, 1]")
 
@@ -65,29 +70,24 @@ class GoalSpec:
         return cls("relation", name=name, direction=direction, clearance=clearance)
 
 
-def _uniform(seed: int, step: int, tag: str, channel: str) -> float:
-    """Deterministic uniform in (0, 1) from a hashed counter."""
-    digest = hashlib.sha256(f"{seed}|{step}|{tag}|{channel}".encode()).digest()
-    v = int.from_bytes(digest[:8], "big")
-    return (v + 0.5) / 2.0 ** 64
+def _uniform(key: bytes) -> float:
+    """Deterministic uniform in (0, 1) from the hashed counter ``key``."""
+    return (int.from_bytes(hashlib.sha256(key).digest()[:8], "big") + 0.5) / 2.0 ** 64
 
 
-def _gauss(seed: int, step: int, tag: str, channel: str, sigma: float) -> float:
-    if sigma == 0.0:
-        return 0.0
-    return sigma * _NORMAL.inv_cdf(_uniform(seed, step, tag, channel))
+def _gauss(key: bytes, sigma: float) -> float:
+    return 0.0 if sigma == 0.0 else sigma * _NORMAL.inv_cdf(_uniform(key))
 
 
 def camera_footprint(camera: CameraModel, cx: float, cy: float) -> Footprint:
     """World rectangle on the ground seen from (cx, cy) at the camera altitude."""
-    scale = ground_scale(camera)
+    return _footprint(camera, ground_scale(camera), cx, cy)
+
+
+def _footprint(camera: CameraModel, scale: GroundScale, cx: float, cy: float) -> Footprint:
     half_w = scale.width_real / 2.0
     half_h = half_w * camera.height / camera.image_width
     return Footprint(cx - half_w, cx + half_w, cy - half_h, cy + half_h)
-
-
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return min(hi, max(lo, v))
 
 
 def observe(world, camera: CameraModel, goal: Optional[GoalSpec],
@@ -107,29 +107,37 @@ def observe(world, camera: CameraModel, goal: Optional[GoalSpec],
     scale = ground_scale(camera)
     cell = scale.cell_m
     cx, cy = world.drone.x, world.drone.y
-    fp = camera_footprint(camera, cx, cy)
-    half_w_cells = (fp.xmax - fp.xmin) / 2.0 / cell
-    half_h_cells = (fp.ymax - fp.ymin) / 2.0 / cell
+    fp = _footprint(camera, scale, cx, cy)
+    xmin, xmax, ymin, ymax = fp.xmin, fp.xmax, fp.ymin, fp.ymax
+    half_w = (xmax - xmin) / 2.0 / cell
+    half_h = (ymax - ymin) / 2.0 / cell
+    lo_x, lo_y = -half_w, -half_h
     step = world.step
-    alphabet = sorted({o.name for o in world.objects})
+    prefix = f"{noise.seed}|{step}|".encode()
+    pos_sigma, yaw_sigma = noise.position_sigma, noise.orientation_sigma
+    mis_prob = noise.misclassify_prob
+    alphabet = sorted({o.name for o in world.objects}) if mis_prob > 0.0 else ()
 
-    def project(tag: str, x: float, y: float) -> tuple[float, float]:
+    def project(key: bytes, x: float, y: float) -> tuple[float, float]:
         # grid point of a world point, with position noise, clamped into view
+        # as min(hi, max(lo, v)) clamps (a NaN lands on lo)
         gx, gy = world_to_grid(cell, (x, y), (cx, cy))
-        gx += _gauss(noise.seed, step, tag, "px", noise.position_sigma)
-        gy += _gauss(noise.seed, step, tag, "py", noise.position_sigma)
-        return _clamp(gx, -half_w_cells, half_w_cells), _clamp(gy, -half_h_cells, half_h_cells)
+        gx += _gauss(key + b"px", pos_sigma)
+        gy += _gauss(key + b"py", pos_sigma)
+        gx = gx if gx > lo_x else lo_x
+        gy = gy if gy > lo_y else lo_y
+        return (gx if gx < half_w else half_w), (gy if gy < half_h else half_h)
 
     objects = []
     for o in world.objects:
-        if not fp.contains(o.x, o.y):
+        if not (xmin <= o.x <= xmax and ymin <= o.y <= ymax):
             continue
-        gx, gy = project(o.id, o.x, o.y)
+        key = prefix + f"{o.id}|".encode()
+        gx, gy = project(key, o.x, o.y)
         name = o.name
-        if noise.misclassify_prob > 0.0 and len(alphabet) > 1:
-            if _uniform(noise.seed, step, o.id, "mis") < noise.misclassify_prob:
-                others = [n for n in alphabet if n != o.name]
-                name = others[int(_uniform(noise.seed, step, o.id, "sub") * len(others))]
+        if len(alphabet) > 1 and _uniform(key + b"mis") < mis_prob:
+            others = [n for n in alphabet if n != o.name]
+            name = others[int(_uniform(key + b"sub") * len(others))]
         category, direction, obstacle_too = _role(o.id, name, goal, world.attachment)
         objects.append(SemanticObject(
             id=o.id,
@@ -138,18 +146,18 @@ def observe(world, camera: CameraModel, goal: Optional[GoalSpec],
             category=category,
             direction=direction,
             is_obstacle_too=obstacle_too,
-            orientation=o.yaw + _gauss(noise.seed, step, o.id, "yaw", noise.orientation_sigma),
+            orientation=o.yaw + _gauss(key + b"yaw", yaw_sigma),
             radius=o.radius / cell,
         ))
 
     parts = {}
     robot = world.ground_robot
-    if fp.contains(robot.x, robot.y):
+    if xmin <= robot.x <= xmax and ymin <= robot.y <= ymax:
         ax = world.params.head_offset * math.cos(robot.heading)
         ay = world.params.head_offset * math.sin(robot.heading)
         for tag, px, py in (("head", robot.x + ax, robot.y + ay), ("body", robot.x, robot.y),
                             ("tail", robot.x - ax, robot.y - ay)):
-            parts[tag] = project("robot:" + tag, px, py)
+            parts[tag] = project(prefix + f"robot:{tag}|".encode(), px, py)
     objects.sort(key=lambda s: s.id)
 
     return LocalSemanticMap(

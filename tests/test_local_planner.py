@@ -149,15 +149,49 @@ SCAN_WEIGHTS = [
 ]
 
 
+def zero_target_obs(rng, w):
+    """An observation whose target is the image zero point, as every
+    coordinate goal's is, with its main on either side of the window-margin
+    bound half - lookahead and obstacles that are now and then all out of
+    reach: the cases the scan's shared-arc and obstacle-free paths take."""
+    bound = w.window_half_extent - w.lookahead
+    r = bound + rng.uniform(-1.0, 1.0) if bound > 1.0 else rng.uniform(0.1, w.window_half_extent)
+    edge, across = rng.choice([-r, r]), rng.uniform(-r, r)
+    main = (edge, across) if rng.random() < 0.5 else (across, edge)
+    obstacles = tuple(
+        ((rng.uniform(-12, 12), rng.uniform(-12, 12)), rng.uniform(0, 0.8))
+        for _ in range(rng.randint(0, 3))
+    )
+    return obs_at(main, LocalObservation.zero, obstacles, heading=rng.uniform(-math.pi, math.pi))
+
+
+def scan_path(obs, w, lookahead):
+    """Which of the scan's paths scores obs: "fast" when no obstacle is in
+    reach and no ray endpoint can leave the window, "margin" when no obstacle
+    is in reach but the endpoint bound fails, else "full" (the conditions of
+    local_planner._score)."""
+    mx, my = obs.main
+    if any(not math.hypot(ox - mx, oy - my) > (lookahead + w.d_safe + r) * (1.0 + 1e-9)
+           for (ox, oy), r in obs.obstacles):
+        return "full"
+    fits = max(abs(mx), abs(my)) + lookahead
+    return "fast" if fits * (1.0 + 1e-9) < w.window_half_extent else "margin"
+
+
 @pytest.mark.parametrize("w", SCAN_WEIGHTS)
 def test_scan_totals_and_choice_bit_identical_600_random(w):
     rng = random.Random(21)
     caps = random.Random(22)  # a second stream, so the observations stay as drawn
-    ties = blocked = 0
-    for _ in range(600):
-        obs = random_obs(rng)
+    zeros = random.Random(24)  # a third, for the zero-point targets
+    ties = blocked = shared = 0
+    paths = {"fast": 0, "margin": 0, "full": 0}
+    cases = [random_obs(rng) for _ in range(600)] + [zero_target_obs(zeros, w) for _ in range(600)]
+    for obs in cases:
         # a lookahead cap scores as the weights with that lookahead would
         cap = caps.uniform(0.5, w.lookahead)
+        paths[scan_path(obs, w, cap)] += 1
+        paths[scan_path(obs, w, w.lookahead)] += 1
+        shared += obs.target == LocalObservation.zero and obs.main != (0.0, 0.0)
         try:
             ref = select_direction(obs, replace(w, lookahead=cap))
         except BlockedError:
@@ -185,8 +219,13 @@ def test_scan_totals_and_choice_bit_identical_600_random(w):
         ties += expected.count(expected[want]) > 1
     if w.q_align == w.q_zero == 0.0:
         assert ties > 100
-    if w.window_half_extent == 7.0:
+    if w.window_half_extent == 1.0:
         assert blocked > 10
+    # every path of the scan stays covered
+    assert shared > 500
+    assert paths["full"] > 100, paths
+    if w.window_half_extent > w.lookahead:
+        assert paths["fast"] > 100 and paths["margin"] > 50, paths
 
 
 def test_scan_clamps_a_nan_dot_like_arc():

@@ -602,6 +602,28 @@ def _navigate_style_doc(i):
     return doc
 
 
+# the same bytes pin for the five noisy coordinate-goal missions above, whose
+# ticks take the perceiver's and the local planner's navigate path (the
+# zero-point target, every draw of the noise stream) that GOLDEN_DIGESTS'
+# object and relation goals do not
+NAVIGATE_STYLE_DIGESTS = [
+    "b624d91c04a8470b9bd1cd207a8132adb7c8d79f489e5598ac628d879329f1aa",
+    "7269330e46694aac54ea64c53d1f9afbada9dc09b417e213628252952a69ccc9",
+    "1d83cfd0b7f96460113e1438ee244aa4774b8cef2d91af31f85dbfc97b2d1b8e",
+    "fff32d50017b8baedbcbab8c446681df64cd91d80910219cf653bc2a66b3f4c3",
+    "433626ce56bc817eb520ff2127e3bd8b54532720f72174af7164475fe89c9497",
+]
+
+
+@pytest.mark.parametrize("i", range(5), ids=[f"navigate_style_{i}" for i in range(5)])
+def test_navigate_style_trace_digest(i):
+    _, res = run_scenario(_navigate_style_doc(i), i)
+    h = hashlib.sha256()
+    _hash_run(h, res)
+    assert res.success
+    assert h.hexdigest() == NAVIGATE_STYLE_DIGESTS[i]
+
+
 DEFERRAL_CASES = (
     [g[:3] for g in GOLDEN_DIGESTS]
     + [("blocked_window", _blocked_window_doc, None),

@@ -1,12 +1,23 @@
+import hashlib
 import json
 import math
+import random
 import statistics
+from statistics import NormalDist
+from typing import Optional
 
 import pytest
 
-from agnav.gridmask import CameraModel
-from agnav.perception import GoalSpec, NoiseModel, camera_footprint, observe
-from agnav.semantic_map import Category, Direction, local_map_to_json
+from agnav.gridmask import CameraModel, ground_scale, world_to_grid
+from agnav.perception import GoalSpec, NoiseModel, _role, camera_footprint, observe
+from agnav.semantic_map import (
+    Category,
+    Direction,
+    Footprint,
+    LocalSemanticMap,
+    SemanticObject,
+    local_map_to_json,
+)
 from agnav.sim_world import DroneState, GroundRobot, SimObject, SimParams, WorldState
 
 CAMERA = CameraModel(2.0, math.pi / 2, 1600, 80)  # 4 m square footprint, 0.2 m cells
@@ -138,3 +149,190 @@ def test_noisy_positions_stay_inside_footprint():
         o = [x for x in m.objects if x.id == "edge"][0]
         wx, wy = m.observer_x + o.x * m.cell_m, m.observer_y + o.y * m.cell_m
         assert fp.contains(wx, wy)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["position_sigma", "orientation_sigma"])
+def test_noise_model_rejects_non_finite_sigma(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        NoiseModel(**{field: value})
+
+
+# -- reference observe ---------------------------------------------------------
+# observe as first written: one f-string key formatted and hashed per draw,
+# two ground_scale calls, a clamp call per axis. Kept as the oracle for the
+# per-call fast path (_role, ground_scale and world_to_grid are shared with
+# the package).
+
+_NORMAL = NormalDist()
+
+
+def reference_uniform(seed: int, step: int, tag: str, channel: str) -> float:
+    digest = hashlib.sha256(f"{seed}|{step}|{tag}|{channel}".encode()).digest()
+    v = int.from_bytes(digest[:8], "big")
+    return (v + 0.5) / 2.0 ** 64
+
+
+def reference_gauss(seed: int, step: int, tag: str, channel: str, sigma: float) -> float:
+    if sigma == 0.0:
+        return 0.0
+    return sigma * _NORMAL.inv_cdf(reference_uniform(seed, step, tag, channel))
+
+
+def reference_camera_footprint(camera: CameraModel, cx: float, cy: float):
+    scale = ground_scale(camera)
+    half_w = scale.width_real / 2.0
+    half_h = half_w * camera.height / camera.image_width
+    return Footprint(cx - half_w, cx + half_w, cy - half_h, cy + half_h)
+
+
+def reference_clamp(v: float, lo: float, hi: float) -> float:
+    return min(hi, max(lo, v))
+
+
+def reference_observe(world, camera: CameraModel, goal: Optional[GoalSpec],
+                      noise: NoiseModel) -> LocalSemanticMap:
+    if world.drone.altitude <= 0:
+        raise ValueError("drone altitude must be positive")
+    scale = ground_scale(camera)
+    cell = scale.cell_m
+    cx, cy = world.drone.x, world.drone.y
+    fp = reference_camera_footprint(camera, cx, cy)
+    half_w_cells = (fp.xmax - fp.xmin) / 2.0 / cell
+    half_h_cells = (fp.ymax - fp.ymin) / 2.0 / cell
+    step = world.step
+    alphabet = sorted({o.name for o in world.objects})
+
+    def project(tag: str, x: float, y: float) -> tuple[float, float]:
+        gx, gy = world_to_grid(cell, (x, y), (cx, cy))
+        gx += reference_gauss(noise.seed, step, tag, "px", noise.position_sigma)
+        gy += reference_gauss(noise.seed, step, tag, "py", noise.position_sigma)
+        return (reference_clamp(gx, -half_w_cells, half_w_cells),
+                reference_clamp(gy, -half_h_cells, half_h_cells))
+
+    objects = []
+    for o in world.objects:
+        if not fp.contains(o.x, o.y):
+            continue
+        gx, gy = project(o.id, o.x, o.y)
+        name = o.name
+        if noise.misclassify_prob > 0.0 and len(alphabet) > 1:
+            if reference_uniform(noise.seed, step, o.id, "mis") < noise.misclassify_prob:
+                others = [n for n in alphabet if n != o.name]
+                name = others[int(reference_uniform(noise.seed, step, o.id, "sub") * len(others))]
+        category, direction, obstacle_too = _role(o.id, name, goal, world.attachment)
+        objects.append(SemanticObject(
+            id=o.id,
+            name=name,
+            x=gx, y=gy,
+            category=category,
+            direction=direction,
+            is_obstacle_too=obstacle_too,
+            orientation=o.yaw + reference_gauss(noise.seed, step, o.id, "yaw",
+                                                noise.orientation_sigma),
+            radius=o.radius / cell,
+        ))
+
+    parts = {}
+    robot = world.ground_robot
+    if fp.contains(robot.x, robot.y):
+        ax = world.params.head_offset * math.cos(robot.heading)
+        ay = world.params.head_offset * math.sin(robot.heading)
+        for tag, px, py in (("head", robot.x + ax, robot.y + ay), ("body", robot.x, robot.y),
+                            ("tail", robot.x - ax, robot.y - ay)):
+            parts[tag] = project("robot:" + tag, px, py)
+    objects.sort(key=lambda s: s.id)
+
+    return LocalSemanticMap(
+        observer_x=cx,
+        observer_y=cy,
+        altitude=world.drone.altitude,
+        cell_m=cell,
+        footprint=fp,
+        objects=tuple(objects),
+        step_index=step,
+        parts=parts,
+    )
+
+
+CAMERAS = [CAMERA, CameraModel(2.0, math.pi / 2, 1600, 80, image_height=900),
+           CameraModel(3.5, 1.2, 1280, 96)]
+LETTERS = "LOTVXE"
+
+
+def random_world_case(rng: random.Random):
+    """A seeded world, camera, goal and noise model. Draws cover objects in
+    view, out of view and exactly on each footprint edge, a signed zero
+    offset, a carried object, the robot in and out of view, every goal kind,
+    and sigmas from 0 to ones large enough for the clamp to engage."""
+    camera = rng.choice(CAMERAS)
+    drone = (rng.choice([0.0, rng.uniform(-1.5, 1.5)]), rng.uniform(-1.5, 1.5))
+    fp = camera_footprint(camera, *drone)
+    objects = []
+    for i in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if kind < 0.15:  # exactly on an edge of the footprint, or a corner
+            on_x = rng.random() < 0.6
+            on_y = not on_x or rng.random() < 0.5
+            x = rng.choice([fp.xmin, fp.xmax]) if on_x else rng.uniform(fp.xmin, fp.xmax)
+            y = rng.choice([fp.ymin, fp.ymax]) if on_y else rng.uniform(fp.ymin, fp.ymax)
+        elif kind < 0.2:  # (x - cx) is a negative zero when cx is +0.0
+            x, y = -0.0, rng.uniform(fp.ymin, fp.ymax)
+        else:
+            x = rng.uniform(fp.xmin - 1.0, fp.xmax + 1.0)
+            y = rng.uniform(fp.ymin - 1.0, fp.ymax + 1.0)
+        objects.append(SimObject(f"o{i}", rng.choice(LETTERS), x, y,
+                                 yaw=rng.uniform(-math.pi, math.pi),
+                                 radius=rng.uniform(0.0, 0.3)))
+    if rng.random() < 0.75:  # in view
+        robot = (rng.uniform(fp.xmin, fp.xmax), rng.uniform(fp.ymin, fp.ymax))
+    else:
+        robot = (fp.xmax + rng.uniform(0.01, 2.0), rng.uniform(-3.0, 3.0))
+    world = WorldState(objects=objects,
+                       drone=DroneState(drone[0], drone[1], camera.altitude),
+                       ground_robot=GroundRobot(*robot, rng.uniform(-math.pi, math.pi)),
+                       params=SimParams(), step=rng.randint(0, 5000))
+    if objects and rng.random() < 0.3:
+        world.attachment = rng.choice(objects).id
+    goal = rng.choice([
+        None,
+        GoalSpec.coordinate(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+        GoalSpec.object(rng.choice(LETTERS)),
+        GoalSpec.relation(rng.choice(LETTERS), rng.choice(list(Direction)), 0.55),
+    ])
+    noise = NoiseModel(position_sigma=rng.choice([0.0, 0.15, rng.uniform(0.0, 1.0), 40.0]),
+                       misclassify_prob=rng.choice([0.0, 0.05, 0.3]),
+                       orientation_sigma=rng.choice([0.0, 0.05, rng.uniform(0.0, 1.0)]),
+                       seed=rng.randint(0, 10 ** 6))
+    return world, camera, goal, noise
+
+
+def _hex_parts(m):
+    return {k: (x.hex(), y.hex()) for k, (x, y) in m.parts.items()}
+
+
+def test_observe_bit_identical_to_reference_600_worlds():
+    rng = random.Random(23)
+    seen = dict.fromkeys(["edge", "clamped", "misclassified", "carried", "robot_in",
+                          "robot_out", "noiseless"], 0)
+    for _ in range(600):
+        world, camera, goal, noise = random_world_case(rng)
+        got = observe(world, camera, goal, noise)
+        ref = reference_observe(world, camera, goal, noise)
+        assert (json.dumps(local_map_to_json(got), sort_keys=True)
+                == json.dumps(local_map_to_json(ref), sort_keys=True))
+        assert _hex_parts(got) == _hex_parts(ref)
+        assert ([(o.x.hex(), o.y.hex(), o.orientation.hex()) for o in got.objects]
+                == [(o.x.hex(), o.y.hex(), o.orientation.hex()) for o in ref.objects])
+        fp = got.footprint
+        half = ((fp.xmax - fp.xmin) / 2.0 / got.cell_m, (fp.ymax - fp.ymin) / 2.0 / got.cell_m)
+        truth = {o.id: o for o in world.objects}
+        seen["edge"] += any(truth[o.id].x in (fp.xmin, fp.xmax)
+                            or truth[o.id].y in (fp.ymin, fp.ymax) for o in got.objects)
+        seen["clamped"] += any(abs(o.x) == half[0] or abs(o.y) == half[1]
+                               for o in got.objects)
+        seen["misclassified"] += any(o.name != truth[o.id].name for o in got.objects)
+        seen["carried"] += any(o.category == Category.MAIN for o in got.objects)
+        seen["robot_in" if got.parts else "robot_out"] += 1
+        seen["noiseless"] += noise.position_sigma == 0.0
+    assert min(seen.values()) >= 20, seen
