@@ -15,12 +15,34 @@ lookahead length and its surface distance to the ray is below d_safe.
 
 All arithmetic is scalar and deterministic; ties in the argmin break toward
 the candidate better aligned with the goal, then toward the lower index.
+
+The argmin is found by a bounded search, not a full scan. Candidates are
+scored outward from the anchor bearing psi (the bearing of T, or of Z when
+no target is seen), two per ring: the pair that brackets psi, then the next
+pair out. Each J is a left-to-right IEEE sum of non-negative terms, so it is
+never below its leading alignment terms, and those grow with the angle
+delta_i between theta_i and psi: J_i >= coef * delta_i, with
+
+    coef = q_align * beta / |T - M| + q_zero     when T = Z
+    coef = q_align * beta / |T - M|              for any other target
+    coef = q_zero                                when no target is seen.
+
+The search stops once coef * (delta - 1e-6) exceeds the least total scored,
+where delta is the angle from psi of the nearest candidate not yet scored;
+the 1e-6 rad covers acos rounding near 1 (~1.5e-8) and the rounding of the
+products. Every skipped candidate then totals strictly more than the
+minimum, so it can neither win nor tie, and the choice, the tie-break and
+BlockedError are the full scan's. When coef is 0, subnormal or not finite,
+or the anchor offset is 0 or not finite, every candidate is scored. The
+totals of skipped candidates are scored on demand (``DirectionChoice.total``
+and ``.table``) by the same per-candidate row function the search uses.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import ClassVar, Optional
@@ -105,6 +127,12 @@ def candidate_theta(index: int, count: int) -> float:
     return 2.0 * math.pi * index / count
 
 
+# the bounded search's slack, in radians, and the least coef it is taken
+# for: below the least normal float a product rounds by more than the slack
+_MARGIN = 1e-6
+_NORMAL = sys.float_info.min
+
+
 @functools.lru_cache(maxsize=16)
 def _directions(count: int) -> tuple[tuple[float, float], ...]:
     """(cos, sin) of every candidate heading, computed once per count."""
@@ -112,87 +140,75 @@ def _directions(count: int) -> tuple[tuple[float, float], ...]:
                  for theta in (candidate_theta(i, count) for i in range(count)))
 
 
-def _arcs(directions, ux: float, uy: float, dist: float) -> list[float]:
-    """arccos of each unit heading's dot with (ux, uy) / dist. _arc inlined:
-    an in-range dot passes unchanged; anything else, NaN included, clamps as
-    min(1.0, max(-1.0, dot)) does."""
-    acos = math.acos
-    out = []
-    for dx, dy in directions:
-        dot = (dx * ux + dy * uy) / dist
-        out.append(acos(dot if -1.0 <= dot <= 1.0 else 1.0 if dot > 1.0 else -1.0))
-    return out
+class _Scorer:
+    """Scores one observation's candidate headings: ``row(dx, dy)`` is the
+    (align, zero, obstacle, window, total) row of the unit heading (dx, dy),
+    with the ray cut at ``lookahead`` cells. The terms that depend only on
+    the observation (the goal and zero-point offsets and their lengths, the
+    offsets from M of the obstacles in reach) are computed once, here, so
+    each heading costs one pass over the obstacles in reach. An arc's dot
+    product is clamped as min(1.0, max(-1.0, dot)) would, so a NaN dot reads
+    as -1. A slotted object rather than a closure, which would allocate a
+    cell per captured value on every tick."""
 
+    __slots__ = ("mx", "my", "zx", "zy", "zdist", "gx", "gy", "dist", "shared", "scale",
+                 "lookahead", "w", "offsets")
 
-def _score(obs: LocalObservation, w: LocalCostWeights, lookahead: float,
-           directions) -> list[tuple[float, float, float, float, float]]:
-    """(align, zero, obstacle, window, total) of each unit heading (dx, dy)
-    of ``directions``, with the ray cut at ``lookahead`` cells. The terms
-    that depend only on the observation (the goal and zero-point offsets and
-    their lengths, the offsets from M of the obstacles in reach) are computed
-    once, so each heading costs one pass over the obstacles in reach. When
-    the target is the zero point, the alignment arcs are the zero-point arcs;
-    with no obstacle in reach and every ray endpoint inside the window, the
-    rows are built without the per-heading obstacle and window tests."""
-    mx, my = obs.main
-    zx, zy = -mx, -my
-    zdist = math.hypot(zx, zy)
-    n = len(directions)
-    zeros = _arcs(directions, zx, zy, zdist) if zdist > 0.0 else [0.0] * n
-    aligns = [0.0] * n
-    if obs.target == LocalObservation.zero:
+    def __init__(self, obs: LocalObservation, w: LocalCostWeights, lookahead: float):
+        self.mx, self.my = mx, my = obs.main
+        self.zx, self.zy = zx, zy = -mx, -my
+        self.zdist = zdist = math.hypot(zx, zy)
+        target = obs.target
         # T = Z: the goal offset 0 - M is -M up to the sign of a zero, which
         # changes no dot product's value, so the alignment arc is the zero arc
+        self.shared = target == LocalObservation.zero
+        gx, gy, dist = zx, zy, zdist
+        if target is not None and not self.shared:
+            gx, gy = target[0] - mx, target[1] - my
+            dist = math.hypot(gx, gy)
+        self.gx, self.gy, self.dist = gx, gy, dist
+        # None when there is no alignment term
+        self.scale = w.beta / dist if target is not None and dist > 0.0 else None
+        self.lookahead, self.w = lookahead, w
+        # an obstacle out of reach scores on no ray: |r| <= t + |r - t d|, so
+        # beyond lookahead + d_safe + radius either t > lookahead or its
+        # surface lies d_safe or more off the ray (the margin covers rounding)
+        self.offsets = offsets = []
+        for (ox, oy), radius in obs.obstacles:
+            rx, ry = ox - mx, oy - my
+            if not math.hypot(rx, ry) > (lookahead + w.d_safe + radius) * (1.0 + 1e-9):
+                offsets.append((rx, ry, radius))
+
+    def row(self, dx: float, dy: float) -> tuple[float, float, float, float, float]:
+        zdist, scale, w, lookahead = self.zdist, self.scale, self.w, self.lookahead
+        zero = align = obstacle = 0.0
         if zdist > 0.0:
-            scale = w.beta / zdist
-            aligns = [scale * arc for arc in zeros]
-    elif obs.target is not None:
-        tx, ty = obs.target
-        gx, gy = tx - mx, ty - my
-        dist = math.hypot(gx, gy)
-        if dist > 0.0:
-            scale = w.beta / dist
-            aligns = [scale * arc for arc in _arcs(directions, gx, gy, dist)]
-    half, d_safe, eps = w.window_half_extent, w.d_safe, w.epsilon
-    q_align, q_zero, q_obstacle = w.q_align, w.q_zero, w.q_obstacle
-    q_window_open = w.q_window * 0.0  # the window term where it is open
-    hypot = math.hypot
-    # an obstacle out of reach scores on no ray: |r| <= t + |r - t d|, so
-    # beyond lookahead + d_safe + radius either t > lookahead or its surface
-    # lies d_safe or more off the ray (the margin covers rounding)
-    offsets = []
-    for (ox, oy), radius in obs.obstacles:
-        rx, ry = ox - mx, oy - my
-        if not hypot(rx, ry) > (lookahead + d_safe + radius) * (1.0 + 1e-9):
-            offsets.append((rx, ry, radius))
-    if not offsets and ((abs(mx) + lookahead) * (1.0 + 1e-9) < half
-                        and (abs(my) + lookahead) * (1.0 + 1e-9) < half):
-        # no ray endpoint leaves the window (|m + l d| <= |m| + l per axis)
-        # and no obstacle is in reach: every obstacle and window term is 0
-        q_no_obstacle = q_obstacle * 0.0
-        return [(align, zero, 0.0, 0.0,
-                 q_align * align + q_zero * zero + q_no_obstacle + q_window_open)
-                for align, zero in zip(aligns, zeros)]
-    out = []
-    for (dx, dy), align, zero in zip(directions, aligns, zeros):
-        obstacle = 0.0
-        for rx, ry, radius in offsets:
-            t = rx * dx + ry * dy
-            if t < 0.0 or t > lookahead:
-                continue
-            eff = max(0.0, hypot(rx - t * dx, ry - t * dy) - radius)
-            if eff < d_safe:
-                obstacle += 1.0 / (eff + eps)
-        if max(abs(mx + lookahead * dx), abs(my + lookahead * dy)) > half:
-            out.append((align, zero, obstacle, math.inf, math.inf))
-        else:
-            total = q_align * align + q_zero * zero + q_obstacle * obstacle + q_window_open
-            out.append((align, zero, obstacle, 0.0, total))
-    return out
+            dot = (dx * self.zx + dy * self.zy) / zdist
+            zero = math.acos(dot if -1.0 <= dot <= 1.0 else 1.0 if dot > 1.0 else -1.0)
+        if scale is not None:
+            if self.shared:
+                align = scale * zero
+            else:
+                dot = (dx * self.gx + dy * self.gy) / self.dist
+                align = scale * math.acos(dot if -1.0 <= dot <= 1.0 else 1.0 if dot > 1.0 else -1.0)
+        if self.offsets:
+            d_safe, eps = w.d_safe, w.epsilon
+            for rx, ry, radius in self.offsets:
+                t = rx * dx + ry * dy
+                if t < 0.0 or t > lookahead:
+                    continue
+                eff = max(0.0, math.hypot(rx - t * dx, ry - t * dy) - radius)
+                if eff < d_safe:
+                    obstacle += 1.0 / (eff + eps)
+        if max(abs(self.mx + lookahead * dx), abs(self.my + lookahead * dy)) > w.window_half_extent:
+            return (align, zero, obstacle, math.inf, math.inf)
+        # q_window * 0.0: the window term where it is open
+        total = w.q_align * align + w.q_zero * zero + w.q_obstacle * obstacle + w.q_window * 0.0
+        return (align, zero, obstacle, 0.0, total)
 
 
 def cost_local(theta: float, obs: LocalObservation, w: LocalCostWeights) -> LocalCost:
-    return LocalCost(*_score(obs, w, w.lookahead, ((math.cos(theta), math.sin(theta)),))[0])
+    return LocalCost(*_Scorer(obs, w, w.lookahead).row(math.cos(theta), math.sin(theta)))
 
 
 @dataclass(frozen=True)
@@ -202,21 +218,29 @@ class Candidate:
     cost: LocalCost
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectionChoice:
-    """The selected candidate, every candidate's total J by index, and the
-    (align, zero, obstacle, window, total) rows they were scored from."""
+    """The selected candidate, the total J of each candidate the search
+    scored by index, and the scorer that scores any other candidate on
+    demand."""
 
     theta: float
     index: int
-    totals: tuple[float, ...]
-    rows: tuple = field(repr=False)
+    scored: dict[int, float]
+    scorer: _Scorer = field(repr=False, compare=False)
+    directions: tuple = field(repr=False, compare=False)
+
+    def total(self, index: int) -> float:
+        """J of candidate ``index``, scored now when the search skipped it."""
+        t = self.scored.get(index)
+        return self.scorer.row(*self.directions[index])[4] if t is None else t
 
     @property
     def table(self) -> tuple[Candidate, ...]:
-        n = len(self.rows)
-        return tuple(Candidate(i, candidate_theta(i, n), LocalCost(*row))
-                     for i, row in enumerate(self.rows))
+        """Every candidate's row, scored on demand."""
+        n = len(self.directions)
+        return tuple(Candidate(i, candidate_theta(i, n), LocalCost(*self.scorer.row(dx, dy)))
+                     for i, (dx, dy) in enumerate(self.directions))
 
 
 def _goal_deviation(theta: float, obs: LocalObservation) -> float:
@@ -229,30 +253,52 @@ def _goal_deviation(theta: float, obs: LocalObservation) -> float:
 
 def select_direction(obs: LocalObservation, w: LocalCostWeights, *,
                      lookahead: Optional[float] = None) -> DirectionChoice:
-    """argmin of cost_local over candidate_count uniform directions, in one
-    scan of the totals; the goal-deviation tie-break is evaluated only for
-    tied minima. ``lookahead`` (cells, default ``w.lookahead``) cuts the
-    ray; it scores as ``replace(w, lookahead=lookahead)`` would."""
+    """argmin of cost_local over candidate_count uniform directions, by the
+    bounded search of the module docstring; the goal-deviation tie-break is
+    evaluated only for tied minima. ``lookahead`` (cells, default
+    ``w.lookahead``) cuts the ray; it scores as ``replace(w, lookahead=
+    lookahead)`` would."""
     if lookahead is None:
         lookahead = w.lookahead
     elif not 0.0 < lookahead < math.inf:
         raise ValueError(f"lookahead must be positive and finite, got {lookahead}")
     n = w.candidate_count
-    rows = tuple(_score(obs, w, lookahead, _directions(n)))
-    totals = tuple(row[4] for row in rows)
+    directions = _directions(n)
+    scorer = _Scorer(obs, w, lookahead)
+    step = 2.0 * math.pi / n
+    # the scorer's goal offset is the anchor's (up to the sign of a zero)
+    coef = w.q_zero if obs.target is None else 0.0
+    if scorer.scale is not None:
+        coef = w.q_align * scorer.scale + (w.q_zero if scorer.shared else 0.0)
+    lo, near = 0, 0.0
+    if 0.0 < scorer.dist < math.inf and _NORMAL <= coef < math.inf:
+        # the anchor bearing in candidate steps
+        k = math.atan2(scorer.gy, scorer.gx) / step
+        lo = math.floor(k)
+        near = min(k - lo, lo + 1 - k)
+    else:
+        coef = 0.0  # no bound: every candidate is scored
+    scored = {}
     index, best, tied = None, math.inf, False
-    for i, t in enumerate(totals):  # the least finite total and its first index
+    for j in range(n):
+        # outward from the bearing: lo, lo + 1, lo - 1, lo + 2, ...
+        i = (lo - (j >> 1) if j & 1 == 0 else lo + 1 + (j >> 1)) % n
+        t = scored[i] = scorer.row(*directions[i])[4]
         if t < best:
             if math.isfinite(t):
                 index, best, tied = i, t, False
         elif t == best and index is not None:
             tied = True
+        # after ring j >> 1 the nearest candidate not yet scored lies
+        # ((j >> 1) + 1 + near) steps from the bearing
+        if j & 1 and coef * (((j >> 1) + 1 + near) * step - _MARGIN) > best:
+            break
     if index is None:
         raise BlockedError("all candidate directions exit the window")
     if tied:
-        index = min((i for i, t in enumerate(totals) if t == best),
+        index = min((i for i, t in scored.items() if t == best),
                     key=lambda i: (_goal_deviation(candidate_theta(i, n), obs), i))
-    return DirectionChoice(candidate_theta(index, n), index, totals, rows)
+    return DirectionChoice(candidate_theta(index, n), index, scored, scorer, directions)
 
 
 class MotionKind(Enum):

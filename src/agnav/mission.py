@@ -774,16 +774,17 @@ class MissionExecutor:
                     choice = select_direction(
                         obs, weights, lookahead=min(weights.lookahead, max(d_obs, 0.5)))
                     index = choice.index
+                    cost = choice.total(index)
                     # hysteresis: keep the previous commanded direction while
                     # it stays near-optimal, so two flanking routes around an
                     # obstacle cannot alternate tick by tick as the steered
                     # point swings on the head arm
-                    if (prev_index is not None and prev_index != index
-                            and choice.totals[prev_index] <= choice.totals[index] + 0.05):
-                        index = prev_index
+                    if prev_index is not None and prev_index != index:
+                        prev_cost = choice.total(prev_index)
+                        if prev_cost <= cost + 0.05:
+                            index, cost = prev_index, prev_cost
                     prev_index = index
                     theta = candidate_theta(index, weights.candidate_count)
-                    cost = choice.totals[index]
                     cmd = step_decision(obs, theta, dist_stop, self._alignment_gate(d_obs))
                 except BlockedError:
                     if replanned:

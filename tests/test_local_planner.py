@@ -3,6 +3,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agnav.local_planner import (
     BlockedError,
@@ -153,7 +155,7 @@ def zero_target_obs(rng, w):
     """An observation whose target is the image zero point, as every
     coordinate goal's is, with its main on either side of the window-margin
     bound half - lookahead and obstacles that are now and then all out of
-    reach: the cases the scan's shared-arc and obstacle-free paths take."""
+    reach: the navigate ticks, where the bounded search prunes hardest."""
     bound = w.window_half_extent - w.lookahead
     r = bound + rng.uniform(-1.0, 1.0) if bound > 1.0 else rng.uniform(0.1, w.window_half_extent)
     edge, across = rng.choice([-r, r]), rng.uniform(-r, r)
@@ -165,17 +167,35 @@ def zero_target_obs(rng, w):
     return obs_at(main, LocalObservation.zero, obstacles, heading=rng.uniform(-math.pi, math.pi))
 
 
-def scan_path(obs, w, lookahead):
-    """Which of the scan's paths scores obs: "fast" when no obstacle is in
-    reach and no ray endpoint can leave the window, "margin" when no obstacle
-    is in reach but the endpoint bound fails, else "full" (the conditions of
-    local_planner._score)."""
+def in_reach(obs, w, lookahead):
+    """Whether any obstacle of obs can score on a ray of ``lookahead``
+    cells (the reach test of local_planner._scorer)."""
     mx, my = obs.main
-    if any(not math.hypot(ox - mx, oy - my) > (lookahead + w.d_safe + r) * (1.0 + 1e-9)
-           for (ox, oy), r in obs.obstacles):
-        return "full"
-    fits = max(abs(mx), abs(my)) + lookahead
-    return "fast" if fits * (1.0 + 1e-9) < w.window_half_extent else "margin"
+    return any(not math.hypot(ox - mx, oy - my) > (lookahead + w.d_safe + r) * (1.0 + 1e-9)
+               for (ox, oy), r in obs.obstacles)
+
+
+def assert_search_matches_scan(obs, w):
+    """The bounded search against the per-candidate oracle: the choice or
+    BlockedError, every scored total, and the on-demand table and totals,
+    bit for bit. Returns the choice, or None when blocked."""
+    n = w.candidate_count
+    expected = [per_candidate_total(2.0 * math.pi * i / n, obs, w) for i in range(n)]
+    want = per_candidate_choice(obs, w)
+    if want is None:
+        with pytest.raises(BlockedError):
+            select_direction(obs, w)
+        return None
+    choice = select_direction(obs, w)
+    assert (choice.index, choice.theta) == (want, 2.0 * math.pi * want / n)
+    assert choice.scored and set(choice.scored) <= set(range(n))
+    assert [c.cost.total.hex() for c in choice.table] == [t.hex() for t in expected]
+    # every total the search scored is the table's, and so is every total
+    # scored on demand
+    assert {i: t.hex() for i, t in choice.scored.items()} == {
+        i: expected[i].hex() for i in choice.scored}
+    assert [choice.total(i).hex() for i in range(n)] == [t.hex() for t in expected]
+    return choice
 
 
 @pytest.mark.parametrize("w", SCAN_WEIGHTS)
@@ -183,15 +203,11 @@ def test_scan_totals_and_choice_bit_identical_600_random(w):
     rng = random.Random(21)
     caps = random.Random(22)  # a second stream, so the observations stay as drawn
     zeros = random.Random(24)  # a third, for the zero-point targets
-    ties = blocked = shared = 0
-    paths = {"fast": 0, "margin": 0, "full": 0}
+    ties = blocked = clear = 0
     cases = [random_obs(rng) for _ in range(600)] + [zero_target_obs(zeros, w) for _ in range(600)]
     for obs in cases:
         # a lookahead cap scores as the weights with that lookahead would
         cap = caps.uniform(0.5, w.lookahead)
-        paths[scan_path(obs, w, cap)] += 1
-        paths[scan_path(obs, w, w.lookahead)] += 1
-        shared += obs.target == LocalObservation.zero and obs.main != (0.0, 0.0)
         try:
             ref = select_direction(obs, replace(w, lookahead=cap))
         except BlockedError:
@@ -199,46 +215,40 @@ def test_scan_totals_and_choice_bit_identical_600_random(w):
                 select_direction(obs, w, lookahead=cap)
         else:
             got = select_direction(obs, w, lookahead=cap)
-            assert [t.hex() for t in got.totals] == [t.hex() for t in ref.totals]
+            assert {i: t.hex() for i, t in got.scored.items()} == {
+                i: t.hex() for i, t in ref.scored.items()}
             assert (got.index, got.theta.hex()) == (ref.index, ref.theta.hex())
-            assert [c.cost.total.hex() for c in got.table] == [t.hex() for t in got.totals]
             assert [c.cost for c in got.table] == [c.cost for c in ref.table]
-        expected = [per_candidate_total(2.0 * math.pi * i / w.candidate_count, obs, w)
-                    for i in range(w.candidate_count)]
-        want = per_candidate_choice(obs, w)
-        if want is None:
+        choice = assert_search_matches_scan(obs, w)
+        if choice is None:
             blocked += 1
-            with pytest.raises(BlockedError):
-                select_direction(obs, w)
             continue
-        choice = select_direction(obs, w)
-        assert [t.hex() for t in choice.totals] == [t.hex() for t in expected]
-        assert [c.cost.total.hex() for c in choice.table] == [t.hex() for t in expected]
-        assert choice.index == want
-        assert choice.theta == 2.0 * math.pi * want / w.candidate_count
-        ties += expected.count(expected[want]) > 1
+        ties += [c.cost.total for c in choice.table].count(choice.total(choice.index)) > 1
+        if w.q_align == w.q_zero == 0.0:
+            # no alignment term bounds a total from below: a full scan
+            assert len(choice.scored) == w.candidate_count
+        elif obs.target == LocalObservation.zero and not in_reach(obs, w, w.lookahead):
+            # the bracketing pair settles a clear navigate tick
+            clear += 1
+            assert len(choice.scored) <= 4
     if w.q_align == w.q_zero == 0.0:
         assert ties > 100
     if w.window_half_extent == 1.0:
         assert blocked > 10
-    # every path of the scan stays covered
-    assert shared > 500
-    assert paths["full"] > 100, paths
-    if w.window_half_extent > w.lookahead:
-        assert paths["fast"] > 100 and paths["margin"] > 50, paths
+    elif w.q_align > 0.0:
+        assert clear > 300
 
 
 def test_scan_clamps_a_nan_dot_like_arc():
     # an infinite goal offset with a NaN component gives a NaN dot product;
     # it clamps to -1 as min(1.0, max(-1.0, nan)) does, so the zero-scaled
-    # alignment term stays 0 and no total turns NaN
+    # alignment term stays 0 and no total turns NaN. The offset is not
+    # finite, so the search scores every candidate
     w = LocalCostWeights()
     obs = obs_at((0.5, -0.5), target=(math.inf, math.nan))
-    choice = select_direction(obs, w)
-    expected = [per_candidate_total(2.0 * math.pi * i / w.candidate_count, obs, w)
-                for i in range(w.candidate_count)]
-    assert not any(math.isnan(t) for t in expected)
-    assert [t.hex() for t in choice.totals] == [t.hex() for t in expected]
+    choice = assert_search_matches_scan(obs, w)
+    assert len(choice.scored) == w.candidate_count
+    assert not any(math.isnan(t) for t in choice.scored.values())
     # min(1.0, max(-1.0, nan)) is -1.0: a NaN dot reads as the opposite heading
     far = obs_at((math.inf, math.nan))
     assert cost_local(0.0, far, w).zero == math.pi
@@ -247,6 +257,64 @@ def test_scan_clamps_a_nan_dot_like_arc():
              for i in range(w.candidate_count)]
     assert all(math.isinf(c.window) for c in table)  # every candidate blocked
     assert all(c.zero == math.pi for c in table)
+
+
+_coord = st.floats(-9.0, 9.0, allow_nan=False)
+_ODD_TARGETS = [(math.inf, 0.0), (math.inf, math.nan), (-math.inf, math.inf), (math.nan, 1.0)]
+
+
+# one case per coef, each with its bracketing pair barred (by a lightly
+# weighted obstacle on the anchor ray, or by the window) so that only a sound
+# bound reaches the winner
+_BOUND_CASE = dict(count=13, beta=0.0, q_align=0.0, q_zero=0.5, q_obstacle=0.05, half=2.0,
+                   lookahead=1.0, cap=None, main=(-1.0, 0.0), point=(0.0, 0.0),
+                   odd=_ODD_TARGETS[0], obstacles=[((1.0, 0.0), 0.0)], heading=0.0)
+
+
+@example(**dict(_BOUND_CASE, count=4, target_kind="none"))
+@example(**dict(_BOUND_CASE, target_kind="zero"))
+@example(**dict(_BOUND_CASE, count=19, beta=1e-9, q_align=1.0, q_zero=0.0, lookahead=2.5,
+                main=(0.0, 0.0), target_kind="finite", point=(1.0, 0.0), obstacles=[]))
+@settings(max_examples=400, deadline=None)
+@given(
+    count=st.integers(4, 72),
+    beta=st.sampled_from([0.0, 1e-9, 5.0, 1e6]),
+    q_align=st.sampled_from([0.0, 1.0, 10.0]),
+    q_zero=st.sampled_from([0.0, 0.5, 5.0]),
+    # a light obstacle weight leaves blocked candidates near the unblocked ones
+    q_obstacle=st.sampled_from([0.0, 0.05, 2.0]),
+    # from windows every ray leaves to windows no ray can
+    half=st.sampled_from([0.5, 2.0, 6.0, 10.0, 1e3]),
+    lookahead=st.floats(0.25, 8.0),
+    cap=st.one_of(st.none(), st.floats(0.1, 8.0)),
+    main=st.one_of(st.just((0.0, 0.0)), st.tuples(_coord, _coord)),
+    target_kind=st.sampled_from(["none", "zero", "main", "finite", "odd"]),
+    point=st.tuples(_coord, _coord),
+    odd=st.sampled_from(_ODD_TARGETS),
+    # around M, so obstacles fall in and out of reach and on the anchor ray
+    obstacles=st.lists(st.tuples(st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+                                 st.floats(0.0, 1.5)), max_size=6),
+    heading=st.floats(-math.pi, math.pi),
+)
+def test_bounded_search_is_the_full_scan_argmin(count, beta, q_align, q_zero, q_obstacle, half,
+                                                lookahead, cap, main, target_kind, point, odd,
+                                                obstacles, heading):
+    w = LocalCostWeights(q_align=q_align, q_zero=q_zero, q_obstacle=q_obstacle, beta=beta,
+                         lookahead=lookahead, window_half_extent=half, candidate_count=count)
+    target = {"none": None, "zero": LocalObservation.zero, "main": main,
+              "finite": point, "odd": odd}[target_kind]
+    obs = obs_at(main, target, [((main[0] + dx, main[1] + dy), r) for (dx, dy), r in obstacles],
+                 heading=heading)
+    scan_w = w if cap is None else replace(w, lookahead=cap)
+    want = per_candidate_choice(obs, scan_w)
+    if want is None:
+        with pytest.raises(BlockedError):
+            select_direction(obs, w, lookahead=cap)
+        return
+    choice = select_direction(obs, w, lookahead=cap)
+    assert choice.index == want  # ties included: the same tie-break decides
+    for i, t in choice.scored.items():
+        assert t.hex() == per_candidate_total(2.0 * math.pi * i / count, obs, scan_w).hex()
 
 
 @pytest.mark.parametrize("cap", [0.0, -1.0, math.inf, math.nan])

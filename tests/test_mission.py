@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from agnav.local_planner import LocalObservation
+from agnav.local_planner import DirectionChoice, LocalObservation
 from agnav.mission import (
     ROLLBACK_LIMIT,
     Assemble,
@@ -622,6 +622,27 @@ def test_navigate_style_trace_digest(i):
     _hash_run(h, res)
     assert res.success
     assert h.hexdigest() == NAVIGATE_STYLE_DIGESTS[i]
+
+
+def test_pinned_missions_read_totals_the_search_skipped(monkeypatch):
+    # the hysteresis reads the previous direction's total; when the bounded
+    # search did not score that candidate, DirectionChoice.total scores it
+    # on demand. The digest-pinned missions take that path, so their digests
+    # pin its bytes
+    total = DirectionChoice.total
+    skipped = []
+
+    def counted(choice, index):
+        skipped.append(index not in choice.scored)
+        return total(choice, index)
+
+    monkeypatch.setattr(DirectionChoice, "total", counted)
+    for _, make_doc, seed, _ in GOLDEN_DIGESTS:
+        run_scenario(make_doc(), seed)
+    golden = sum(skipped)
+    for i in range(5):
+        run_scenario(_navigate_style_doc(i), i)
+    assert golden > 0 and sum(skipped) > golden
 
 
 DEFERRAL_CASES = (

@@ -431,6 +431,34 @@ def test_plan_local_step_cli(tmp_path):
         "7d3f4b956de84d322f4224e4a8eebe95df9fda11c2dd171b3b7cc74ce6a88cd1")
 
 
+@pytest.mark.parametrize("obs, weights, last, digest", [
+    # the zero point as the target, main off-centre: the search scores the
+    # pairs around the zero point's bearing until the obstacle's candidates
+    # are passed, and the table scores the rest on demand
+    ({"main": [3, -2], "target": [0, 0], "obstacles": [[1.5, -0.5, 0.3]],
+      "parts": {"head": [3, -1], "body": [3, -2], "tail": [3, -3]}}, None,
+     "command=rotate theta_star_deg=190.0\n",
+     "466b27297acd3a0cdc3863e4e64ba9e3131200d77ec8719110a856e6ef4c786f"),
+    # no alignment weight bounds a total: every candidate is scored, and the
+    # goal-deviation tie-break picks among the zero totals
+    ({"main": [0, 0], "target": [4, 0], "obstacles": [[2, 0.3, 0.2]],
+      "parts": {"head": [1, 0], "body": [0, 0], "tail": [-1, 0]}}, {"q_align": 0, "q_zero": 0},
+     "command=rotate theta_star_deg=320.0\n",
+     "425265ec19a06e221dc6650bcb415037a65bdf48230ead06a4872983bc64ae2e"),
+], ids=["zero-target", "no-alignment-weights"])
+def test_plan_local_step_cli_table_bytes(tmp_path, obs, weights, last, digest):
+    (tmp_path / "obs.json").write_text(json.dumps(obs))
+    args = ["plan-local-step", "--observation", str(tmp_path / "obs.json")]
+    if weights is not None:
+        (tmp_path / "w.json").write_text(json.dumps(weights))
+        args += ["--weights", str(tmp_path / "w.json")]
+    r = run_cli(*args)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.count("\n") == 38  # header, 36 candidates, command
+    assert r.stdout.endswith(last)
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("weights, field", [
     ({"candidate_count": 36.5}, "candidate_count"),
     ({"q_align": True}, "q_align"),
