@@ -32,8 +32,9 @@ where delta is the angle from psi of the nearest candidate not yet scored;
 the 1e-6 rad covers acos rounding near 1 (~1.5e-8) and the rounding of the
 products. Every skipped candidate then totals strictly more than the
 minimum, so it can neither win nor tie, and the choice, the tie-break and
-BlockedError are the full scan's. When coef is 0, subnormal or not finite,
-or the anchor offset is 0 or not finite, every candidate is scored. The
+BlockedError are the full scan's. When coef or beta / |T - M| is 0,
+subnormal or not finite, or the anchor offset is 0 or not finite, every
+candidate is scored. The
 totals of skipped candidates are scored on demand (``DirectionChoice.total``
 and ``.table``) by the same per-candidate row function the search uses.
 """
@@ -127,8 +128,9 @@ def candidate_theta(index: int, count: int) -> float:
     return 2.0 * math.pi * index / count
 
 
-# the bounded search's slack, in radians, and the least coef it is taken
-# for: below the least normal float a product rounds by more than the slack
+# the bounded search's slack, in radians, and the least coef (and alignment
+# scale) it is taken for: below the least normal float a product rounds by
+# more than the slack
 _MARGIN = 1e-6
 _NORMAL = sys.float_info.min
 
@@ -161,6 +163,7 @@ class _Scorer:
         target = obs.target
         # T = Z: the goal offset 0 - M is -M up to the sign of a zero, which
         # changes no dot product's value, so the alignment arc is the zero arc
+        # (the search's bound adds q_zero for it)
         self.shared = target == LocalObservation.zero
         gx, gy, dist = zx, zy, zdist
         if target is not None and not self.shared:
@@ -186,11 +189,8 @@ class _Scorer:
             dot = (dx * self.zx + dy * self.zy) / zdist
             zero = math.acos(dot if -1.0 <= dot <= 1.0 else 1.0 if dot > 1.0 else -1.0)
         if scale is not None:
-            if self.shared:
-                align = scale * zero
-            else:
-                dot = (dx * self.gx + dy * self.gy) / self.dist
-                align = scale * math.acos(dot if -1.0 <= dot <= 1.0 else 1.0 if dot > 1.0 else -1.0)
+            dot = (dx * self.gx + dy * self.gy) / self.dist
+            align = scale * math.acos(dot if -1.0 <= dot <= 1.0 else 1.0 if dot > 1.0 else -1.0)
         if self.offsets:
             d_safe, eps = w.d_safe, w.epsilon
             for rx, ry, radius in self.offsets:
@@ -228,19 +228,20 @@ class DirectionChoice:
     index: int
     scored: dict[int, float]
     scorer: _Scorer = field(repr=False, compare=False)
-    directions: tuple = field(repr=False, compare=False)
 
     def total(self, index: int) -> float:
         """J of candidate ``index``, scored now when the search skipped it."""
         t = self.scored.get(index)
-        return self.scorer.row(*self.directions[index])[4] if t is None else t
+        if t is None:
+            t = self.scorer.row(*_directions(self.scorer.w.candidate_count)[index])[4]
+        return t
 
     @property
     def table(self) -> tuple[Candidate, ...]:
         """Every candidate's row, scored on demand."""
-        n = len(self.directions)
+        n = self.scorer.w.candidate_count
         return tuple(Candidate(i, candidate_theta(i, n), LocalCost(*self.scorer.row(dx, dy)))
-                     for i, (dx, dy) in enumerate(self.directions))
+                     for i, (dx, dy) in enumerate(_directions(n)))
 
 
 def _goal_deviation(theta: float, obs: LocalObservation) -> float:
@@ -268,7 +269,7 @@ def select_direction(obs: LocalObservation, w: LocalCostWeights, *,
     step = 2.0 * math.pi / n
     # the scorer's goal offset is the anchor's (up to the sign of a zero)
     coef = w.q_zero if obs.target is None else 0.0
-    if scorer.scale is not None:
+    if scorer.scale is not None and scorer.scale >= _NORMAL:
         coef = w.q_align * scorer.scale + (w.q_zero if scorer.shared else 0.0)
     lo, near = 0, 0.0
     if 0.0 < scorer.dist < math.inf and _NORMAL <= coef < math.inf:
@@ -298,7 +299,7 @@ def select_direction(obs: LocalObservation, w: LocalCostWeights, *,
     if tied:
         index = min((i for i, t in scored.items() if t == best),
                     key=lambda i: (_goal_deviation(candidate_theta(i, n), obs), i))
-    return DirectionChoice(candidate_theta(index, n), index, scored, scorer, directions)
+    return DirectionChoice(candidate_theta(index, n), index, scored, scorer)
 
 
 class MotionKind(Enum):

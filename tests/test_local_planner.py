@@ -275,6 +275,11 @@ _BOUND_CASE = dict(count=13, beta=0.0, q_align=0.0, q_zero=0.5, q_obstacle=0.05,
 @example(**dict(_BOUND_CASE, target_kind="zero"))
 @example(**dict(_BOUND_CASE, count=19, beta=1e-9, q_align=1.0, q_zero=0.0, lookahead=2.5,
                 main=(0.0, 0.0), target_kind="finite", point=(1.0, 0.0), obstacles=[]))
+# a subnormal scale beta / |T - M| with a normal coef: scale * arc rounds by
+# ~1e-3 relative, far past the slack, so only a full scan picks candidate 53
+@example(**dict(_BOUND_CASE, count=55, beta=1e-320, q_align=1e13, q_zero=0.0, q_obstacle=0.0,
+                half=0.99, main=(0.0, 0.0), target_kind="finite", point=(1.0, 0.0),
+                obstacles=[]))
 @settings(max_examples=400, deadline=None)
 @given(
     count=st.integers(4, 72),
