@@ -11,6 +11,8 @@ The package is organized around one module per subsystem:
 - ``sim_world``       ground-truth world state and stepped kinematics
 - ``mission``         task decomposition, word assembly, leg planning, and orchestration
 - ``scenario``        scenario file schema, validation, and the one mission run
+- ``presets``         benchmark scenario builders (types A and B)
+- ``plotting``        arena SVG plots of planned paths and driven tracks
 - ``cli``             command-line entry points
 """
 

@@ -5,7 +5,9 @@ gridmask-svg. Exit codes: 0 success, 1 input error (a malformed command
 line included), 2 task failure. Every input file is read by
 ``scenario.read_json_file`` and checked by the library's readers; ``main``
 alone turns their errors into ``error: ...`` and exit 1. Every output file
-is written to a temp path and atomically renamed.
+is written to a temp path and atomically renamed; an output that cannot be
+written, or two outputs of one command that name one file, is an input
+error too.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 import sys
 import tempfile
 
+from .global_planner import PlanningError
 from .gridmask import GridSpec, render_gridmask_svg
 from .local_planner import (
     BlockedError,
@@ -51,16 +54,20 @@ EXIT_TASK = 2
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-agnav-")
+    """Write ``text`` to a temp file beside ``path``, then rename it over
+    ``path``; a path that cannot be written is an input error."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-agnav-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise ScenarioError(f"{path}: cannot write ({e.strerror})") from e
+    finally:
+        if tmp is not None and os.path.exists(tmp):  # a write that failed midway
             os.unlink(tmp)
-        raise
 
 
 def _trace_text(trace: list) -> str:
@@ -89,13 +96,19 @@ def _in_file(path: str, load, *args):
 
 
 def cmd_run_scenario(args) -> int:
+    plot_path = args.plot or os.path.splitext(args.summary)[0] + ".svg"
+    outputs = {}  # resolved path -> the option naming it
+    for option, path in (("--trace", args.trace), ("--summary", args.summary),
+                         ("--plot" if args.plot else "the plot path", plot_path)):
+        other = outputs.setdefault(os.path.realpath(path), option)
+        if other != option:
+            raise ScenarioError(f"{option} and {other} name one file: {path}")
     scen, result = run_scenario(read_json_file(args.file), args.seed)
     summary = result.summary()
     summary["config_hash"] = scen.config_hash
     summary["wall_time"] = result.wall_time
     _atomic_write(args.trace, _trace_text(result.trace))
     _atomic_write(args.summary, json.dumps(summary, sort_keys=True, indent=1) + "\n")
-    plot_path = args.plot or os.path.splitext(args.summary)[0] + ".svg"
     _atomic_write(plot_path, render_run_svg(
         scen.config.arena, scen.world.objects, result.global_paths, result.track))
     print(f"success={summary['success']} collisions={summary['collisions']} "
@@ -147,7 +160,11 @@ def cmd_plan_global(args) -> int:
         for o in scen.world.objects))
     world = scen.world.copy()
     world.attachment = ids.get(carried)
-    leg = plan_leg(world, truth, scen.config, goal)
+    try:
+        leg = plan_leg(world, truth, scen.config, goal)
+    except PlanningError as e:
+        print(f"error: planning failed: {e}", file=sys.stderr)
+        return EXIT_TASK
     result = leg.result
     doc = {
         "already_at_goal": result.already_at_goal,

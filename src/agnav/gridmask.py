@@ -37,17 +37,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Downward camera: altitude, horizontal FOV, and the pixel grid interval.
-
-    ``image_height`` is optional and defaults to a square image; it only
-    feeds the vertical footprint extent (aspect ratio), never the scale.
-    """
+    """Downward camera with a square image: altitude, horizontal FOV, image
+    width and the pixel grid interval."""
 
     altitude: float
     horizontal_fov: float
     image_width: int
     grid_interval: float
-    image_height: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.horizontal_fov < math.pi:
@@ -58,12 +54,6 @@ class CameraModel:
             raise ValueError("grid_interval must be positive")
         if self.image_width <= 0:
             raise ValueError("image_width must be positive")
-        if self.image_height is not None and self.image_height <= 0:
-            raise ValueError("image_height must be positive")
-
-    @property
-    def height(self) -> int:
-        return self.image_height if self.image_height is not None else self.image_width
 
 
 @dataclass(frozen=True)

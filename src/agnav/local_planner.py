@@ -119,10 +119,6 @@ class LocalCost:
     total: float
 
 
-def _arc(dot: float) -> float:
-    return math.acos(min(1.0, max(-1.0, dot)))
-
-
 def candidate_theta(index: int, count: int) -> float:
     """Heading of candidate ``index`` of ``count`` uniform directions."""
     return 2.0 * math.pi * index / count
@@ -206,6 +202,14 @@ class _Scorer:
         total = w.q_align * align + w.q_zero * zero + w.q_obstacle * obstacle + w.q_window * 0.0
         return (align, zero, obstacle, 0.0, total)
 
+    def deviation(self, dx: float, dy: float) -> float:
+        """Angle between the unit heading (dx, dy) and the anchor offset (0
+        when the anchor is M), the tie-break among tied minima."""
+        if self.dist == 0.0:
+            return 0.0
+        dot = (dx * self.gx + dy * self.gy) / self.dist
+        return math.acos(dot if -1.0 <= dot <= 1.0 else 1.0 if dot > 1.0 else -1.0)
+
 
 def cost_local(theta: float, obs: LocalObservation, w: LocalCostWeights) -> LocalCost:
     return LocalCost(*_Scorer(obs, w, w.lookahead).row(math.cos(theta), math.sin(theta)))
@@ -244,19 +248,11 @@ class DirectionChoice:
                      for i, (dx, dy) in enumerate(_directions(n)))
 
 
-def _goal_deviation(theta: float, obs: LocalObservation) -> float:
-    gx, gy = obs.anchor[0] - obs.main[0], obs.anchor[1] - obs.main[1]
-    dist = math.hypot(gx, gy)
-    if dist == 0.0:
-        return 0.0
-    return _arc((math.cos(theta) * gx + math.sin(theta) * gy) / dist)
-
-
 def select_direction(obs: LocalObservation, w: LocalCostWeights, *,
                      lookahead: Optional[float] = None) -> DirectionChoice:
     """argmin of cost_local over candidate_count uniform directions, by the
-    bounded search of the module docstring; the goal-deviation tie-break is
-    evaluated only for tied minima. ``lookahead`` (cells, default
+    bounded search of the module docstring; the tie-break's angle from the
+    anchor is evaluated only for tied minima. ``lookahead`` (cells, default
     ``w.lookahead``) cuts the ray; it scores as ``replace(w, lookahead=
     lookahead)`` would."""
     if lookahead is None:
@@ -298,7 +294,7 @@ def select_direction(obs: LocalObservation, w: LocalCostWeights, *,
         raise BlockedError("all candidate directions exit the window")
     if tied:
         index = min((i for i, t in scored.items() if t == best),
-                    key=lambda i: (_goal_deviation(candidate_theta(i, n), obs), i))
+                    key=lambda i: (scorer.deviation(*directions[i]), i))
     return DirectionChoice(candidate_theta(index, n), index, scored, scorer)
 
 

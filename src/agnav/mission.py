@@ -29,7 +29,7 @@ import math
 import operator
 import re
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
@@ -38,6 +38,7 @@ from .global_planner import (
     GlobalCostWeights,
     GlobalPlanResult,
     ObstacleSet,
+    PlanningError,
     optimize,
     straight_line_init,
 )
@@ -110,14 +111,15 @@ class MissionConfig:
     dist_stop: float = 0.45  # cells
     angle_tol: float = 0.1  # rad
     pitch: float = 0.4  # meters, word-assembly slot spacing
-    success_radius: float = 0.2  # meters, ground-truth placement tolerance
+    success_radius: float = 0.2  # meters, from the goal as the fused map places it
+    relation_clearance: float = GoalSpec.clearance  # meters, from a relation's landmark
     drop_at_step: Optional[int] = None
 
     def __post_init__(self):
         if self.map_update_every < 1:
             raise ValueError("map_update_every must be at least 1")
-        for name in ("dist_stop", "pitch", "success_radius"):
-            if getattr(self, name) <= 0:
+        for name in ("dist_stop", "pitch", "success_radius", "relation_clearance"):
+            if not getattr(self, name) > 0:  # NaN included
                 raise ValueError(f"{name} must be positive")
         if self.n_controls < DEGREE + 1:
             raise ValueError(f"n_controls must be at least degree+1 = {DEGREE + 1}")
@@ -465,14 +467,6 @@ def construct_map_viewpoints(arena) -> list[tuple[float, float]]:
     return [(cx - dx, cy - dy), (cx + dx, cy - dy), (cx + dx, cy + dy), (cx - dx, cy + dy)]
 
 
-def _fusion_view(local_map):
-    """The local map as fused: the carried (main) object stripped, so only
-    the static environment reaches the global map. Runs when a queued map
-    is folded in, never on a tick."""
-    keep = tuple(o for o in local_map.objects if o.category != Category.MAIN)
-    return replace(local_map, objects=keep)
-
-
 class _Failure(Exception):
     """Mission failure; the message is the reason reported."""
 
@@ -524,7 +518,7 @@ class MissionExecutor:
         """The fused map, with the local maps queued since the last read
         folded in first by one ``update`` call."""
         if self._unfused:
-            self._map = update(self._map, map(_fusion_view, self._unfused), self.cfg.fusion)
+            self._map = update(self._map, self._unfused, self.cfg.fusion)
             self._unfused.clear()
         return self._map
 
@@ -588,11 +582,12 @@ class MissionExecutor:
         """Observe prompted with ``goal``, then read off the local observation
         (None unless the robot's head, body and tail are in view and
         distinct), whose target is the zero point for a coordinate goal. The
-        carried object is never an obstacle: the perceiver labels it main."""
+        objects labelled obstacle or landmark (a relation's reference) are its
+        obstacles; the carried object, labelled main, never is one."""
         local_map = observe(self.state, self.cfg.camera, goal, self.cfg.noise)
         held = self.state.attachment
         obstacles = [o for o in local_map.objects
-                     if o.category == Category.OBSTACLE or o.is_obstacle_too]
+                     if o.category in (Category.OBSTACLE, Category.LANDMARK)]
         parts = local_map.parts
         if not all(k in parts for k in ("head", "body", "tail")) or parts["head"] == parts["tail"]:
             return local_map, None
@@ -888,7 +883,7 @@ class MissionExecutor:
                     self._run_attach(s.object_name)
                 else:
                     self._run_detach()
-        except (_Failure, BlockedError, AssemblyError, GoalError) as e:
+        except (_Failure, BlockedError, PlanningError, AssemblyError, GoalError) as e:
             failure = str(e)
         placed_ok = all(
             p["error_m"] <= self.cfg.success_radius

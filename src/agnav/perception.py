@@ -79,15 +79,10 @@ def _gauss(key: bytes, sigma: float) -> float:
     return 0.0 if sigma == 0.0 else sigma * _NORMAL.inv_cdf(_uniform(key))
 
 
-def camera_footprint(camera: CameraModel, cx: float, cy: float) -> Footprint:
-    """World rectangle on the ground seen from (cx, cy) at the camera altitude."""
-    return _footprint(camera, ground_scale(camera), cx, cy)
-
-
-def _footprint(camera: CameraModel, scale: GroundScale, cx: float, cy: float) -> Footprint:
-    half_w = scale.width_real / 2.0
-    half_h = half_w * camera.height / camera.image_width
-    return Footprint(cx - half_w, cx + half_w, cy - half_h, cy + half_h)
+def _footprint(scale: GroundScale, cx: float, cy: float) -> Footprint:
+    """World square on the ground seen from (cx, cy): the image is square."""
+    half = scale.width_real / 2.0
+    return Footprint(cx - half, cx + half, cy - half, cy + half)
 
 
 def observe(world, camera: CameraModel, goal: Optional[GoalSpec],
@@ -107,7 +102,7 @@ def observe(world, camera: CameraModel, goal: Optional[GoalSpec],
     scale = ground_scale(camera)
     cell = scale.cell_m
     cx, cy = world.drone.x, world.drone.y
-    fp = _footprint(camera, scale, cx, cy)
+    fp = _footprint(scale, cx, cy)
     xmin, xmax, ymin, ymax = fp.xmin, fp.xmax, fp.ymin, fp.ymax
     half_w = (xmax - xmin) / 2.0 / cell
     half_h = (ymax - ymin) / 2.0 / cell
@@ -138,14 +133,13 @@ def observe(world, camera: CameraModel, goal: Optional[GoalSpec],
         if len(alphabet) > 1 and _uniform(key + b"mis") < mis_prob:
             others = [n for n in alphabet if n != o.name]
             name = others[int(_uniform(key + b"sub") * len(others))]
-        category, direction, obstacle_too = _role(o.id, name, goal, world.attachment)
+        category, direction = _role(o.id, name, goal, world.attachment)
         objects.append(SemanticObject(
             id=o.id,
             name=name,
             x=gx, y=gy,
             category=category,
             direction=direction,
-            is_obstacle_too=obstacle_too,
             orientation=o.yaw + _gauss(key + b"yaw", yaw_sigma),
             radius=o.radius / cell,
         ))
@@ -173,19 +167,19 @@ def observe(world, camera: CameraModel, goal: Optional[GoalSpec],
 
 
 def _role(oid: str, name: str, goal: Optional[GoalSpec], carried: Optional[str]):
-    """(category, direction, is_obstacle_too) of one scene object as observed
-    under ``name``, prompted with ``goal``. Map construction (no goal)
-    assigns no roles; the carried object (id ``carried``, the world's
-    attachment) is main; an object goal's object is the target; a relation
-    goal's reference is a landmark carrying the goal's direction and doubling
-    as an obstacle; everything else is an obstacle. A coordinate goal marks
-    no target: the robot aligns with the image zero point."""
+    """(category, direction) of one scene object as observed under ``name``,
+    prompted with ``goal``. Map construction (no goal) assigns no roles; the
+    carried object (id ``carried``, the world's attachment) is main; an
+    object goal's object is the target; a relation goal's reference is a
+    landmark carrying the goal's direction; everything else is an obstacle.
+    A coordinate goal marks no target: the robot aligns with the image zero
+    point."""
     if goal is None:
-        return None, None, False
+        return None, None
     if oid == carried:
-        return Category.MAIN, None, False
+        return Category.MAIN, None
     if name == goal.name and goal.kind == "object":
-        return Category.TARGET, None, False
+        return Category.TARGET, None
     if name == goal.name and goal.kind == "relation":
-        return Category.LANDMARK, goal.direction, True
-    return Category.OBSTACLE, None, False
+        return Category.LANDMARK, goal.direction
+    return Category.OBSTACLE, None

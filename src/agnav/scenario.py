@@ -32,7 +32,6 @@ from .local_planner import LocalCostWeights, LocalObservation
 from .mission import (
     CommandError,
     ExecutionResult,
-    GoalSpec,
     MissionConfig,
     decompose,
     execute,
@@ -157,7 +156,6 @@ _TOP = {
 }
 _ARENA = {k: _Field(float) for k in ("xmin", "xmax", "ymin", "ymax")}
 _OBJECT = {**_spec(SimObject), "id": _Field(str, None)}  # a missing id takes the name
-_EXECUTION = {**_spec(MissionConfig), "relation_clearance": _spec(GoalSpec)["clearance"]}
 
 
 @dataclass
@@ -167,7 +165,11 @@ class Scenario:
     config: MissionConfig
     world: WorldState
     raw: dict
-    relation_clearance: float  # meters, for tasks naming a directional relation
+
+    @property
+    def relation_clearance(self) -> float:
+        """Meters, for tasks naming a directional relation."""
+        return self.config.relation_clearance
 
     @property
     def config_hash(self) -> str:
@@ -207,26 +209,20 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
     robot = build(GroundRobot, {"heading": 0.0, **top["ground_robot"]}, "$.ground_robot")
 
     sim = build(SimParams, top["sim"], "$.sim")
-    ex = _section(top["execution"], "$.execution", _EXECUTION)
-    clearance = ex.pop("relation_clearance")
-    if not clearance > 0.0:
-        raise ScenarioError("$.execution: relation_clearance must be positive")
-    config = _new(
-        MissionConfig, "$.execution",
+    config = build(
+        MissionConfig, top["execution"], "$.execution",
         camera=camera,
         noise=noise,
         global_weights=build(GlobalCostWeights, top["global_weights"], "$.global_weights"),
         local_weights=build(LocalCostWeights, top["local_weights"], "$.local_weights"),
         fusion=build(FusionParams, top["fusion"], "$.fusion"),
         arena=arena,
-        **ex,
     )
 
     world = WorldState(objects=objects, drone=drone, ground_robot=robot, params=sim)
     raw = dict(doc)
     raw["seed"] = seed
-    return Scenario(seed=seed, task=top["task"], config=config, world=world, raw=raw,
-                    relation_clearance=clearance)
+    return Scenario(seed=seed, task=top["task"], config=config, world=world, raw=raw)
 
 
 def _finite_point(doc, path: str, fields=("x", "y")) -> tuple:

@@ -1,6 +1,7 @@
 """Local/global semantic maps and deterministic rule-based fusion.
 
-Fusion follows a fixed rule pipeline over the pooled observations:
+Fusion follows a fixed rule pipeline over the pooled observations, which
+never include an object labelled main (the carried one):
 
 1. cluster observations whose world positions chain within merge_radius
    (single-linkage transitive closure), growing each component breadth-first
@@ -68,7 +69,6 @@ class SemanticObject:
     y: float
     category: Optional[Category] = None
     direction: Optional[Direction] = None
-    is_obstacle_too: bool = False
     orientation: Optional[float] = None
     radius: float = 0.0
 
@@ -176,11 +176,14 @@ def left_sum(values):
 
 def _observations(maps) -> list[_Obs]:
     """Every object of the maps as a world-frame record, projected through
-    its map's observer pose, in canonical order."""
+    its map's observer pose, in canonical order. An object labelled main
+    (the carried one) is skipped: only the static scene is fused."""
     obs = []
     for m in maps:
         origin, cell = (m.observer_x, m.observer_y), m.cell_m
         for o in m.objects:
+            if o.category is Category.MAIN:
+                continue
             x, y = grid_to_world(cell, (o.x, o.y), origin)
             obs.append(_Obs(m.step_index, o.id, x, y, o.name, o.radius * cell, o.orientation))
     obs.sort(key=_obs_key)
@@ -387,13 +390,8 @@ def local_map_to_json(m: LocalSemanticMap) -> dict:
     }
 
 
-def global_map_to_json(g: GlobalSemanticMap) -> dict:
-    return {
-        "frame": "world",
-        "revision": g.revision,
-        "entries": [_fields_json(e) for e in g.entries],
-    }
-
-
 def dump_global_map(g: GlobalSemanticMap) -> str:
-    return json.dumps(global_map_to_json(g), sort_keys=True, indent=1)
+    """JSON text of a global map's entries, in the world frame."""
+    return json.dumps({"frame": "world", "revision": g.revision,
+                       "entries": [_fields_json(e) for e in g.entries]},
+                      sort_keys=True, indent=1)

@@ -102,8 +102,6 @@ def test_ground_scale_rejections():
         CameraModel(2.0, math.pi, 1600, 80)
     with pytest.raises(ValueError):
         CameraModel(0.0, 1.0, 1600, 80)
-    with pytest.raises(ValueError, match="image_height"):
-        CameraModel(2.0, 1.0, 1600, 80, image_height=0)
     with pytest.raises(ValueError):
         ground_scale(CameraModel(2.0, 1.0, 100, 200))
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from agnav.gridmask import CameraModel
 from agnav.local_planner import DirectionChoice, LocalObservation
 from agnav.mission import (
     ROLLBACK_LIMIT,
@@ -12,6 +13,7 @@ from agnav.mission import (
     Carry,
     CommandError,
     GoalSpec,
+    MissionConfig,
     MissionExecutor,
     MoveTo,
     PlanError,
@@ -472,6 +474,12 @@ def _blocked_window_doc():
     weights["window_half_extent"] = 3.0
     weights["lookahead"] = 5.0
     return doc
+
+
+@pytest.mark.parametrize("value", [0.0, -0.55, math.nan])
+def test_mission_config_rejects_a_non_positive_relation_clearance(value):
+    with pytest.raises(ValueError, match="relation_clearance must be positive"):
+        MissionConfig(CameraModel(2.0, math.pi / 2, 1600, 80), relation_clearance=value)
 
 
 def test_blocked_window_replans_once_then_fails():

@@ -9,7 +9,7 @@ from typing import Optional
 import pytest
 
 from agnav.gridmask import CameraModel, ground_scale, world_to_grid
-from agnav.perception import GoalSpec, NoiseModel, _role, camera_footprint, observe
+from agnav.perception import GoalSpec, NoiseModel, _footprint, _role, observe
 from agnav.semantic_map import (
     Category,
     Direction,
@@ -121,7 +121,6 @@ def test_observe_roles_carry_to_relation():
     assert out["L"].category == Category.MAIN
     assert out["O"].category == Category.LANDMARK
     assert out["O"].direction == Direction.FRONT
-    assert out["O"].is_obstacle_too
     assert out["V"].category == Category.OBSTACLE
 
 
@@ -142,7 +141,7 @@ def test_misclassification_substitutes_other_name():
 
 def test_noisy_positions_stay_inside_footprint():
     noise = NoiseModel(position_sigma=5.0, seed=1)
-    fp = camera_footprint(CAMERA, 0.0, 0.0)
+    fp = _footprint(ground_scale(CAMERA), 0.0, 0.0)
     for step in range(50):
         world = make_world([SimObject("edge", "E", 1.9, 1.9)], step=step)
         m = observe(world, CAMERA, None, noise)
@@ -181,9 +180,8 @@ def reference_gauss(seed: int, step: int, tag: str, channel: str, sigma: float) 
 
 def reference_camera_footprint(camera: CameraModel, cx: float, cy: float):
     scale = ground_scale(camera)
-    half_w = scale.width_real / 2.0
-    half_h = half_w * camera.height / camera.image_width
-    return Footprint(cx - half_w, cx + half_w, cy - half_h, cy + half_h)
+    half = scale.width_real / 2.0
+    return Footprint(cx - half, cx + half, cy - half, cy + half)
 
 
 def reference_clamp(v: float, lo: float, hi: float) -> float:
@@ -220,14 +218,13 @@ def reference_observe(world, camera: CameraModel, goal: Optional[GoalSpec],
             if reference_uniform(noise.seed, step, o.id, "mis") < noise.misclassify_prob:
                 others = [n for n in alphabet if n != o.name]
                 name = others[int(reference_uniform(noise.seed, step, o.id, "sub") * len(others))]
-        category, direction, obstacle_too = _role(o.id, name, goal, world.attachment)
+        category, direction = _role(o.id, name, goal, world.attachment)
         objects.append(SemanticObject(
             id=o.id,
             name=name,
             x=gx, y=gy,
             category=category,
             direction=direction,
-            is_obstacle_too=obstacle_too,
             orientation=o.yaw + reference_gauss(noise.seed, step, o.id, "yaw",
                                                 noise.orientation_sigma),
             radius=o.radius / cell,
@@ -255,7 +252,7 @@ def reference_observe(world, camera: CameraModel, goal: Optional[GoalSpec],
     )
 
 
-CAMERAS = [CAMERA, CameraModel(2.0, math.pi / 2, 1600, 80, image_height=900),
+CAMERAS = [CAMERA, CameraModel(2.0, math.pi / 2, 900, 80),
            CameraModel(3.5, 1.2, 1280, 96)]
 LETTERS = "LOTVXE"
 
@@ -267,7 +264,7 @@ def random_world_case(rng: random.Random):
     and sigmas from 0 to ones large enough for the clamp to engage."""
     camera = rng.choice(CAMERAS)
     drone = (rng.choice([0.0, rng.uniform(-1.5, 1.5)]), rng.uniform(-1.5, 1.5))
-    fp = camera_footprint(camera, *drone)
+    fp = _footprint(ground_scale(camera), *drone)
     objects = []
     for i in range(rng.randint(0, 8)):
         kind = rng.random()

@@ -84,6 +84,8 @@ def _json_path(path):
     # solver and executor tuning are module constants, not scenario keys
     "execution.optimizer", "execution.attach_budget", "execution.rollback_limit",
     "fusion.pool_cap", "sim.rotate_clear_cap",
+    # the camera image is square: its width is its height
+    "camera.image_height",
 ])
 def test_load_scenario_rejects_unknown_key(path):
     doc = type_a_scenario(0)
@@ -97,7 +99,6 @@ def test_load_scenario_rejects_unknown_key(path):
     ("noise.misclassify_prob", 2.0),
     ("objects.0.radius", -0.5),
     ("ground_robot.radius", -0.5),
-    ("camera.image_height", 0),
     ("local_weights.window_half_extent", 0.0),
     ("execution.map_update_every", 0),
     ("execution.n_controls", 3),
@@ -112,7 +113,6 @@ def test_load_scenario_dataclass_rule_names_section(path, value):
 
 @pytest.mark.parametrize("path, value", [
     ("objects.0.movable", "false"),
-    ("camera.image_height", "x"),
     ("execution.drop_at_step", True),
     ("execution.relation_clearance", "abc"),
 ])
@@ -319,6 +319,44 @@ def test_cli_missing_input_is_a_diagnostic(tmp_path, command):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ("run-scenario", "--file", "{scenarios}/s.json", "--trace", "{tmp}/t.jsonl",
+     "--summary", "{out}"),
+    ("batch", "--scenarios", "{scenarios}", "--out", "{out}"),
+    ("plan-global", "--scenario", "{scenarios}/s.json", "--out", "{out}"),
+    ("fuse", "--maps", "{maps}", "--out", "{out}"),
+    ("gridmask-svg", "--width", "100", "--height", "100", "--cell", "10", "--out", "{out}"),
+], ids=lambda c: c[0])
+def test_cli_output_in_a_missing_directory_is_a_diagnostic(tmp_path, command):
+    (tmp_path / "scenarios").mkdir()
+    write_doc(tmp_path / "scenarios", type_a_scenario(0), name="s.json")
+    (tmp_path / "maps").mkdir()
+    (tmp_path / "maps" / "map0.json").write_text(json.dumps(_map_doc(lambda d: None)))
+    out = tmp_path / "missing" / "out"
+    r = run_cli(*(a.format(tmp=tmp_path, scenarios=tmp_path / "scenarios",
+                           maps=tmp_path / "maps", out=out) for a in command))
+    assert r.returncode == 1
+    assert r.stderr == f"error: {out}: cannot write (No such file or directory)\n"
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("outputs, message", [
+    (("--trace", "t.jsonl", "--summary", "out.svg"), "the plot path and --summary"),
+    (("--trace", "s.json", "--summary", "s.json"), "--summary and --trace"),
+    (("--trace", "t.jsonl", "--summary", "s.json", "--plot", "x/../t.jsonl"),
+     "--plot and --trace"),
+], ids=["default-plot", "trace", "plot-resolved"])
+def test_run_scenario_cli_refuses_two_outputs_naming_one_file(tmp_path, outputs, message):
+    # the later output would overwrite the earlier one: refused before the
+    # mission runs, so nothing is written
+    p = write_doc(tmp_path, type_a_scenario(0))
+    args = [str(tmp_path / a) if i % 2 else a for i, a in enumerate(outputs)]
+    r = run_cli("run-scenario", "--file", p, *args)
+    assert r.returncode == 1
+    assert r.stderr == f"error: {message} name one file: {args[-1]}\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["scenario.json"]
+
+
 @pytest.mark.parametrize("command, what", [
     (("batch", "--scenarios"), "scenario"),
     (("fuse", "--maps"), "local map"),
@@ -378,6 +416,34 @@ def test_plan_global_cli_plans_the_transport_leg(tmp_path):
     assert poly[0] == pytest.approx([b["x"], b["y"]])
     clearance = min(math.hypot(x - e["x"], y - e["y"]) - e["radius"] for x, y in poly)
     assert clearance >= 0.3
+
+
+def _overflowing_weights_doc():
+    # weights this large overflow the seed's cost: the optimizer raises
+    # PlanningError on the first leg, which fails the mission like a blocked
+    # local planner
+    doc = type_a_scenario(0)
+    doc["global_weights"] = {"q_length": 1e308, "q_obstacle": 1e308}
+    return doc
+
+
+def test_run_scenario_cli_planning_error_is_a_task_failure(tmp_path):
+    summary = tmp_path / "s.json"
+    r = run_cli("run-scenario", "--file", write_doc(tmp_path, _overflowing_weights_doc()),
+                "--trace", str(tmp_path / "t.jsonl"), "--summary", str(summary))
+    assert r.returncode == 2
+    assert r.stderr == ""
+    assert json.loads(summary.read_text())["failure"] == (
+        "non-finite cost at the initial control polygon")
+
+
+def test_plan_global_cli_planning_error_is_a_task_failure(tmp_path):
+    out = tmp_path / "p.json"
+    r = run_cli("plan-global", "--scenario", write_doc(tmp_path, _overflowing_weights_doc()),
+                "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr == "error: planning failed: non-finite cost at the initial control polygon\n"
+    assert not out.exists()
 
 
 def test_plan_global_cli_rejects_a_goal_outside_the_arena(tmp_path):

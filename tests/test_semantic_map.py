@@ -493,10 +493,31 @@ def test_left_sum_does_not_compensate():
     assert left_sum([]) == 0
 
 
+def _carry_map(step):
+    """A map of the carried block, labelled main, beside a static obstacle."""
+    objects = (SemanticObject(id="c", name="C", x=1.0, y=0.0, category=Category.MAIN),
+               SemanticObject(id="o", name="O", x=-1.0, y=0.0, category=Category.OBSTACLE))
+    return LocalSemanticMap(observer_x=0.0, observer_y=0.0, altitude=2.0, cell_m=1.0,
+                            footprint=WIDE, objects=objects, step_index=step)
+
+
+def test_fuse_drops_a_main_object():
+    # the carried block moves with the robot: only the static scene is fused
+    g = fuse([_carry_map(0), _carry_map(1)])
+    assert [e.name for e in g.entries] == ["O"]
+    assert {o.oid for o in g.pool} == {"o"}
+
+
+def test_update_drops_a_main_object():
+    g = update(fuse([world_map(0, [("o", "O", -1.0, 0.0)])]), [_carry_map(1), _carry_map(2)])
+    assert [(e.name, e.support_count) for e in g.entries] == [("O", 3)]
+    assert {o.oid for o in g.pool} == {"o"}
+
+
 def test_local_map_json_round_trip():
     obj = SemanticObject(id="l1", name="L", x=1.5, y=-2.0,
                          category=Category.LANDMARK, direction=Direction.FRONT,
-                         is_obstacle_too=True, orientation=0.3, radius=0.6)
+                         orientation=0.3, radius=0.6)
     m = LocalSemanticMap(observer_x=1.0, observer_y=2.0, altitude=2.0, cell_m=0.2,
                          footprint=Footprint(-1, 3, 0, 4), objects=(obj,),
                          step_index=7, parts={"head": (1.0, 0.0)})
