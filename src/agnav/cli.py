@@ -6,13 +6,14 @@ line included), 2 task failure. Every input file is read by
 ``scenario.read_json_file`` and checked by the library's readers; ``main``
 alone turns their errors into ``error: ...`` and exit 1. Every output file
 is written to a temp path and atomically renamed; an output that cannot be
-written, or two outputs of one command that name one file, is an input
-error too.
+written (``run-scenario`` and ``batch`` check its directory first), or two
+outputs of one command that name one file, is an input error too.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -70,6 +71,12 @@ def _atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
+def _check_directory(path: str) -> None:
+    """Refuse an output in a missing directory before any work is done."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ScenarioError(f"{path}: cannot write ({os.strerror(errno.ENOENT)})")
+
+
 def _trace_text(trace: list) -> str:
     return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in trace)
 
@@ -103,6 +110,7 @@ def cmd_run_scenario(args) -> int:
         other = outputs.setdefault(os.path.realpath(path), option)
         if other != option:
             raise ScenarioError(f"{option} and {other} name one file: {path}")
+        _check_directory(path)
     scen, result = run_scenario(read_json_file(args.file), args.seed)
     summary = result.summary()
     summary["config_hash"] = scen.config_hash
@@ -122,6 +130,7 @@ def cmd_batch(args) -> int:
     except ValueError:
         raise ScenarioError(
             f"--seeds: expected comma-separated integers, got {args.seeds!r}") from None
+    _check_directory(args.out)
     rows = []
     for path in _json_files(args.scenarios, "scenario"):
         doc = read_json_file(path)

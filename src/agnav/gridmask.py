@@ -87,22 +87,20 @@ def ground_scale(camera: CameraModel) -> GroundScale:
     if n_grid == 0:
         raise ValueError("grid_interval exceeds image width (n_grid = 0)")
     width_real = 2.0 * camera.altitude * math.tan(camera.horizontal_fov / 2.0)
-    return GroundScale(n_grid=n_grid, width_real=width_real, cell_m=width_real / n_grid)
+    if not 0.0 < (cell_m := width_real / n_grid) < math.inf:  # NaN included
+        raise ValueError(f"cell_m must be a positive finite length, got {cell_m}")
+    return GroundScale(n_grid=n_grid, width_real=width_real, cell_m=cell_m)
 
 
 def grid_to_world(cell_m: float, p, origin=None) -> tuple[float, float]:
     """Scale a grid-frame point to meters, optionally offset by the camera's
     ground-projection point."""
-    if cell_m <= 0:
-        raise ValueError("cell_m must be positive")
     ox, oy = (0.0, 0.0) if origin is None else (origin[0], origin[1])
     return (cell_m * p[0] + ox, cell_m * p[1] + oy)
 
 
 def world_to_grid(cell_m: float, p, origin=None) -> tuple[float, float]:
     """Inverse of :func:`grid_to_world`."""
-    if cell_m <= 0:
-        raise ValueError("cell_m must be positive")
     ox, oy = (0.0, 0.0) if origin is None else (origin[0], origin[1])
     return ((p[0] - ox) / cell_m, (p[1] - oy) / cell_m)
 

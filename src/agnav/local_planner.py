@@ -37,6 +37,7 @@ subnormal or not finite, or the anchor offset is 0 or not finite, every
 candidate is scored. The
 totals of skipped candidates are scored on demand (``DirectionChoice.total``
 and ``.table``) by the same per-candidate row function the search uses.
+Motion rules: ``step_decision`` toward the candidate, ``pursue`` onto a bearing.
 """
 
 from __future__ import annotations
@@ -360,3 +361,12 @@ def step_decision(obs: LocalObservation, theta_star: float, dist_stop: float,
         return MotionCommand.rotate(theta_star)
     along = gx * math.cos(heading) + gy * math.sin(heading)
     return MotionCommand.forward() if along >= 0.0 else MotionCommand.backward()
+
+
+def pursue(body, aim, heading: float, gate: float) -> MotionCommand:
+    """Rotate onto the bearing from ``body`` to ``aim`` while ``heading``
+    misses it by more than ``gate`` (rad); otherwise drive forward."""
+    bearing = math.atan2(aim[1] - body[1], aim[0] - body[0])
+    if abs(wrap_angle(bearing - heading)) > gate:
+        return MotionCommand.rotate(bearing)
+    return MotionCommand.forward()

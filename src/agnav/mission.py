@@ -26,12 +26,10 @@ world points convert through ``gridmask``'s helpers.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .global_planner import (
     DEGREE,
@@ -51,9 +49,9 @@ from .local_planner import (
     MotionKind,
     candidate_theta,
     cost_local,  # noqa: F401 -- not called here; perfbench's tracer wraps it by this name
+    pursue,
     select_direction,
     step_decision,
-    wrap_angle,
 )
 from .perception import GoalSpec, NoiseModel, observe
 from .semantic_map import (
@@ -110,7 +108,7 @@ class MissionConfig:
     map_update_every: int = 10
     dist_stop: float = 0.45  # cells
     angle_tol: float = 0.1  # rad
-    pitch: float = 0.4  # meters, word-assembly slot spacing
+    pitch: ClassVar[float] = 0.4  # meters, word-assembly slot spacing
     success_radius: float = 0.2  # meters, from the goal as the fused map places it
     relation_clearance: float = GoalSpec.clearance  # meters, from a relation's landmark
     drop_at_step: Optional[int] = None
@@ -118,7 +116,7 @@ class MissionConfig:
     def __post_init__(self):
         if self.map_update_every < 1:
             raise ValueError("map_update_every must be at least 1")
-        for name in ("dist_stop", "pitch", "success_radius", "relation_clearance"):
+        for name in ("dist_stop", "success_radius", "relation_clearance"):
             if not getattr(self, name) > 0:  # NaN included
                 raise ValueError(f"{name} must be positive")
         if self.n_controls < DEGREE + 1:
@@ -352,16 +350,13 @@ def relation_goal_point(entry, direction: Direction, clearance: float) -> tuple[
     return (entry.x + clearance * math.cos(ang), entry.y + clearance * math.sin(ang))
 
 
-def resolve_goal(goal: GoalSpec, global_map: Optional[GlobalSemanticMap],
-                 arena) -> tuple[float, float]:
+def resolve_goal(goal: GoalSpec, global_map: GlobalSemanticMap, arena) -> tuple[float, float]:
     """World point of a goal: the coordinate itself, the mapped object, or
     the relation point beside the mapped landmark. Raises GoalError unless
     the point lies inside the arena."""
     if goal.kind == "coordinate":
         point = (goal.x, goal.y)
     else:
-        if global_map is None:
-            raise GoalError("goal resolution requires the global map")
         entry = global_map.find(goal.name)
         if entry is None:
             raise GoalError(f"object {goal.name!r} not present in the global map")
@@ -430,7 +425,7 @@ class Leg:
     waypoints: list
 
 
-def plan_leg(world: WorldState, global_map: Optional[GlobalSemanticMap],
+def plan_leg(world: WorldState, global_map: GlobalSemanticMap,
              config: MissionConfig, goal: GoalSpec, target=None) -> Leg:
     """Plan the aerial path of one cooperative move.
 
@@ -451,7 +446,7 @@ def plan_leg(world: WorldState, global_map: Optional[GlobalSemanticMap],
     if goal.kind == "object":
         exclude.add(goal.name)
     pairs = [(world_to_grid(cell, (e.x, e.y)), e.radius / cell)
-             for e in (global_map.entries if global_map else ()) if e.name not in exclude]
+             for e in global_map.entries if e.name not in exclude]
     result = optimize(init, config.global_weights, ObstacleSet.from_pairs(pairs))
     if at_goal:
         return Leg(result, [start])
@@ -721,12 +716,7 @@ class MissionExecutor:
         else:
             aim_t = min(t + 2.0, 0.5)
         aim = (bgx + aim_t * ax, bgy + aim_t * ay)
-        desired = math.atan2(aim[1] - body[1], aim[0] - body[0])
-        gate = max(self.cfg.angle_tol, 0.15)
-        err = wrap_angle(obs.heading - desired)
-        if abs(err) > gate:
-            return MotionCommand.rotate(desired)
-        return MotionCommand.forward()
+        return pursue(body, aim, obs.heading, max(self.cfg.angle_tol, 0.15))
 
     def _follow_leg(self, goal_world, stop_m, subtask_goal, approach: bool, dock_axis=None):
         """Tick the leader-follower loop toward one world point. Raises
@@ -837,15 +827,11 @@ class MissionExecutor:
             if attach(self.state, block.id):
                 self._end_tick("attach", extra={"attached": block.id})
                 return
-            bearing = math.atan2(block.y - obs.body[1], block.x - obs.body[0])
             # the robot's own heading, not the perceived obs.heading: steering
             # on the perceived one cost one more collision on held-out seeds
             # 10-49 (17 against 16)
-            err = wrap_angle(bearing - self.state.ground_robot.heading)
-            if abs(err) > self.state.params.attach_angle_tol * 0.5:
-                cmd = MotionCommand.rotate(bearing)
-            else:
-                cmd = MotionCommand.forward()
+            cmd = pursue(obs.body, (block.x, block.y), self.state.ground_robot.heading,
+                         self.state.params.attach_angle_tol * 0.5)
             step_ground(self.state, cmd)
             self._end_tick("attach", cmd)
         raise _Failure(f"attach on {name!r} did not engage within the attach budget")
@@ -883,7 +869,7 @@ class MissionExecutor:
                     self._run_attach(s.object_name)
                 else:
                     self._run_detach()
-        except (_Failure, BlockedError, PlanningError, AssemblyError, GoalError) as e:
+        except (_Failure, PlanningError, AssemblyError, GoalError) as e:
             failure = str(e)
         placed_ok = all(
             p["error_m"] <= self.cfg.success_radius
@@ -894,8 +880,8 @@ class MissionExecutor:
             trace=self.trace,
             collisions=sum(len(rec["events"]) for rec in self.trace),
             steps=self.state.step,
-            path_length=reduce(operator.add, (math.hypot(b[0] - a[0], b[1] - a[1])
-                                              for a, b in zip(self.track, self.track[1:])), 0.0),
+            path_length=float(left_sum(math.hypot(b[0] - a[0], b[1] - a[1])
+                                       for a, b in zip(self.track, self.track[1:]))),
             placements=self.placements,
             failure=failure if failure is not None else (
                 None if placed_ok else "final placement outside success radius"),

@@ -27,7 +27,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .global_planner import GlobalCostWeights
-from .gridmask import CameraModel
+from .gridmask import CameraModel, ground_scale
 from .local_planner import LocalCostWeights, LocalObservation
 from .mission import (
     CommandError,
@@ -167,11 +167,6 @@ class Scenario:
     raw: dict
 
     @property
-    def relation_clearance(self) -> float:
-        """Meters, for tasks naming a directional relation."""
-        return self.config.relation_clearance
-
-    @property
     def config_hash(self) -> str:
         return hashlib.sha256(
             json.dumps(self.raw, sort_keys=True, separators=(",", ":")).encode()
@@ -183,6 +178,7 @@ def load_scenario(doc: dict, seed_override: Optional[int] = None) -> Scenario:
     top = _section(doc, "$", _TOP)
     seed = top["seed"] if seed_override is None else seed_override
     camera = build(CameraModel, top["camera"], "$.camera")
+    _new(ground_scale, "$.camera", camera=camera)  # a cell must be a positive finite length
     noise = build(NoiseModel, top["noise"], "$.noise", seed=seed)
 
     a = _section(top["arena"], "$.arena", _ARENA)
@@ -303,7 +299,7 @@ def read_json_file(path: str) -> dict:
 
 def relation_clearance(scen: Scenario) -> float:
     """Clearance used when the task names a directional relation."""
-    return scen.relation_clearance
+    return scen.config.relation_clearance
 
 
 def task_command(scen: Scenario):
@@ -311,7 +307,7 @@ def task_command(scen: Scenario):
     must parse, and a coordinate goal must lie inside the arena. A rejected
     task is reported under ``$.task``."""
     try:
-        command = parse_command(scen.task, scen.relation_clearance)
+        command = parse_command(scen.task, scen.config.relation_clearance)
     except CommandError as e:
         raise ScenarioError(f"$.task: {e}") from e
     goal = getattr(command, "goal", None)

@@ -106,6 +106,15 @@ def test_ground_scale_rejections():
         ground_scale(CameraModel(2.0, 1.0, 100, 200))
 
 
+@pytest.mark.parametrize("altitude", [math.nan, 5e-324])
+def test_ground_scale_rejects_a_cell_that_is_not_a_positive_finite_length(altitude):
+    # a NaN altitude passes CameraModel's sign check; a subnormal one makes a
+    # cell that underflows to 0
+    camera = CameraModel(altitude, math.pi / 2, 1600, 80)
+    with pytest.raises(ValueError, match="cell_m must be a positive finite length"):
+        ground_scale(camera)
+
+
 def test_doubling_interval():
     base = ground_scale(CameraModel(2.0, math.pi / 2, 1600, 40))
     doubled = ground_scale(CameraModel(2.0, math.pi / 2, 1600, 80))

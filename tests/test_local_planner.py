@@ -12,6 +12,7 @@ from agnav.local_planner import (
     LocalObservation,
     MotionKind,
     cost_local,
+    pursue,
     select_direction,
     step_decision,
     wrap_angle,
@@ -502,6 +503,29 @@ def test_wrap_angle():
     assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
     assert wrap_angle(-3 * math.pi) == pytest.approx(math.pi)
     assert wrap_angle(math.pi + 0.1) == pytest.approx(-math.pi + 0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(math.pi)
+@example(-math.pi)
+@example(3 * math.pi)
+@example(-3 * math.pi)
+@example(1e300)
+def test_wrap_angle_magnitude_is_even(a):
+    # pursue gates on the size of its miss alone, so measuring it as
+    # bearing - heading or as heading - bearing turns on the same ticks
+    assert abs(wrap_angle(a)) == abs(wrap_angle(-a))
+
+
+def test_pursue_rotates_outside_the_gate_and_drives_inside_it():
+    body, aim = (1.0, 2.0), (4.0, 2.0)  # bearing 0
+    # a miss equal to the gate, on either side, drives forward
+    assert pursue(body, aim, 0.5, 0.5).kind == MotionKind.FORWARD
+    assert pursue(body, aim, -0.5, 0.5).kind == MotionKind.FORWARD
+    # one a step past it turns onto the bearing
+    cmd = pursue(body, aim, math.nextafter(0.5, 1.0), 0.5)
+    assert cmd.kind == MotionKind.ROTATE and cmd.target_heading == 0.0
 
 
 def test_observation_invariants():

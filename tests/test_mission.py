@@ -270,7 +270,7 @@ def test_perceive_target_rule():
     # at the start of scenario 0 the drone sits over the robot, with L in
     # view and O out of it
     scen = load_scenario(type_a_scenario(0))
-    plan = decompose(parse_command(scen.task, scen.relation_clearance))
+    plan = decompose(parse_command(scen.task, scen.config.relation_clearance))
     executor = MissionExecutor(plan, scen.world, scen.config)
     # a coordinate goal: the robot aligns with the image zero point, which
     # observe does not report as an object
@@ -429,7 +429,8 @@ def test_rollback_limit_ends_the_mission():
     doc = type_a_scenario(0, noise=dict(NOISE_CALIBRATED))
     doc.setdefault("sim", {})["carry_radius"] = 0.05
     scen = load_scenario(doc, seed_override=0)
-    plan = decompose(parse_command(scen.task, scen.relation_clearance), pitch=scen.config.pitch)
+    plan = decompose(parse_command(scen.task, scen.config.relation_clearance),
+                     pitch=scen.config.pitch)
     executor = MissionExecutor(plan, scen.world, scen.config)
     res = executor.run()
     assert not res.success
@@ -666,7 +667,7 @@ DEFERRAL_CASES = (
                          ids=[c[0] for c in DEFERRAL_CASES])
 def test_deferred_fusion_matches_per_tick_fusion(make_doc, seed):
     scen = load_scenario(make_doc(), seed_override=seed)
-    plan = decompose(parse_command(scen.task, scen.relation_clearance),
+    plan = decompose(parse_command(scen.task, scen.config.relation_clearance),
                      pitch=scen.config.pitch)
     assert_deferral_matches_eager(plan, scen)
 
@@ -679,7 +680,7 @@ def test_executor_folds_its_queue_with_one_update_call(monkeypatch):
     monkeypatch.setattr(mission, "update",
                         lambda gm, maps, params: folds.append(list(maps)) or fold(gm, folds[-1], params))
     scen = load_scenario(_fuse_every_tick(_blocked_window_doc()))
-    executor = MissionExecutor(decompose(parse_command(scen.task, scen.relation_clearance)),
+    executor = MissionExecutor(decompose(parse_command(scen.task, scen.config.relation_clearance)),
                                scen.world, scen.config)
     executor.run()
     # the replan at step 74 folds every map queued since construct_map in

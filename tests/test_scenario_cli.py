@@ -86,6 +86,8 @@ def _json_path(path):
     "fusion.pool_cap", "sim.rotate_clear_cap",
     # the camera image is square: its width is its height
     "camera.image_height",
+    # the word-assembly pitch is a module constant
+    "execution.pitch",
 ])
 def test_load_scenario_rejects_unknown_key(path):
     doc = type_a_scenario(0)
@@ -96,6 +98,8 @@ def test_load_scenario_rejects_unknown_key(path):
 
 @pytest.mark.parametrize("path, value", [
     ("camera.horizontal_fov", 4.0),
+    # a positive altitude so small that the cell underflows to 0 m
+    ("camera.altitude", 5e-324),
     ("noise.misclassify_prob", 2.0),
     ("objects.0.radius", -0.5),
     ("ground_robot.radius", -0.5),
@@ -139,7 +143,6 @@ def test_run_scenario_cli_bad_fov_is_a_diagnostic(tmp_path):
     ("map_update_every", 0, "map_update_every must be at least 1"),
     ("n_controls", 3, "n_controls must be at least degree+1 = 4"),
     ("n_controls", 1, "n_controls must be at least degree+1 = 4"),
-    ("pitch", 0, "pitch must be positive"),
     ("dist_stop", -1, "dist_stop must be positive"),
     ("dist_stop", 0, "dist_stop must be positive"),
     ("success_radius", -1, "success_radius must be positive"),
@@ -172,7 +175,7 @@ def test_presets_state_only_task_scene_hardware(doc):
     assert cfg == MissionConfig(camera=cfg.camera, noise=cfg.noise, arena=cfg.arena,
                                 drop_at_step=doc.get("execution", {}).get("drop_at_step"))
     assert scen.world.params == SimParams()
-    assert scen.relation_clearance == GoalSpec.clearance
+    assert scen.config.relation_clearance == GoalSpec.clearance
 
 
 def test_run_scenario_cli_success(tmp_path):
@@ -338,6 +341,22 @@ def test_cli_output_in_a_missing_directory_is_a_diagnostic(tmp_path, command):
     assert r.returncode == 1
     assert r.stderr == f"error: {out}: cannot write (No such file or directory)\n"
     assert not (tmp_path / "missing").exists()
+    # refused before any work: run-scenario leaves no trace behind
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_batch_cli_output_in_a_missing_directory_runs_no_mission(tmp_path, monkeypatch, capsys):
+    from agnav import cli
+
+    def run_scenario(*args):
+        raise AssertionError("a mission ran before the output was checked")
+
+    monkeypatch.setattr(cli, "run_scenario", run_scenario)
+    write_scenarios([type_a_scenario(0)], tmp_path / "scenarios")
+    out = tmp_path / "missing" / "m.csv"
+    assert cli.main(["batch", "--scenarios", str(tmp_path / "scenarios"),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {out}: cannot write (No such file or directory)\n"
 
 
 @pytest.mark.parametrize("outputs, message", [
