@@ -29,9 +29,10 @@ chord without a descent if its O is 0 and its J is no higher than the
 seed's; otherwise it descends as below.
 
 When the straight seed enters the d_safe band, two bowed seeds are descended
-beside it, in lockstep: each round evaluates the trial points of all
-still-active seeds in one call on a (k, n, 2) stack, and each seed then
-takes its own direction, Armijo and stopping decisions. At 8 unknowns and 65
+beside it, in lockstep. Each seed's descent is one generator that yields its
+trial points and takes its own direction, Armijo and stopping decisions;
+each round evaluates the trial points of all still-active seeds in one call
+on a (k, n, 2) stack and sends each seed its reply. At 8 unknowns and 65
 samples the time goes to per-call overhead, not arithmetic, so one call per
 round instead of one per seed is the saving. It is exact: every seed visits
 the same points, with the same bits, as when descended alone, because the
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spline import SplinePath, basis_matrix, clamped_uniform_knots, make_clamped_uniform
+from .spline import SplinePath, basis_matrix, clamped_uniform_knots, make_clamped_uniform, sample
 
 
 class PlanningError(RuntimeError):
@@ -211,9 +212,8 @@ def _evaluate(C: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
 
 def cost_global(path: SplinePath, weights: GlobalCostWeights, obstacles: ObstacleSet) -> CostBreakdown:
     """J over the path sampled at u_i = i/m with m = weights.sample_count."""
-    us = np.arange(weights.sample_count + 1) / weights.sample_count
-    B = basis_matrix(path.knots, path.degree, us)
-    return CostBreakdown(*_sampled_terms(B @ path.control_points[None], weights, obstacles)[0][0])
+    pts = sample(path, weights.sample_count)
+    return CostBreakdown(*_sampled_terms(pts[None], weights, obstacles)[0][0])
 
 
 def _min_clearance(pts: np.ndarray, obstacles: ObstacleSet) -> float:
@@ -249,85 +249,78 @@ def _lbfgs_direction(g: np.ndarray, pairs: deque) -> np.ndarray:
     return -q
 
 
-class _Descent:
-    """One seed's L-BFGS state over the interior control points. The first
-    step, and any step where -H g is not a descent direction, is the
-    normalized steepest step of length STEP; Armijo backtracking halves the
-    step length t until the trial point decreases the cost enough."""
-
-    __slots__ = ("c", "terms", "f", "g", "history", "pairs", "d", "slope", "dnorm", "t",
-                 "converged")
-
-    def __init__(self, c: np.ndarray, terms: tuple, grad: np.ndarray):
-        self.c, self.terms, self.f, self.g = c, terms, terms[3], grad[1:-1].ravel()
-        self.history = [self.f]
-        self.pairs = deque(maxlen=LBFGS_MEMORY)
-        self.converged = True
-
-    def begin(self) -> bool:
-        """Choose the direction at c and reset t to 1; False when the
-        gradient vanishes and the descent has ended."""
-        g = self.g
+def _descend(c: np.ndarray, terms: tuple, grad: np.ndarray):
+    """One seed's L-BFGS descent over the interior control points, as a
+    generator: it yields each trial point, is sent that point's (terms,
+    gradient), and returns (c, terms, history, converged). The first step,
+    and any step where -H g is not a descent direction, is the normalized
+    steepest step of length STEP; Armijo backtracking halves the step length
+    t until the trial point decreases the cost enough."""
+    f, g = terms[3], grad[1:-1].ravel()
+    history = [f]
+    pairs = deque(maxlen=LBFGS_MEMORY)
+    if f == 0.0:
+        return c, terms, history, True
+    while True:
         gnorm = math.sqrt(g @ g)
         if gnorm == 0.0:
-            return False
-        d = _lbfgs_direction(g, self.pairs) if self.pairs else None
+            return c, terms, history, True
+        d = _lbfgs_direction(g, pairs) if pairs else None
         slope = float(g @ d) if d is not None else 0.0
         if not slope < 0.0:
             d = -(STEP / gnorm) * g
             slope = float(g @ d)
-        self.d, self.slope, self.dnorm, self.t = d, slope, math.sqrt(d @ d), 1.0
-        return True
-
-    def trial(self, out: np.ndarray) -> None:
-        """Write the trial point c + t d into out."""
-        out[...] = self.c
-        out[1:-1] += (self.t * self.d).reshape(-1, 2)
-
-    def take(self, trial: np.ndarray, terms: tuple, grad: np.ndarray) -> bool:
-        """Accept the evaluated trial point or backtrack; False when the
-        descent has ended."""
-        total = terms[3]
-        if total <= self.f + ARMIJO * self.t * self.slope:
-            g_new = grad[1:-1].ravel()
-            s, y = self.t * self.d, g_new - self.g
-            sy = float(s @ y)
-            if sy > 0.0:
-                self.pairs.append((s, y, 1.0 / sy, sy / float(y @ y)))
-            rel = abs(self.f - total) <= TOLERANCE * abs(self.f)
-            self.c, self.terms, self.f, self.g = trial, terms, total, g_new
-            self.history.append(total)
-            if rel:
-                return False
-            if len(self.history) > MAX_ITERS:
-                self.converged = False
-                return False
-            return self.begin()
-        self.t *= 0.5
-        return not self.t * self.dnorm < 1e-12
+        dnorm, t = math.sqrt(d @ d), 1.0
+        while True:
+            trial = c.copy()
+            trial[1:-1] += (t * d).reshape(-1, 2)
+            trial_terms, trial_grad = yield trial
+            if trial_terms[3] <= f + ARMIJO * t * slope:
+                break
+            t *= 0.5
+            if t * dnorm < 1e-12:
+                return c, terms, history, True
+        g_new = trial_grad[1:-1].ravel()
+        s, y = t * d, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy, sy / float(y @ y)))
+        rel = abs(f - trial_terms[3]) <= TOLERANCE * abs(f)
+        c, terms, f, g = trial, trial_terms, trial_terms[3], g_new
+        history.append(f)
+        if rel:
+            return c, terms, history, True
+        if len(history) > MAX_ITERS:
+            return c, terms, history, False
 
 
 def _descend_lockstep(seeds: list[np.ndarray], B: np.ndarray, weights: GlobalCostWeights,
-             obstacles: ObstacleSet) -> _Descent:
-    """Descend every seed in lockstep and return the lowest final cost (ties
-    prefer the earlier seed). Each round evaluates the trial points of all
-    still-active seeds in one _evaluate call; every seed takes the decisions
-    it would take alone, so it visits the same points bit for bit."""
+                      obstacles: ObstacleSet) -> tuple:
+    """Descend every seed in lockstep and return the _descend result with
+    the lowest final cost (ties prefer the earlier seed). Each round sends
+    every active seed its reply and evaluates the trial points they yield
+    in one _evaluate call; every seed takes the decisions it would take
+    alone, so it visits the same points bit for bit."""
     C = np.array(seeds)
     terms, grad = _evaluate(C, B, weights, obstacles)
     if grad is None:
         raise PlanningError("non-finite cost at the initial control polygon")
-    runs = [_Descent(C[i], terms[i], grad[i]) for i in range(len(C))]
-    active = [run for run in runs if run.f != 0.0 and run.begin()]
-    while active:
-        C = np.empty((len(active),) + C.shape[1:])
-        for run, out in zip(active, C):
-            run.trial(out)
-        terms, grad = _evaluate(C, B, weights, obstacles)
+    runs = [_descend(*run) for run in zip(C, terms, grad)]
+    ends = [None] * len(runs)
+    replies = dict.fromkeys(range(len(runs)))
+    while True:
+        trials = {}
+        for i, reply in replies.items():
+            try:
+                trials[i] = runs[i].send(reply)
+            except StopIteration as end:
+                ends[i] = end.value
+        if not trials:
+            return min(ends, key=lambda end: end[1][3])
+        terms, grad = _evaluate(np.array(list(trials.values())), B, weights, obstacles)
         if grad is None:
             raise PlanningError("non-finite cost during line search")
-        active = [run for i, run in enumerate(active) if run.take(C[i], terms[i], grad[i])]
-    return min(runs, key=lambda run: run.f)
+        replies = dict(zip(trials, zip(terms, grad)))
 
 
 def optimize(init_controls, weights: GlobalCostWeights, obstacles: ObstacleSet) -> GlobalPlanResult:
@@ -382,6 +375,6 @@ def optimize(init_controls, weights: GlobalCostWeights, obstacles: ObstacleSet) 
             seeds.append(controls + amp * bump)
             seeds.append(controls - amp * bump)
 
-    best = _descend_lockstep(seeds, B, weights, obstacles)
-    return GlobalPlanResult(SplinePath(best.c, DEGREE, knots), best.history,
-                            CostBreakdown(*best.terms), best.converged)
+    c, terms, history, converged = _descend_lockstep(seeds, B, weights, obstacles)
+    return GlobalPlanResult(SplinePath(c, DEGREE, knots), history, CostBreakdown(*terms),
+                            converged)

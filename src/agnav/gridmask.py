@@ -27,9 +27,9 @@ class GridSpec:
     cell_size: float
 
     def __post_init__(self):
-        if self.image_width <= 0 or self.image_height <= 0:
+        if not (self.image_width > 0 and self.image_height > 0):
             raise ValueError("image dimensions must be positive")
-        if self.cell_size <= 0:
+        if not self.cell_size > 0:  # NaN included
             raise ValueError("cell_size must be positive")
         if self.cell_size > min(self.image_width, self.image_height):
             raise ValueError("cell_size must not exceed the smaller image dimension")
@@ -50,9 +50,9 @@ class CameraModel:
             raise ValueError("horizontal_fov must lie in (0, pi)")
         if self.altitude <= 0:
             raise ValueError("altitude must be positive")
-        if self.grid_interval <= 0:
+        if not self.grid_interval > 0:  # NaN included
             raise ValueError("grid_interval must be positive")
-        if self.image_width <= 0:
+        if not self.image_width > 0:
             raise ValueError("image_width must be positive")
 
 

@@ -114,11 +114,14 @@ class MissionConfig:
     drop_at_step: Optional[int] = None
 
     def __post_init__(self):
-        if self.map_update_every < 1:
-            raise ValueError("map_update_every must be at least 1")
+        for name in ("map_update_every", "step_budget"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
         for name in ("dist_stop", "success_radius", "relation_clearance"):
             if not getattr(self, name) > 0:  # NaN included
                 raise ValueError(f"{name} must be positive")
+        if not self.angle_tol >= 0:
+            raise ValueError("angle_tol must be non-negative")
         if self.n_controls < DEGREE + 1:
             raise ValueError(f"n_controls must be at least degree+1 = {DEGREE + 1}")
 

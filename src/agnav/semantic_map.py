@@ -147,7 +147,7 @@ class FusionParams:
     conflict_radius: float = 0.3  # meters
 
     def __post_init__(self):
-        if self.merge_radius <= 0 or self.conflict_radius <= 0:
+        if not (self.merge_radius > 0 and self.conflict_radius > 0):  # NaN included
             raise ValueError("radii must be positive")
 
 

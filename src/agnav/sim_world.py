@@ -71,7 +71,7 @@ class SimParams:
     def __post_init__(self):
         for name in ("drone_speed", "ground_step", "rotate_rate", "follow_radius",
                      "attach_range", "attach_angle_tol", "carry_radius", "head_offset"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN included
                 raise ValueError(f"{name} must be positive")
 
 

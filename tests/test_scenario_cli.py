@@ -141,6 +141,9 @@ def test_run_scenario_cli_bad_fov_is_a_diagnostic(tmp_path):
 
 @pytest.mark.parametrize("key, value, reason", [
     ("map_update_every", 0, "map_update_every must be at least 1"),
+    ("step_budget", 0, "step_budget must be at least 1"),
+    ("step_budget", -4000, "step_budget must be at least 1"),
+    ("angle_tol", -0.1, "angle_tol must be non-negative"),
     ("n_controls", 3, "n_controls must be at least degree+1 = 4"),
     ("n_controls", 1, "n_controls must be at least degree+1 = 4"),
     ("dist_stop", -1, "dist_stop must be positive"),
