@@ -9,9 +9,16 @@ and a quadratic obstacle-clearance penalty:
     J = q_length * L + q_curvature * K + q_obstacle * O
 
 Obstacles are center/radius pairs; radius 0 recovers the pure point form.
-The samples are P = B c for the basis matrix B, so the gradient over the
-control points c is B^T dJ/dP in closed form: unit segment vectors for L,
-unit second differences for K, and -2 pen (p - o)/|p - o| hinge terms for O.
+Everything J reads is linear in the control points: with the basis matrix
+B, the samples 1..m are B[1:] c, the segments (B[1:] - B[:-1]) c and the
+second differences (B[3:] - 2 B[2:-1] + B[1:-2]) c. Each optimize call
+stacks those rows into one map M acting on the interior control points,
+with the two pinned end points folded into one constant, so an evaluation
+is Y = M X and the gradient is M^T dJ/dY in closed form: unit segment
+vectors for L, unit second differences for K, and -2 pen (p - o)/|p - o|
+hinge terms for O. cost_global, the chord check below and the descent all
+evaluate through that one routine, so a returned path's cost_global is the
+planner's own J, bit for bit.
 Minimization is deterministic L-BFGS on the interior control points
 (endpoints stay pinned to main and target) with Armijo backtracking; the
 s^T y / y^T y initial scaling and a normalized steepest first step make the
@@ -32,13 +39,21 @@ When the straight seed enters the d_safe band, two bowed seeds are descended
 beside it, in lockstep. Each seed's descent is one generator that yields its
 trial points and takes its own direction, Armijo and stopping decisions;
 each round evaluates the trial points of all still-active seeds in one call
-on a (k, n, 2) stack and sends each seed its reply. At 8 unknowns and 65
-samples the time goes to per-call overhead, not arithmetic, so one call per
-round instead of one per seed is the saving. It is exact: every seed visits
-the same points, with the same bits, as when descended alone, because the
-stacked matmul runs the same gemm per polygon and every reduction runs along
-one row in the order a lone polygon's does. The two-loop recursion stays per
-seed, since batched short dot products round differently from s @ q.
+on a (k, 2, 3m - 2) stack and sends each seed its reply. At 8 unknowns and
+65 samples the time goes to per-call overhead, not arithmetic, so one call
+per round instead of one per seed is the saving, and a seed's L-BFGS
+vectors (its 2(n - 2) interior coordinates, every x, then every y) are
+plain Python floats rather than small arrays.
+
+No product goes through BLAS, so the bytes do not depend on the host's
+BLAS kernel. M X is a left fold over the interior points
+(spline.map_interior); M^T G and the sums of L, K and O run numpy's
+add.reduce along contiguous rows, whose pairwise order numpy's source
+fixes; every dot product of the descent folds Python floats left to right
+(never the built-in sum, which compensates rounding from Python 3.12).
+The stacking is exact: a stacked polygon gets the arithmetic of a lone one
+value for value, so every seed visits the same points, with the same bits,
+as when descended alone.
 """
 
 from __future__ import annotations
@@ -49,7 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spline import SplinePath, basis_matrix, clamped_uniform_knots, make_clamped_uniform, sample
+from .spline import (SplinePath, basis_matrix, clamped_uniform_knots, make_clamped_uniform,
+                     map_interior, pinned_map)
 
 
 class PlanningError(RuntimeError):
@@ -141,88 +157,96 @@ def straight_line_init(main, target, n_controls: int) -> tuple[np.ndarray, bool]
     return (1.0 - t) * a + t * b, False
 
 
-def _sampled_terms(pts: np.ndarray, weights: GlobalCostWeights, obstacles: ObstacleSet):
-    """The cost terms of a stack of k sampled paths pts (k, m + 1, 2): one
-    (length, curvature, obstacle, total) tuple per path, plus the geometry
-    the gradient reuses: (seg, seg_len, sec, sec_len, diff, dist, pen), the
-    last three None without obstacle terms.
+def _stacked_map(knots, degree: int, controls: np.ndarray, m: int):
+    """pinned_map's (A, K) of the stacked map M of the polygons with the ends
+    of ``controls``, for the samples at u_i = i/m: its rows are samples
+    1..m, then the m segments P_i - P_{i-1}, then the m - 2 second
+    differences, i.e. B[1:], B[1:] - B[:-1] and B[3:] - 2 B[2:-1] + B[1:-2]
+    for the basis matrix B."""
+    B = basis_matrix(knots, degree, np.arange(m + 1) / m)
+    return pinned_map(np.concatenate([B[1:], B[1:] - B[:-1], B[3:] - 2.0 * B[2:-1] + B[1:-2]]),
+                      controls)
 
-    Each path gets the arithmetic of a lone one, value for value: every
-    reduction runs along one contiguous row in the same order."""
-    k = len(pts)
-    seg = pts[:, 1:] - pts[:, :-1]
-    seg_len = np.hypot(seg[..., 0], seg[..., 1])
-    # second differences at i = 2 .. m-1 (none when m = 2)
-    sec = pts[:, 3:] - 2.0 * pts[:, 2:-1] + pts[:, 1:-2]
-    sec_len = np.hypot(sec[..., 0], sec[..., 1])
-    lengths = np.add.reduce(seg_len, 1).tolist()
-    curvatures = np.add.reduce(sec_len, 1).tolist()
-    diff = dist = pen = None
-    if len(obstacles) and weights.q_obstacle > 0.0:
-        # (k, N, m) over obstacle j and sample i = 1 .. m; O sums the squared
-        # penalties sample-major (i, then j), which fixes its rounding
-        diff = pts[:, None, 1:, :] - obstacles.centers[:, None, :]
-        dist = np.hypot(diff[..., 0], diff[..., 1])
+
+def _weighted(A: np.ndarray, weights: GlobalCostWeights) -> np.ndarray:
+    """A with each row scaled by its block's weight in dJ/dY: -q_obstacle,
+    q_length and q_curvature."""
+    m = weights.sample_count
+    return A * np.repeat([-weights.q_obstacle, weights.q_length, weights.q_curvature],
+                         [m, m, m - 2])
+
+
+def _interior(controls: np.ndarray) -> list[float]:
+    """The interior control points as one vector: every x, then every y."""
+    return controls[1:-1].T.ravel().tolist()
+
+
+def _evaluate(xs: list, A: np.ndarray, K: np.ndarray, weights: GlobalCostWeights,
+              obstacles: ObstacleSet, AW: np.ndarray | None = None) -> tuple[list[tuple], list | None]:
+    """J over the k polygons whose interiors are the vectors xs, and, given
+    AW = _weighted(A), its gradient over each interior. Returns one (length,
+    curvature, obstacle, total) tuple per polygon and one gradient vector
+    per polygon, None without AW or when any total is not finite.
+
+    Y = M X holds every polygon's samples, segments and second differences.
+    dJ/dY is sum_j 2 pen_j (p - o_j)/|p - o_j| on the samples, the unit
+    segments and the unit second differences, each block times its weight,
+    which AW carries, so the gradient is AW^T (dJ/dY unweighted). Each
+    polygon gets the arithmetic of a lone one, value for value: a sum runs
+    along one contiguous row (numpy's add.reduce, whose order its source
+    fixes) or elementwise across rows in index order."""
+    k, m = len(xs), weights.sample_count
+    Y = map_interior(A, K, np.array(xs).reshape(k, 2, -1))
+    # the segment and second-difference lengths, (k, 2m - 2)
+    lens = np.hypot(Y[:, 0, m:], Y[:, 1, m:])
+    lengths = np.add.reduce(lens[:, :m], 1).tolist()
+    curvatures = np.add.reduce(lens[:, m:], 1).tolist()
+    ql, qc, qo = weights.q_length, weights.q_curvature, weights.q_obstacle
+    obstructed = len(obstacles) and qo > 0.0
+    if obstructed:
+        # (k, 2, N, m) over obstacle j and sample i = 1 .. m; O sums the
+        # squared penalties obstacle-major (j, then i)
+        diff = Y[:, :, None, :m] - obstacles.centers.T[:, :, None]
+        dist = np.hypot(diff[:, 0], diff[:, 1])
         pen = dist - obstacles.radii[:, None]
         np.subtract(weights.d_safe, pen, out=pen)
         np.maximum(0.0, pen, out=pen)
-        sq = (pen * pen).transpose(0, 2, 1).reshape(k, -1)
-        obstacle_terms = np.add.reduce(sq, 1).tolist()
+        obstacle_terms = np.add.reduce((pen * pen).reshape(k, -1), 1).tolist()
     else:
         obstacle_terms = [0.0] * k
-    ql, qc, qo = weights.q_length, weights.q_curvature, weights.q_obstacle
-    terms = [(L, K, O, ql * L + qc * K + qo * O)
-             for L, K, O in zip(lengths, curvatures, obstacle_terms)]
-    return terms, (seg, seg_len, sec, sec_len, diff, dist, pen)
-
-
-def _evaluate(C: np.ndarray, B: np.ndarray, weights: GlobalCostWeights,
-              obstacles: ObstacleSet) -> tuple[list[tuple], np.ndarray | None]:
-    """J over a stack of k control polygons C (k, n, 2), each sampled as
-    P = B @ C[i], and its gradient B^T dJ/dP with respect to every control
-    point. Returns one (length, curvature, obstacle, total) tuple per polygon
-    and the (k, n, 2) gradient, which is None when any total is not finite.
-    The stacked matmul runs the same gemm per polygon as for a lone one."""
-    pts = B @ C
-    terms, (seg, seg_len, sec, sec_len, diff, dist, pen) = _sampled_terms(pts, weights, obstacles)
-    if not all(math.isfinite(t[3]) for t in terms):
+    terms = [(L, C, O, ql * L + qc * C + qo * O)
+             for L, C, O in zip(lengths, curvatures, obstacle_terms)]
+    if AW is None or not all(math.isfinite(t[3]) for t in terms):
         return terms, None
-
-    ql, qc, qo = weights.q_length, weights.q_curvature, weights.q_obstacle
-    # a zero-length vector contributes a zero subgradient
-    dP = np.zeros(pts.shape)
-    seg_len[seg_len == 0.0] = 1.0
-    u = seg / seg_len[..., None]
-    u *= ql
-    dP[:, 1:] += u
-    dP[:, :-1] -= u
-    sec_len[sec_len == 0.0] = 1.0
-    w = sec / sec_len[..., None]
-    w *= qc
-    dP[:, 3:] += w
-    dP[:, 2:-1] -= 2.0 * w
-    dP[:, 1:-2] += w
-    if diff is not None:
-        dist[dist == 0.0] = 1.0
-        radial = diff / dist[..., None]
-        radial *= pen[..., None]
-        dP[:, 1:] -= 2.0 * qo * np.add.reduce(radial, 1)
-    return terms, B.T @ dP
+    G = np.empty(Y.shape)
+    # a zero-length vector contributes a zero subgradient: 0 / ulp(0) = 0
+    np.divide(Y[:, :, m:], np.maximum(lens, _TINY)[:, None], out=G[:, :, m:])
+    if obstructed:
+        radial = diff / np.maximum(dist, _TINY)[:, None]
+        radial *= (pen + pen)[:, None]
+        np.add.reduce(radial, 2, out=G[:, :, :m])
+    else:
+        G[:, :, :m] = 0.0
+    return terms, np.add.reduce(G[:, :, None] * AW, 3).reshape(k, -1).tolist()
 
 
 def cost_global(path: SplinePath, weights: GlobalCostWeights, obstacles: ObstacleSet) -> CostBreakdown:
-    """J over the path sampled at u_i = i/m with m = weights.sample_count."""
-    pts = sample(path, weights.sample_count)
-    return CostBreakdown(*_sampled_terms(pts[None], weights, obstacles)[0][0])
+    """J over the path sampled at u_i = i/m with m = weights.sample_count,
+    by the evaluation optimize descends on, so a planned path's cost is the
+    planner's own, bit for bit."""
+    c = path.control_points
+    A, K = _stacked_map(path.knots, path.degree, c, weights.sample_count)
+    return CostBreakdown(*_evaluate([_interior(c)], A, K, weights, obstacles)[0][0])
 
 
-def _min_clearance(pts: np.ndarray, obstacles: ObstacleSet) -> float:
+def _min_clearance(first: np.ndarray, samples: np.ndarray, obstacles: ObstacleSet) -> float:
+    """Least surface distance to an obstacle from the first point (2,) and
+    the samples (2, m)."""
     if not len(obstacles):
         return math.inf
-    d = np.hypot(
-        pts[:, None, 0] - obstacles.centers[None, :, 0],
-        pts[:, None, 1] - obstacles.centers[None, :, 1],
-    ) - obstacles.radii[None, :]
+    pts = np.column_stack([first, samples])
+    d = np.hypot(pts[0, :, None] - obstacles.centers[None, :, 0],
+                 pts[1, :, None] - obstacles.centers[None, :, 1]) - obstacles.radii[None, :]
     return float(d.min())
 
 
@@ -232,80 +256,92 @@ STEP = 1.0  # length of a steepest-descent step, grid cells
 TOLERANCE = 1e-8  # relative cost change that ends a descent
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 LBFGS_MEMORY = 6  # (s, y) pairs kept by the quasi-Newton direction
+_TINY = math.ulp(0.0)
 
 
-def _lbfgs_direction(g: np.ndarray, pairs: deque) -> np.ndarray:
+def _dot(a: list, b: list) -> float:
+    """a . b folded left to right (never the built-in sum, which compensates
+    its rounding from Python 3.12)."""
+    acc = 0.0
+    for u, v in zip(a, b):
+        acc += u * v
+    return acc
+
+
+def _lbfgs_direction(g: list, pairs: deque) -> list:
     """-H g by the two-loop recursion, H0 = (s^T y / y^T y) I from the newest
     pair. A pair is (s, y, 1 / s^T y, s^T y / y^T y)."""
-    q = g.copy()
+    q = g
     alphas = []
     for s, y, rho, _ in reversed(pairs):
-        a = rho * float(s @ q)
-        q -= a * y
+        a = rho * _dot(s, q)
+        q = [qi - a * yi for qi, yi in zip(q, y)]
         alphas.append(a)
-    q *= pairs[-1][3]
+    gamma = pairs[-1][3]
+    q = [qi * gamma for qi in q]
     for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
-        q += (a - rho * float(y @ q)) * s
-    return -q
+        b = a - rho * _dot(y, q)
+        q = [qi + b * si for qi, si in zip(q, s)]
+    return [-qi for qi in q]
 
 
-def _descend(c: np.ndarray, terms: tuple, grad: np.ndarray):
-    """One seed's L-BFGS descent over the interior control points, as a
-    generator: it yields each trial point, is sent that point's (terms,
-    gradient), and returns (c, terms, history, converged). The first step,
-    and any step where -H g is not a descent direction, is the normalized
-    steepest step of length STEP; Armijo backtracking halves the step length
-    t until the trial point decreases the cost enough."""
-    f, g = terms[3], grad[1:-1].ravel()
+def _descend(x: list, terms: tuple, g: list):
+    """One seed's L-BFGS descent over its interior vector x, as a generator:
+    it yields each trial vector, is sent that vector's (terms, gradient),
+    and returns (x, terms, history, converged). The first step, and any
+    step where -H g is not a descent direction, is the normalized steepest
+    step of length STEP; Armijo backtracking halves the step length t until
+    the trial point decreases the cost enough."""
+    f = terms[3]
     history = [f]
     pairs = deque(maxlen=LBFGS_MEMORY)
     if f == 0.0:
-        return c, terms, history, True
+        return x, terms, history, True
     while True:
-        gnorm = math.sqrt(g @ g)
+        gnorm = math.sqrt(_dot(g, g))
         if gnorm == 0.0:
-            return c, terms, history, True
+            return x, terms, history, True
         d = _lbfgs_direction(g, pairs) if pairs else None
-        slope = float(g @ d) if d is not None else 0.0
+        slope = _dot(g, d) if d is not None else 0.0
         if not slope < 0.0:
-            d = -(STEP / gnorm) * g
-            slope = float(g @ d)
-        dnorm, t = math.sqrt(d @ d), 1.0
+            scale = -(STEP / gnorm)
+            d = [scale * gi for gi in g]
+            slope = _dot(g, d)
+        dnorm, t = math.sqrt(_dot(d, d)), 1.0
         while True:
-            trial = c.copy()
-            trial[1:-1] += (t * d).reshape(-1, 2)
-            trial_terms, trial_grad = yield trial
+            s = [t * di for di in d]
+            trial = [xi + si for xi, si in zip(x, s)]
+            trial_terms, trial_g = yield trial
             if trial_terms[3] <= f + ARMIJO * t * slope:
                 break
             t *= 0.5
             if t * dnorm < 1e-12:
-                return c, terms, history, True
-        g_new = trial_grad[1:-1].ravel()
-        s, y = t * d, g_new - g
-        sy = float(s @ y)
+                return x, terms, history, True
+        y = [b - a for a, b in zip(g, trial_g)]
+        sy = _dot(s, y)
         if sy > 0.0:
-            pairs.append((s, y, 1.0 / sy, sy / float(y @ y)))
+            pairs.append((s, y, 1.0 / sy, sy / _dot(y, y)))
         rel = abs(f - trial_terms[3]) <= TOLERANCE * abs(f)
-        c, terms, f, g = trial, trial_terms, trial_terms[3], g_new
+        x, terms, f, g = trial, trial_terms, trial_terms[3], trial_g
         history.append(f)
         if rel:
-            return c, terms, history, True
+            return x, terms, history, True
         if len(history) > MAX_ITERS:
-            return c, terms, history, False
+            return x, terms, history, False
 
 
-def _descend_lockstep(seeds: list[np.ndarray], B: np.ndarray, weights: GlobalCostWeights,
+def _descend_lockstep(seeds: list, A: np.ndarray, K: np.ndarray, weights: GlobalCostWeights,
                       obstacles: ObstacleSet) -> tuple:
     """Descend every seed in lockstep and return the _descend result with
     the lowest final cost (ties prefer the earlier seed). Each round sends
     every active seed its reply and evaluates the trial points they yield
     in one _evaluate call; every seed takes the decisions it would take
     alone, so it visits the same points bit for bit."""
-    C = np.array(seeds)
-    terms, grad = _evaluate(C, B, weights, obstacles)
-    if grad is None:
+    AW = _weighted(A, weights)
+    terms, grads = _evaluate(seeds, A, K, weights, obstacles, AW)
+    if grads is None:
         raise PlanningError("non-finite cost at the initial control polygon")
-    runs = [_descend(*run) for run in zip(C, terms, grad)]
+    runs = [_descend(*run) for run in zip(seeds, terms, grads)]
     ends = [None] * len(runs)
     replies = dict.fromkeys(range(len(runs)))
     while True:
@@ -317,10 +353,10 @@ def _descend_lockstep(seeds: list[np.ndarray], B: np.ndarray, weights: GlobalCos
                 ends[i] = end.value
         if not trials:
             return min(ends, key=lambda end: end[1][3])
-        terms, grad = _evaluate(np.array(list(trials.values())), B, weights, obstacles)
-        if grad is None:
+        terms, grads = _evaluate(list(trials.values()), A, K, weights, obstacles, AW)
+        if grads is None:
             raise PlanningError("non-finite cost during line search")
-        replies = dict(zip(trials, zip(terms, grad)))
+        replies = dict(zip(trials, zip(terms, grads)))
 
 
 def optimize(init_controls, weights: GlobalCostWeights, obstacles: ObstacleSet) -> GlobalPlanResult:
@@ -349,32 +385,36 @@ def optimize(init_controls, weights: GlobalCostWeights, obstacles: ObstacleSet) 
     if len(controls) < DEGREE + 1:
         raise ValueError(f"need at least degree+1 = {DEGREE + 1} control points")
 
+    m = weights.sample_count
     knots = clamped_uniform_knots(len(controls), DEGREE)
-    us = np.arange(weights.sample_count + 1) / weights.sample_count
-    B = basis_matrix(knots, DEGREE, us)
-
-    seeds = [controls]
-    if _min_clearance(B @ controls, obstacles) >= weights.d_safe:
+    A, K = _stacked_map(knots, DEGREE, controls, m)
+    x = _interior(controls)
+    seeds = [x]
+    samples = map_interior(A, K, np.reshape(x, (1, 2, -1)))[0, :, :m]
+    if _min_clearance(controls[0], samples, obstacles) >= weights.d_safe:
         # the chord with control points at the Greville abscissae
         xi = (sum(knots[j:j + len(controls)] for j in range(1, DEGREE + 1)) / DEGREE)[:, None]
         line = (1.0 - xi) * controls[0] + xi * controls[-1]
         line[[0, -1]] = controls[[0, -1]]
-        (seed_terms, line_terms), _ = _sampled_terms(B @ np.array([controls, line]),
-                                                     weights, obstacles)
+        (seed_terms, line_terms), _ = _evaluate([x, _interior(line)], A, K, weights, obstacles)
         if line_terms[2] == 0.0 and line_terms[3] <= seed_terms[3]:
             return GlobalPlanResult(SplinePath(line, DEGREE, knots),
                                     [seed_terms[3], line_terms[3]],
                                     CostBreakdown(*line_terms), True)
     else:
-        chord = controls[-1] - controls[0]
-        norm = float(np.hypot(chord[0], chord[1]))
+        cx, cy = (controls[-1] - controls[0]).tolist()
+        norm = float(np.hypot(cx, cy))
         if norm > 0.0:
-            perp = np.array([-chord[1], chord[0]]) / norm
+            # the interior bowed by amp sin(pi u_i) along the chord's normal
             amp = weights.d_safe + (float(obstacles.radii.max()) if len(obstacles) else 0.0)
-            bump = np.sin(np.linspace(0.0, math.pi, len(controls)))[:, None] * perp[None, :]
-            seeds.append(controls + amp * bump)
-            seeds.append(controls - amp * bump)
+            bump = [amp * math.sin(math.pi * i / (len(controls) - 1))
+                    for i in range(1, len(controls) - 1)]
+            rows = ((x[:len(bump)], -cy / norm), (x[len(bump):], cx / norm))
+            for sign in (1.0, -1.0):
+                seeds.append([v + sign * b * p for row, p in rows for v, b in zip(row, bump)])
 
-    c, terms, history, converged = _descend_lockstep(seeds, B, weights, obstacles)
+    x, terms, history, converged = _descend_lockstep(seeds, A, K, weights, obstacles)
+    c = controls.copy()
+    c[1:-1] = np.reshape(x, (2, -1)).T
     return GlobalPlanResult(SplinePath(c, DEGREE, knots), history, CostBreakdown(*terms),
                             converged)

@@ -75,7 +75,7 @@ class SemanticObject:
     def __post_init__(self):
         if (self.direction is not None) != (self.category == Category.LANDMARK):
             raise ValueError("direction is present exactly for landmark objects")
-        if self.radius < 0.0:
+        if not self.radius >= 0.0:
             raise ValueError(f"radius must be non-negative, got {self.radius}")
 
 

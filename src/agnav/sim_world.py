@@ -33,7 +33,7 @@ class SimObject:
     movable: bool = True
 
     def __post_init__(self):
-        if self.radius < 0.0:
+        if not self.radius >= 0.0:
             raise ValueError(f"radius must be non-negative, got {self.radius}")
 
 
@@ -53,7 +53,7 @@ class GroundRobot:
     radius: float = 0.25
 
     def __post_init__(self):
-        if self.radius < 0.0:
+        if not self.radius >= 0.0:
             raise ValueError(f"radius must be non-negative, got {self.radius}")
 
 

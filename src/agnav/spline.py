@@ -3,6 +3,13 @@
 Basis functions follow the standard recursion with the 0/0 := 0 convention.
 The final knot span is treated as closed on the right so that u = 1 evaluates
 to the last control point under clamped knots.
+
+Every product of a linear map (rows of basis values, or differences of them)
+with a control polygon runs through ``pinned_map`` and ``map_interior``: the
+two end points fold into one constant per row, and the interior points'
+products are added to it left to right, elementwise over whole rows. That
+is a fixed order of IEEE operations, so the points have the same bits under
+every BLAS kernel and every SIMD target; no BLAS call is made.
 """
 
 from __future__ import annotations
@@ -81,13 +88,43 @@ def basis_matrix(knots, degree: int, us) -> np.ndarray:
     return N
 
 
+def pinned_map(rows: np.ndarray, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The linear map ``rows`` (R, n) of an n-point polygon whose two end
+    points are fixed, split as (A, K): A (n - 2, R) holds the interior
+    columns, each a contiguous row, and K (2, R) is the ends' part,
+    K = rows[:, 0] c_0 + rows[:, -1] c_{n-1}, one x row and one y row."""
+    controls = np.asarray(controls, dtype=float)
+    K = rows[:, 0] * controls[0][:, None]
+    if len(controls) > 1:
+        K += rows[:, -1] * controls[-1][:, None]
+    return np.ascontiguousarray(rows[:, 1:-1].T), K
+
+
+def map_interior(A: np.ndarray, K: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """rows @ C for a stack of k polygons given by their interiors X
+    (k, 2, n - 2), as (k, 2, R): the left fold K + A_1 x_1 + A_2 x_2 + ...
+    over the interior points. The terms are stacked along the outermost
+    axis of one C-ordered array, so add.reduce adds them elementwise, in
+    index order, for every shape."""
+    terms = np.empty((len(A) + 1,) + X.shape[:2] + K.shape[1:])
+    terms[0] = K
+    np.multiply(X.transpose(2, 0, 1)[..., None], A[:, None, None, :], out=terms[1:])
+    return np.add.reduce(terms, 0)
+
+
+def polygon_product(rows: np.ndarray, controls) -> np.ndarray:
+    """rows @ controls, (R, n) by (n, 2), through map_interior."""
+    controls = np.asarray(controls, dtype=float)
+    A, K = pinned_map(rows, controls)
+    return map_interior(A, K, controls[None, 1:-1].transpose(0, 2, 1))[0].T.copy()
+
+
 def evaluate(path: SplinePath, u: float) -> np.ndarray:
     """Point S(u) = sum_i N_{i,k}(u) c_i for u in [0, 1]."""
     lo, hi = path.knots[0], path.knots[-1]
     if not lo <= u <= hi:
         raise ValueError(f"u = {u} outside [{lo}, {hi}]")
-    B = basis_matrix(path.knots, path.degree, [u])
-    return (B @ path.control_points)[0]
+    return polygon_product(basis_matrix(path.knots, path.degree, [u]), path.control_points)[0]
 
 
 def sample(path: SplinePath, m: int) -> np.ndarray:
@@ -95,5 +132,4 @@ def sample(path: SplinePath, m: int) -> np.ndarray:
     if m < 2:
         raise ValueError("sample count m must be at least 2")
     us = np.arange(m + 1) / m
-    B = basis_matrix(path.knots, path.degree, us)
-    return B @ path.control_points
+    return polygon_product(basis_matrix(path.knots, path.degree, us), path.control_points)

@@ -1,6 +1,12 @@
+import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import deque
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -21,6 +27,9 @@ from agnav.global_planner import (
     ObstacleSet,
     PlanningError,
     _evaluate,
+    _interior,
+    _stacked_map,
+    _weighted,
     cost_global,
     optimize,
     straight_line_init,
@@ -134,23 +143,29 @@ def test_cost_matches_brute_force_50_scenes():
         assert abs(bd.total - total) < 1e-9
 
 
+def interior_terms_and_gradient(controls, knots, degree, weights, obstacles):
+    """optimize's evaluation of one polygon: its (L, K, O, J) and the
+    gradient over its interior vector (every x, then every y)."""
+    A, K = _stacked_map(knots, degree, controls, weights.sample_count)
+    terms, grads = _evaluate([_interior(controls)], A, K, weights, obstacles, _weighted(A, weights))
+    return terms[0], grads[0]
+
+
 def test_gradient_matches_central_differences_50_scenes():
     h = 1e-6
     for path, weights, obstacles in random_scenes():
-        us = np.arange(weights.sample_count + 1) / weights.sample_count
-        B = basis_matrix(path.knots, path.degree, us)
-        terms, grad = _evaluate(path.control_points[None], B, weights, obstacles)
-        assert CostBreakdown(*terms[0]) == cost_global(path, weights, obstacles)
-        grad = grad[0]
+        terms, grad = interior_terms_and_gradient(path.control_points, path.knots, path.degree,
+                                                  weights, obstacles)
+        assert CostBreakdown(*terms) == cost_global(path, weights, obstacles)
+        grad = np.array(grad)
+        inner = len(path.control_points) - 2
 
-        def total_at(idx, delta):
+        def total_at(v, delta):
             cp = path.control_points.copy()
-            cp[idx] += delta
+            cp[1 + v % inner, v // inner] += delta
             return cost_global(SplinePath(cp, path.degree, path.knots), weights, obstacles).total
 
-        fd = np.zeros_like(grad)
-        for idx in np.ndindex(*fd.shape):
-            fd[idx] = (total_at(idx, h) - total_at(idx, -h)) / (2.0 * h)
+        fd = np.array([(total_at(v, h) - total_at(v, -h)) / (2.0 * h) for v in range(len(grad))])
         assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
@@ -264,95 +279,125 @@ def test_optimize_rejects_short_polygon():
 
 # ---------------------------------------------------------------------------
 # Reference: the sequential per-seed descent that optimize's lockstep descent
-# replaces, kept verbatim, and the closed-form chord that optimize returns on
-# a clear leg in its place. optimize must reproduce it bit for bit.
+# replaces, on the same arithmetic, and the closed-form chord that optimize
+# returns on a clear leg in its place. optimize must reproduce it bit for bit.
+# The arithmetic: the samples, segments and second differences are one
+# stacked map M applied to the polygon, its pinned ends folded into one
+# constant and its interior points added left to right; the gradient is
+# M^T dJ/dY with each block's weight on M's rows; every vector of the descent
+# is Python floats, every x and then every y of the interior, and every dot
+# product a left-to-right fold.
 
 
-def reference_cost_and_grad(controls, B, weights, obstacles):
-    pts = B @ controls
-    seg = np.diff(pts, axis=0)
+def stacked_rows(knots, m):
+    """M: samples 1..m, segments and second differences of the basis."""
+    B = basis_matrix(knots, DEGREE, np.arange(m + 1) / m)
+    return np.concatenate([B[1:], B[1:] - B[:-1], B[3:] - 2.0 * B[2:-1] + B[1:-2]])
+
+
+def reference_cost_and_grad(controls, M, weights, obstacles):
+    n, m = len(controls), weights.sample_count
+    Y = M[:, 0, None] * controls[0] + M[:, -1, None] * controls[-1]
+    for j in range(1, n - 1):
+        Y = Y + M[:, j, None] * controls[j]
+    seg, sec = Y[m:2 * m], Y[2 * m:]
     seg_len = np.hypot(seg[:, 0], seg[:, 1])
-    sec = pts[3:] - 2.0 * pts[2:-1] + pts[1:-2]
     sec_len = np.hypot(sec[:, 0], sec[:, 1])
-    length = float(np.sum(seg_len))
-    curvature = float(np.sum(sec_len))
+    length = float(np.add.reduce(seg_len))
+    curvature = float(np.add.reduce(sec_len))
     obstacle = 0.0
     use_obstacles = len(obstacles) and weights.q_obstacle > 0.0
     if use_obstacles:
-        diff = pts[1:, None, :] - obstacles.centers[None, :, :]
+        diff = Y[None, :m, :] - obstacles.centers[:, None, :]
         dist = np.hypot(diff[..., 0], diff[..., 1])
-        pen = np.maximum(0.0, weights.d_safe - (dist - obstacles.radii[None, :]))
-        obstacle = float(np.sum(pen * pen))
+        pen = np.maximum(0.0, weights.d_safe - (dist - obstacles.radii[:, None]))
+        obstacle = float(np.add.reduce((pen * pen).ravel()))
     total = weights.q_length * length + weights.q_curvature * curvature + weights.q_obstacle * obstacle
     bd = CostBreakdown(length, curvature, obstacle, total)
     if not math.isfinite(total):
         return bd, None
-    dP = np.zeros_like(pts)
-    u = weights.q_length * (seg / np.where(seg_len > 0.0, seg_len, 1.0)[:, None])
-    dP[1:] += u
-    dP[:-1] -= u
-    w = weights.q_curvature * (sec / np.where(sec_len > 0.0, sec_len, 1.0)[:, None])
-    dP[3:] += w
-    dP[2:-1] -= 2.0 * w
-    dP[1:-2] += w
+    dY = np.zeros_like(Y)
+    dY[m:2 * m] = seg / np.where(seg_len > 0.0, seg_len, 1.0)[:, None]
+    dY[2 * m:] = sec / np.where(sec_len > 0.0, sec_len, 1.0)[:, None]
     if use_obstacles:
-        radial = diff / np.where(dist > 0.0, dist, 1.0)[..., None]
-        dP[1:] -= 2.0 * weights.q_obstacle * np.sum(pen[..., None] * radial, axis=1)
-    return bd, B.T @ dP
+        radial = diff / np.where(dist > 0.0, dist, 1.0)[..., None] * (2.0 * pen)[..., None]
+        dY[:m] = radial[0]
+        for j in range(1, len(obstacles)):
+            dY[:m] = dY[:m] + radial[j]
+    W = M[:, 1:-1] * np.repeat([-weights.q_obstacle, weights.q_length,
+                                weights.q_curvature], [m, m, m - 2])[:, None]
+    # (2, n - 2) sums, x then y, each along one contiguous row of products
+    products = np.ascontiguousarray(dY.T[:, None, :] * W.T)
+    return bd, np.add.reduce(products, -1).ravel().tolist()
+
+
+def dot(a, b):
+    acc = 0.0
+    for u, v in zip(a, b):
+        acc += u * v
+    return acc
 
 
 def reference_lbfgs_direction(g, pairs):
-    q = g.copy()
+    q = list(g)
     alphas = []
     for s, y, rho in reversed(pairs):
-        a = rho * float(s @ q)
-        q -= a * y
+        a = rho * dot(s, q)
+        q = [qi - a * yi for qi, yi in zip(q, y)]
         alphas.append(a)
     s, y, _ = pairs[-1]
-    q *= float(s @ y) / float(y @ y)
+    gamma = dot(s, y) / dot(y, y)
+    q = [qi * gamma for qi in q]
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        q += (a - rho * float(y @ q)) * s
-    return -q
+        b = a - rho * dot(y, q)
+        q = [qi + b * si for qi, si in zip(q, s)]
+    return [-qi for qi in q]
 
 
-def reference_descend(controls, B, weights, obstacles):
+def with_interior(controls, x):
     c = controls.copy()
-    bd, grad = reference_cost_and_grad(c, B, weights, obstacles)
-    if grad is None:
+    c[1:-1] = np.reshape(x, (2, -1)).T
+    return c
+
+
+def reference_descend(controls, M, weights, obstacles):
+    c = controls.copy()
+    bd, g = reference_cost_and_grad(c, M, weights, obstacles)
+    if g is None:
         raise PlanningError("non-finite cost at the initial control polygon")
     f = bd.total
     history = [f]
     if len(c) <= 2 or f == 0.0:
         return c, bd, history, True
-    g = grad[1:-1].ravel()
+    x = c[1:-1].T.ravel().tolist()
     pairs = deque(maxlen=LBFGS_MEMORY)
     for _ in range(MAX_ITERS):
-        gnorm = float(np.sqrt(g @ g))
+        gnorm = math.sqrt(dot(g, g))
         if gnorm == 0.0:
             return c, bd, history, True
         d = reference_lbfgs_direction(g, pairs) if pairs else None
-        if d is None or not float(g @ d) < 0.0:
-            d = -(STEP / gnorm) * g
-        slope = float(g @ d)
-        dnorm = float(np.sqrt(d @ d))
+        if d is None or not dot(g, d) < 0.0:
+            d = [-(STEP / gnorm) * gi for gi in g]
+        slope = dot(g, d)
+        dnorm = math.sqrt(dot(d, d))
         t = 1.0
         while True:
-            trial = c.copy()
-            trial[1:-1] += (t * d).reshape(-1, 2)
-            bd_t, grad_t = reference_cost_and_grad(trial, B, weights, obstacles)
-            if grad_t is None:
+            s = [t * di for di in d]
+            trial = [xi + si for xi, si in zip(x, s)]
+            bd_t, g_t = reference_cost_and_grad(with_interior(c, trial), M, weights, obstacles)
+            if g_t is None:
                 raise PlanningError("non-finite cost during line search")
             if bd_t.total <= f + ARMIJO * t * slope:
                 break
             t *= 0.5
             if t * dnorm < 1e-12:
                 return c, bd, history, True
-        g_new = grad_t[1:-1].ravel()
-        s, y = t * d, g_new - g
-        if float(s @ y) > 0.0:
-            pairs.append((s, y, 1.0 / float(s @ y)))
+        y = [b - a for a, b in zip(g, g_t)]
+        if dot(s, y) > 0.0:
+            pairs.append((s, y, 1.0 / dot(s, y)))
         rel = abs(f - bd_t.total) <= TOLERANCE * abs(f)
-        c, bd, f, g = trial, bd_t, bd_t.total, g_new
+        x, bd, f, g = trial, bd_t, bd_t.total, g_t
+        c = with_interior(c, x)
         history.append(f)
         if rel:
             return c, bd, history, True
@@ -360,16 +405,23 @@ def reference_descend(controls, B, weights, obstacles):
 
 
 def bowed_seeds(controls, weights, obstacles):
-    """optimize's extra seeds: the polygon bowed to either side of the chord
-    by d_safe plus the largest radius (none for a zero chord)."""
+    """optimize's extra seeds: the interior bowed to either side of the
+    chord by (d_safe plus the largest radius) sin(pi u_i), ends kept (none
+    for a zero chord)."""
     chord = controls[-1] - controls[0]
     norm = float(np.hypot(chord[0], chord[1]))
     if not norm > 0.0:
         return []
-    perp = np.array([-chord[1], chord[0]]) / norm
+    perp = [-chord[1] / norm, chord[0] / norm]
     amp = weights.d_safe + (float(obstacles.radii.max()) if len(obstacles) else 0.0)
-    bump = np.sin(np.linspace(0.0, math.pi, len(controls)))[:, None] * perp[None, :]
-    return [controls + amp * bump, controls - amp * bump]
+    seeds = []
+    for sign in (1.0, -1.0):
+        seed = controls.copy()
+        for i in range(1, len(controls) - 1):
+            b = amp * math.sin(math.pi * i / (len(controls) - 1))
+            seed[i] = [controls[i][d] + sign * b * perp[d] for d in range(2)]
+        seeds.append(seed)
+    return seeds
 
 
 def greville_chord(controls, knots):
@@ -394,19 +446,20 @@ def reference_optimize(controls, weights, obstacles):
     or of the Greville chord where the straight seed's samples clear the
     band and the chord is clear and no costlier."""
     knots = clamped_uniform_knots(len(controls), DEGREE)
-    B = basis_matrix(knots, DEGREE, np.arange(weights.sample_count + 1) / weights.sample_count)
+    M = stacked_rows(knots, weights.sample_count)
     seeds = [controls]
-    if sample_clearance(B @ controls, obstacles) < weights.d_safe:
+    pts = sample(SplinePath(controls, DEGREE, knots), weights.sample_count)
+    if sample_clearance(pts, obstacles) < weights.d_safe:
         seeds += bowed_seeds(controls, weights, obstacles)
     else:
         line = greville_chord(controls, knots)
-        seed_bd, _ = reference_cost_and_grad(controls, B, weights, obstacles)
-        line_bd, _ = reference_cost_and_grad(line, B, weights, obstacles)
+        seed_bd, _ = reference_cost_and_grad(controls, M, weights, obstacles)
+        line_bd, _ = reference_cost_and_grad(line, M, weights, obstacles)
         if line_bd.obstacle == 0.0 and line_bd.total <= seed_bd.total:
             return line, line_bd, [seed_bd.total, line_bd.total], True
     best = None
     for seed in seeds:
-        run = reference_descend(seed, B, weights, obstacles)
+        run = reference_descend(seed, M, weights, obstacles)
         if best is None or run[1].total < best[1].total:
             best = run
     return best
@@ -490,9 +543,8 @@ def test_optimize_clear_chord_is_the_global_optimum_240_scenes():
         assert res.breakdown.obstacle == 0.0
         assert abs(res.breakdown.length - chord) <= 1e-12 * chord
         assert res.breakdown.curvature <= 1e-9 * chord
-        B = basis_matrix(res.path.knots, DEGREE,
-                         np.arange(weights.sample_count + 1) / weights.sample_count)
-        _, descended, _, _ = reference_descend(init, B, weights, obstacles)
+        M = stacked_rows(res.path.knots, weights.sample_count)
+        _, descended, _, _ = reference_descend(init, M, weights, obstacles)
         assert res.breakdown.total <= descended.total
 
 
@@ -506,19 +558,22 @@ def bowed_around_midpoint_obstacle():
 
 def perturbed_chord_no_costlier_than_the_chord():
     # the Greville chord moved by an ulp here and there: where rounding
-    # makes it cheaper than the chord itself, the chord does not beat it
+    # makes it cheaper than the chord itself, the chord does not beat it.
+    # Chords are drawn until one of 50 perturbations of one is cheaper
     rng = random.Random(5)
     weights, obstacles = GlobalCostWeights(), ObstacleSet.from_pairs([])
-    B = basis_matrix(clamped_uniform_knots(6, DEGREE), DEGREE, np.arange(65) / 64)
-    line = greville_chord(straight_line_init((0.9, -3.7), (4.2, -0.3), 6)[0],
-                          clamped_uniform_knots(6, DEGREE))
-    line_bd, _ = reference_cost_and_grad(line, B, weights, obstacles)
+    knots = clamped_uniform_knots(6, DEGREE)
+    M = stacked_rows(knots, 64)
     while True:
-        init = line.copy()
-        init[1:-1] = np.nextafter(init[1:-1], [[rng.choice((-np.inf, np.inf)) for _ in "xy"]
-                                               for _ in init[1:-1]])
-        if reference_cost_and_grad(init, B, weights, obstacles)[0].total < line_bd.total:
-            return init, weights, obstacles
+        ends = [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in "ab"]
+        line = greville_chord(straight_line_init(*ends, 6)[0], knots)
+        line_bd, _ = reference_cost_and_grad(line, M, weights, obstacles)
+        for _ in range(50):
+            init = line.copy()
+            init[1:-1] = np.nextafter(init[1:-1], [[rng.choice((-np.inf, np.inf)) for _ in "xy"]
+                                                   for _ in init[1:-1]])
+            if reference_cost_and_grad(init, M, weights, obstacles)[0].total < line_bd.total:
+                return init, weights, obstacles
 
 
 @pytest.mark.parametrize("scene", [bowed_around_midpoint_obstacle,
@@ -527,9 +582,10 @@ def perturbed_chord_no_costlier_than_the_chord():
 def test_optimize_clear_seed_falls_back_to_the_descent(scene):
     init, weights, obstacles = scene()
     knots = clamped_uniform_knots(len(init), DEGREE)
-    B = basis_matrix(knots, DEGREE, np.arange(weights.sample_count + 1) / weights.sample_count)
-    assert sample_clearance(B @ init, obstacles) >= weights.d_safe
-    c, bd, history, converged = reference_descend(init, B, weights, obstacles)
+    pts = sample(SplinePath(init, DEGREE, knots), weights.sample_count)
+    assert sample_clearance(pts, obstacles) >= weights.d_safe
+    c, bd, history, converged = reference_descend(init, stacked_rows(knots, weights.sample_count),
+                                                  weights, obstacles)
     res = optimize(init, weights, obstacles)
     assert res.path.control_points.tobytes() != greville_chord(init, knots).tobytes()
     assert res.path.control_points.tobytes() == c.tobytes()
@@ -581,13 +637,66 @@ def test_lockstep_descent_raises_where_sequential_raises(q_length, q_obstacle, d
         assert history_bytes(res.cost_history) == history_bytes(history)
 
 
+def test_cost_global_is_the_descents_own_cost_bit_for_bit():
+    # cost_global, the chord check and the descent evaluate a polygon by one
+    # routine, so a planned path's cost is the planner's final J to the bit
+    scenes = [(straight_line_init(start, goal, 6)[0], GlobalCostWeights(d_safe=1.2), obstacles)
+              for start, goal, obstacles in (seeded_scene(i, 1 + i % 3) for i in range(36))]
+    for init, weights, obstacles in scenes + list(identity_scenes(120)):
+        res = optimize(init, weights, obstacles)
+        bd = cost_global(res.path, weights, obstacles)
+        assert history_bytes(astuple(bd)) == history_bytes(astuple(res.breakdown))
+        assert history_bytes([bd.total]) == history_bytes(res.cost_history[-1:])
+
+
+def blas_probe_digests():
+    """SHA-256 of optimize's output (control points, history, converged)
+    and of sample's points on the 36 scenes of plan_global seed 0, and of
+    one short mission's trace lines and summary."""
+    from agnav.presets import type_a_scenario
+    from agnav.scenario import run_scenario
+
+    weights = GlobalCostWeights(d_safe=1.2)
+    plans, samples = hashlib.sha256(), hashlib.sha256()
+    for i in range(36):
+        start, goal, obstacles = seeded_scene(i, 1 + i % 3)
+        res = optimize(straight_line_init(start, goal, 6)[0], weights, obstacles)
+        plans.update(res.path.control_points.tobytes())
+        plans.update(json.dumps([res.cost_history, res.converged]).encode())
+        samples.update(sample(res.path, weights.sample_count).tobytes())
+    mission = hashlib.sha256()
+    _, run = run_scenario(type_a_scenario(1))
+    for rec in run.trace:
+        mission.update((json.dumps(rec, sort_keys=True) + "\n").encode())
+    mission.update(json.dumps(run.summary(), sort_keys=True).encode())
+    return {"plans": plans.hexdigest(), "samples": samples.hexdigest(),
+            "mission": mission.hexdigest()}
+
+
+def test_planner_and_mission_bytes_do_not_depend_on_the_blas_kernel():
+    # every product in optimize and sample is a fixed order of IEEE
+    # operations, so a process with another OpenBLAS kernel (the variable
+    # acts at library load, hence the child process) gives the same bytes
+    import agnav
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = [here, os.path.dirname(os.path.dirname(agnav.__file__))]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(path + [os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-c", "import json, test_global_planner as t; "
+                               "print(json.dumps(t.blas_probe_digests()))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert json.loads(child.stdout.splitlines()[-1]) == blas_probe_digests()
+
+
 def test_optimize_within_oracle_gap_of_scipy_lbfgsb():
     """Optimality oracle: scipy's L-BFGS-B from the same three seeds, on the
     same cost and gradient, over the 36 scenes of plan_global seed 0. Relative
     gaps (ours - scipy best) / scipy best measured at the sequential descent:
     max 1.69e-4 (scene 35), mean -2.3e-6; the bounds leave about 3x."""
     weights = GlobalCostWeights(d_safe=1.2)
-    B = basis_matrix(clamped_uniform_knots(6, DEGREE), DEGREE, np.arange(65) / 64)
+    knots = clamped_uniform_knots(6, DEGREE)
     gaps = []
     for i in range(36):
         start, goal, obstacles = seeded_scene(i, 1 + i % 3)
@@ -596,11 +705,10 @@ def test_optimize_within_oracle_gap_of_scipy_lbfgsb():
         best = math.inf
         for seed in [init] + bowed_seeds(init, weights, obstacles):
             def fun(x, seed=seed):
-                c = seed.copy()
-                c[1:-1] = x.reshape(-1, 2)
-                terms, grad = _evaluate(c[None], B, weights, obstacles)
-                return terms[0][3], grad[0, 1:-1].ravel()
-            best = min(best, minimize(fun, seed[1:-1].ravel(), jac=True, method="L-BFGS-B").fun)
+                terms, grad = interior_terms_and_gradient(with_interior(seed, x), knots, DEGREE,
+                                                          weights, obstacles)
+                return terms[3], np.array(grad)
+            best = min(best, minimize(fun, _interior(seed), jac=True, method="L-BFGS-B").fun)
         gaps.append((ours - best) / best)
     assert max(gaps) <= 5e-4
     assert sum(gaps) / len(gaps) <= 5e-5

@@ -18,6 +18,7 @@ from agnav.sim_world import (
     step_drone,
     step_ground,
 )
+from agnav.semantic_map import SemanticObject
 
 PARAMS = SimParams()
 
@@ -229,3 +230,17 @@ def test_carried_object_excluded_but_probes_others():
 def test_sim_params_validation():
     with pytest.raises(ValueError):
         SimParams(drone_speed=0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda r: SimObject("b", "B", 0.0, 0.0, radius=r),
+    lambda r: GroundRobot(0.0, 0.0, 0.0, r),
+    lambda r: SemanticObject("b", "B", 0.0, 0.0, radius=r),
+], ids=["SimObject", "GroundRobot", "SemanticObject"])
+def test_radius_refuses_nan_and_negative_and_accepts_zero(make):
+    # a NaN radius compares false with every distance, so detect_collisions
+    # would never report contact with it
+    for bad in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="radius must be non-negative"):
+            make(bad)
+    assert make(0.0).radius == 0.0
