@@ -64,8 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spline import (SplinePath, basis_matrix, clamped_uniform_knots, make_clamped_uniform,
-                     map_interior, pinned_map)
+from .spline import (SplinePath, clamped_uniform_knots, make_clamped_uniform, map_interior,
+                     pinned_map, sample_basis)
 
 
 class PlanningError(RuntimeError):
@@ -163,7 +163,7 @@ def _stacked_map(knots, degree: int, controls: np.ndarray, m: int):
     1..m, then the m segments P_i - P_{i-1}, then the m - 2 second
     differences, i.e. B[1:], B[1:] - B[:-1] and B[3:] - 2 B[2:-1] + B[1:-2]
     for the basis matrix B."""
-    B = basis_matrix(knots, degree, np.arange(m + 1) / m)
+    B = sample_basis(knots, degree, m)
     return pinned_map(np.concatenate([B[1:], B[1:] - B[:-1], B[3:] - 2.0 * B[2:-1] + B[1:-2]]),
                       controls)
 

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,11 +78,14 @@ def grid_lines(spec: GridSpec) -> tuple[list[tuple[int, float]], list[tuple[int,
     return xs, ys
 
 
+@functools.lru_cache(maxsize=64)
 def ground_scale(camera: CameraModel) -> GroundScale:
     """Meters-per-cell from altitude, horizontal FOV, and grid interval.
 
     n_grid = w / r (truncated toward zero when fractional),
     width_real = 2 * altitude * tan(FOV / 2), cell_m = width_real / n_grid.
+    Cached per camera (a frozen value), since ``observe`` asks every tick; a
+    rejected camera raises on every call.
     """
     n_grid = int(camera.image_width / camera.grid_interval)
     if n_grid == 0:

@@ -4,22 +4,34 @@ Projects simulator ground truth into the aerial camera frame (orthographic,
 image-center-relative grid cells), applies calibrated deterministic noise,
 and labels each scene object with its role under the subtask's goal (the
 perceiver's prompt); the carried object is the world's attachment, and the
-robot is reported as its parts, not as an object. Noise is counter-based: every
-random draw is one SHA-256 over the bytes ``seed|step|tag|channel`` (the tag is
-the object id, or ``robot:<part>``), so identical inputs give byte-identical
-maps with no shared generator state. ``observe`` encodes the ``seed|step|``
-prefix once per call and each tag's prefix once per object.
+robot is reported as its parts, not as an object.
+
+Noise is counter-based. A draw's key is the bytes ``seed|step|tag|channel``:
+the tag is the object id, or ``robot:<part>``, and the channel is ``px``,
+``py``, ``mis``, ``sub`` or ``yaw``. Its uniform is u = (the first 8 bytes of
+the key's SHA-256, big-endian, + 0.5) / 2**64, in (0, 1). A Gaussian draw is
+sigma * inv_cdf(u); a zero sigma draws nothing and adds 0.0. A draw depends
+on its key alone, so identical inputs give byte-identical maps with no shared
+generator state, and an object's report does not depend on the other objects
+(a substituted name is drawn from the scene's whole alphabet).
+
+``observe`` encodes ``seed|step|`` once per call and ``seed|step|tag|`` once
+per point in view, and writes each draw as one expression over locally bound
+``sha256``, ``int.from_bytes`` and ``inv_cdf``. The camera's ground scale is
+cached per camera (``gridmask.ground_scale``), and the alphabet is sorted only
+when a ``mis`` draw hits.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional
 
-from .gridmask import CameraModel, GroundScale, ground_scale, world_to_grid
+from .gridmask import CameraModel, GroundScale, ground_scale
 from .semantic_map import (
     Category,
     Direction,
@@ -29,6 +41,7 @@ from .semantic_map import (
 )
 
 _NORMAL = NormalDist()
+_by_id = operator.attrgetter("id")
 
 
 @dataclass(frozen=True)
@@ -70,15 +83,6 @@ class GoalSpec:
         return cls("relation", name=name, direction=direction, clearance=clearance)
 
 
-def _uniform(key: bytes) -> float:
-    """Deterministic uniform in (0, 1) from the hashed counter ``key``."""
-    return (int.from_bytes(hashlib.sha256(key).digest()[:8], "big") + 0.5) / 2.0 ** 64
-
-
-def _gauss(key: bytes, sigma: float) -> float:
-    return 0.0 if sigma == 0.0 else sigma * _NORMAL.inv_cdf(_uniform(key))
-
-
 def _footprint(scale: GroundScale, cx: float, cy: float) -> Footprint:
     """World square on the ground seen from (cx, cy): the image is square."""
     half = scale.width_real / 2.0
@@ -97,73 +101,75 @@ def observe(world, camera: CameraModel, goal: Optional[GoalSpec],
     when the ground robot is in view. Noisy positions clamp to the footprint
     so every reported object projects back inside it.
     """
-    if world.drone.altitude <= 0:
+    drone = world.drone
+    if not drone.altitude > 0:  # NaN included
         raise ValueError("drone altitude must be positive")
     scale = ground_scale(camera)
     cell = scale.cell_m
-    cx, cy = world.drone.x, world.drone.y
+    cx, cy = drone.x, drone.y
     fp = _footprint(scale, cx, cy)
     xmin, xmax, ymin, ymax = fp.xmin, fp.xmax, fp.ymin, fp.ymax
-    half_w = (xmax - xmin) / 2.0 / cell
-    half_h = (ymax - ymin) / 2.0 / cell
-    lo_x, lo_y = -half_w, -half_h
+    hi_x = (xmax - xmin) / 2.0 / cell
+    hi_y = (ymax - ymin) / 2.0 / cell
+    lo_x, lo_y = -hi_x, -hi_y
     step = world.step
     prefix = f"{noise.seed}|{step}|".encode()
     pos_sigma, yaw_sigma = noise.position_sigma, noise.orientation_sigma
     mis_prob = noise.misclassify_prob
-    alphabet = sorted({o.name for o in world.objects}) if mis_prob > 0.0 else ()
+    sha, from_bytes, inv_cdf = hashlib.sha256, int.from_bytes, _NORMAL.inv_cdf
 
-    def project(key: bytes, x: float, y: float) -> tuple[float, float]:
-        # grid point of a world point, with position noise, clamped into view
-        # as min(hi, max(lo, v)) clamps (a NaN lands on lo)
-        gx, gy = world_to_grid(cell, (x, y), (cx, cy))
-        gx += _gauss(key + b"px", pos_sigma)
-        gy += _gauss(key + b"py", pos_sigma)
-        gx = gx if gx > lo_x else lo_x
-        gy = gy if gy > lo_y else lo_y
-        return (gx if gx < half_w else half_w), (gy if gy < half_h else half_h)
-
-    objects = []
-    for o in world.objects:
-        if not (xmin <= o.x <= xmax and ymin <= o.y <= ymax):
-            continue
-        key = prefix + f"{o.id}|".encode()
-        gx, gy = project(key, o.x, o.y)
-        name = o.name
-        if len(alphabet) > 1 and _uniform(key + b"mis") < mis_prob:
-            others = [n for n in alphabet if n != o.name]
-            name = others[int(_uniform(key + b"sub") * len(others))]
-        category, direction = _role(o.id, name, goal, world.attachment)
-        objects.append(SemanticObject(
-            id=o.id,
-            name=name,
-            x=gx, y=gy,
-            category=category,
-            direction=direction,
-            orientation=o.yaw + _gauss(key + b"yaw", yaw_sigma),
-            radius=o.radius / cell,
-        ))
-
-    parts = {}
+    # every point in view as (key prefix, x, y): the objects, then the robot
+    seen = [o for o in world.objects if xmin <= o.x <= xmax and ymin <= o.y <= ymax]
+    points = [(prefix + f"{o.id}|".encode(), o.x, o.y) for o in seen]
     robot = world.ground_robot
     if xmin <= robot.x <= xmax and ymin <= robot.y <= ymax:
         ax = world.params.head_offset * math.cos(robot.heading)
         ay = world.params.head_offset * math.sin(robot.heading)
-        for tag, px, py in (("head", robot.x + ax, robot.y + ay), ("body", robot.x, robot.y),
-                            ("tail", robot.x - ax, robot.y - ay)):
-            parts[tag] = project(prefix + f"robot:{tag}|".encode(), px, py)
-    objects.sort(key=lambda s: s.id)
+        points += ((prefix + b"robot:head|", robot.x + ax, robot.y + ay),
+                   (prefix + b"robot:body|", robot.x, robot.y),
+                   (prefix + b"robot:tail|", robot.x - ax, robot.y - ay))
 
-    return LocalSemanticMap(
-        observer_x=cx,
-        observer_y=cy,
-        altitude=world.drone.altitude,
-        cell_m=cell,
-        footprint=fp,
-        objects=tuple(objects),
-        step_index=step,
-        parts=parts,
-    )
+    # grid point of each, with position noise, clamped into view as
+    # min(hi, max(lo, v)) clamps (a NaN lands on lo); a zero sigma still
+    # adds 0.0, which turns a -0.0 offset into 0.0
+    grid = []
+    for key, x, y in points:
+        gx = (x - cx) / cell
+        gy = (y - cy) / cell
+        if pos_sigma == 0.0:
+            gx += 0.0
+            gy += 0.0
+        else:
+            gx += pos_sigma * inv_cdf(
+                (from_bytes(sha(key + b"px").digest()[:8], "big") + 0.5) / 2.0 ** 64)
+            gy += pos_sigma * inv_cdf(
+                (from_bytes(sha(key + b"py").digest()[:8], "big") + 0.5) / 2.0 ** 64)
+        gx = gx if gx > lo_x else lo_x
+        gy = gy if gy > lo_y else lo_y
+        grid.append(((gx if gx < hi_x else hi_x), (gy if gy < hi_y else hi_y)))
+
+    objects = []
+    alphabet = None  # built on the first misclassification
+    carried = world.attachment
+    for o, (key, _, _), (gx, gy) in zip(seen, points, grid):
+        name = o.name
+        if mis_prob > 0.0 and (from_bytes(sha(key + b"mis").digest()[:8], "big")
+                               + 0.5) / 2.0 ** 64 < mis_prob:
+            if alphabet is None:
+                alphabet = sorted({s.name for s in world.objects})
+            if len(alphabet) > 1:
+                others = [n for n in alphabet if n != o.name]
+                u = (from_bytes(sha(key + b"sub").digest()[:8], "big") + 0.5) / 2.0 ** 64
+                name = others[int(u * len(others))]
+        category, direction = _role(o.id, name, goal, carried)
+        yaw = o.yaw + (0.0 if yaw_sigma == 0.0 else yaw_sigma * inv_cdf(
+            (from_bytes(sha(key + b"yaw").digest()[:8], "big") + 0.5) / 2.0 ** 64))
+        objects.append(SemanticObject(o.id, name, gx, gy, category, direction, yaw,
+                                      o.radius / cell))
+    objects.sort(key=_by_id)
+
+    return LocalSemanticMap(cx, cy, drone.altitude, cell, fp, tuple(objects), step,
+                            dict(zip(("head", "body", "tail"), grid[len(seen):])))
 
 
 def _role(oid: str, name: str, goal: Optional[GoalSpec], carried: Optional[str]):

@@ -14,6 +14,7 @@ every BLAS kernel and every SIMD target; no BLAS call is made.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,20 @@ def basis_matrix(knots, degree: int, us) -> np.ndarray:
     return N
 
 
+def sample_basis(knots, degree: int, m: int) -> np.ndarray:
+    """basis_matrix at the m+1 samples u_i = i/m. Every leg of a mission has
+    the same knots and m, so the matrix is built once per knot vector (by its
+    bytes), degree and m, and shared read-only."""
+    return _sample_basis(np.asarray(knots, dtype=float).tobytes(), degree, m)
+
+
+@functools.lru_cache(maxsize=16)
+def _sample_basis(knots: bytes, degree: int, m: int) -> np.ndarray:
+    B = basis_matrix(np.frombuffer(knots), degree, np.arange(m + 1) / m)
+    B.flags.writeable = False
+    return B
+
+
 def pinned_map(rows: np.ndarray, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The linear map ``rows`` (R, n) of an n-point polygon whose two end
     points are fixed, split as (A, K): A (n - 2, R) holds the interior
@@ -131,5 +146,4 @@ def sample(path: SplinePath, m: int) -> np.ndarray:
     """The m+1 points S(i/m), i = 0..m, as an (m+1) x 2 array."""
     if m < 2:
         raise ValueError("sample count m must be at least 2")
-    us = np.arange(m + 1) / m
-    return polygon_product(basis_matrix(path.knots, path.degree, us), path.control_points)
+    return polygon_product(sample_basis(path.knots, path.degree, m), path.control_points)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -148,6 +149,16 @@ def test_noisy_positions_stay_inside_footprint():
         o = [x for x in m.objects if x.id == "edge"][0]
         wx, wy = m.observer_x + o.x * m.cell_m, m.observer_y + o.y * m.cell_m
         assert fp.contains(wx, wy)
+
+
+@pytest.mark.parametrize("altitude", [0.0, -1.0, math.nan])
+def test_observe_rejects_an_altitude_that_is_not_positive(altitude):
+    # a NaN altitude would pass a bare sign test and reach the local map's
+    # JSON as a bare NaN, which is not valid JSON
+    world = make_world([SimObject("o1", "O", 1.0, 0.0)])
+    world.drone.altitude = altitude
+    with pytest.raises(ValueError, match="altitude"):
+        observe(world, CAMERA, None, NoiseModel())
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -333,3 +344,60 @@ def test_observe_bit_identical_to_reference_600_worlds():
         seen["robot_in" if got.parts else "robot_out"] += 1
         seen["noiseless"] += noise.position_sigma == 0.0
     assert min(seen.values()) >= 20, seen
+
+
+def _report_bits(m):
+    """Every bit of a local map that a caller can read."""
+    return (json.dumps(local_map_to_json(m), sort_keys=True), _hex_parts(m),
+            [(o.x.hex(), o.y.hex(), o.orientation.hex()) for o in m.objects])
+
+
+def _object_bits(o):
+    return (o.name, o.x.hex(), o.y.hex(), o.orientation.hex(), o.category, o.direction,
+            o.radius.hex())
+
+
+def test_each_objects_report_ignores_the_other_objects():
+    # every draw is keyed by seed|step|tag|channel alone, so dropping or
+    # reordering the other objects leaves an object's report bit-identical;
+    # the drop keeps one object of each name, since a substituted name is
+    # drawn from the scene's alphabet
+    rng = random.Random(31)
+    compared = 0
+    for _ in range(300):
+        world, camera, goal, noise = random_world_case(rng)
+        full = observe(world, camera, goal, noise)
+        by_id = {o.id: _object_bits(o) for o in full.objects}
+        kept, names = [], set()
+        for o in rng.sample(world.objects, len(world.objects)):
+            if o.name not in names or rng.random() < 0.5:
+                kept.append(o)
+                names.add(o.name)
+        world.objects = kept
+        part = observe(world, camera, goal, noise)
+        assert _hex_parts(part) == _hex_parts(full)
+        for o in part.objects:
+            assert _object_bits(o) == by_id[o.id]
+        compared += len(part.objects) < len(full.objects)
+    assert compared >= 50
+
+
+def test_interleaved_cameras_and_alphabets_each_equal_the_reference():
+    # consecutive calls change the camera and the scene's name alphabet, so
+    # a scale or alphabet kept from one call would show in the next; each
+    # world is also observed with every object misclassified, where the
+    # alphabet decides every reported name
+    rng = random.Random(37)
+    by_camera = {camera: [] for camera in CAMERAS}
+    for _ in range(240):
+        world, camera, goal, noise = random_world_case(rng)
+        by_camera[camera].append((world, camera, goal, noise))
+        by_camera[camera].append((world, camera, goal,
+                                  dataclasses.replace(noise, misclassify_prob=1.0)))
+    n = min(len(cases) for cases in by_camera.values())
+    order = [cases[i] for i in range(n) for cases in by_camera.values()]
+    alphabets = [frozenset(o.name for o in case[0].objects) for case in order]
+    assert n >= 80
+    assert sum(a != b for a, b in zip(alphabets, alphabets[1:])) >= len(order) // 2
+    for case in order + order[::-1]:
+        assert _report_bits(observe(*case)) == _report_bits(reference_observe(*case))

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
-from agnav.spline import basis_matrix, evaluate, make_clamped_uniform, sample
+from agnav.spline import (basis_matrix, clamped_uniform_knots, evaluate, make_clamped_uniform,
+                          polygon_product, sample, sample_basis)
 
 
 def random_path(rng, n_min=4, n_max=9, degree=3):
@@ -118,6 +119,24 @@ def test_sample_rejects_small_m():
     path = make_clamped_uniform([(0, 0), (1, 0)], 1)
     with pytest.raises(ValueError):
         sample(path, 1)
+
+
+def test_sample_basis_is_built_once_and_equals_basis_matrix():
+    knots = clamped_uniform_knots(6, 3)
+    B = sample_basis(knots, 3, 64)
+    assert sample_basis(knots.copy(), 3, 64) is B
+    assert not B.flags.writeable
+    assert B.tobytes() == basis_matrix(knots, 3, np.arange(65) / 64).tobytes()
+    assert sample_basis(knots, 3, 32) is not B
+    assert sample_basis(clamped_uniform_knots(7, 3), 3, 64).shape == (65, 7)
+
+
+def test_sample_bit_identical_to_a_fresh_basis():
+    rng = np.random.default_rng(5)
+    for n, degree, m in [(6, 3, 64), (6, 3, 64), (5, 2, 17), (8, 3, 64), (4, 1, 3)]:
+        path = make_clamped_uniform(rng.uniform(-3.0, 3.0, (n, 2)), degree)
+        fresh = basis_matrix(path.knots, degree, np.arange(m + 1) / m)
+        assert sample(path, m).tobytes() == polygon_product(fresh, path.control_points).tobytes()
 
 
 def test_chord_length_converges_from_below():
