@@ -171,8 +171,8 @@ def test_noise_model_rejects_non_finite_sigma(field, value):
 # -- reference observe ---------------------------------------------------------
 # observe as first written: one f-string key formatted and hashed per draw,
 # two ground_scale calls, a clamp call per axis. Kept as the oracle for the
-# per-call fast path (_role, ground_scale and world_to_grid are shared with
-# the package).
+# per-call fast path (_role, ground_scale and world_to_grid are the
+# package's; observe writes world_to_grid's arithmetic inline).
 
 _NORMAL = NormalDist()
 
