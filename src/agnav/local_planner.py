@@ -78,7 +78,7 @@ class LocalCostWeights:
             raise ValueError("candidate_count must be at least 4")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LocalObservation:
     """Image-frame geometry for one local planning step (units: grid cells).
 
@@ -88,6 +88,10 @@ class LocalObservation:
     point, the origin of the frame by definition, and ``anchor`` the point
     the robot aligns with: the target, or the zero point when no target is
     seen.
+
+    Slotted and not frozen: the executor builds one every move tick, and a
+    frozen init costs several times as much. Nothing assigns to an
+    observation once built.
     """
 
     main: tuple[float, float]
@@ -223,11 +227,12 @@ class Candidate:
     cost: LocalCost
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DirectionChoice:
     """The selected candidate, the total J of each candidate the search
     scored by index, and the scorer that scores any other candidate on
-    demand."""
+    demand. Slotted and not frozen, as ``LocalObservation`` is: one per move
+    tick, never assigned to."""
 
     theta: float
     index: int
@@ -311,21 +316,27 @@ class MotionCommand:
     kind: MotionKind
     target_heading: float = 0.0  # rotate only
 
-    @classmethod
-    def stop(cls):
-        return cls(MotionKind.STOP)
+    @staticmethod
+    def stop() -> "MotionCommand":
+        return _STOP
 
     @classmethod
     def rotate(cls, target_heading: float):
         return cls(MotionKind.ROTATE, target_heading=target_heading)
 
-    @classmethod
-    def forward(cls):
-        return cls(MotionKind.FORWARD)
+    @staticmethod
+    def forward() -> "MotionCommand":
+        return _FORWARD
 
-    @classmethod
-    def backward(cls):
-        return cls(MotionKind.BACKWARD)
+    @staticmethod
+    def backward() -> "MotionCommand":
+        return _BACKWARD
+
+
+# the commands without a parameter, shared: a frozen value needs one instance
+_STOP = MotionCommand(MotionKind.STOP)
+_FORWARD = MotionCommand(MotionKind.FORWARD)
+_BACKWARD = MotionCommand(MotionKind.BACKWARD)
 
 
 def wrap_angle(a: float) -> float:
@@ -351,16 +362,17 @@ def step_decision(obs: LocalObservation, theta_star: float, dist_stop: float,
     heading, so an anchor directly behind is reached by backing up rather
     than turning around.
     """
-    heading = obs.heading
-    gx, gy = obs.anchor[0] - obs.main[0], obs.anchor[1] - obs.main[1]
+    (ax, ay), (mx, my) = obs.anchor, obs.main
+    gx, gy = ax - mx, ay - my
     if math.hypot(gx, gy) < dist_stop:
-        return MotionCommand.stop()
+        return _STOP
+    heading = obs.heading
     axis_err = min(abs(wrap_angle(heading - theta_star)),
                    abs(wrap_angle(heading + math.pi - theta_star)))
     if axis_err > angle_tol:
         return MotionCommand.rotate(theta_star)
     along = gx * math.cos(heading) + gy * math.sin(heading)
-    return MotionCommand.forward() if along >= 0.0 else MotionCommand.backward()
+    return _FORWARD if along >= 0.0 else _BACKWARD
 
 
 def pursue(body, aim, heading: float, gate: float) -> MotionCommand:

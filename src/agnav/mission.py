@@ -505,6 +505,7 @@ class MissionExecutor:
         self.global_paths: list = []
         self.placements: list = []
         self.overlaps: frozenset = frozenset()
+        self._detected = None  # the (x, y, heading, attachment) last detected at
         self._map: Optional[GlobalSemanticMap] = None
         self._unfused: list = []  # local maps queued for fusion, oldest first
         self.rollbacks = 0
@@ -521,19 +522,19 @@ class MissionExecutor:
         return self._map
 
     def _record(self, phase: str, command=None, theta=None, cost=None, events=(), extra=None):
+        state, fused = self.state, self._map
+        drone, robot = state.drone, state.ground_robot
         rec = {
-            "step": self.state.step,
+            "step": state.step,
             "phase": phase,
-            "drone": [self.state.drone.x, self.state.drone.y],
-            "ground": [self.state.ground_robot.x, self.state.ground_robot.y,
-                       self.state.ground_robot.heading],
+            "drone": [drone.x, drone.y],
+            "ground": [robot.x, robot.y, robot.heading],
             "command": command.kind.value if command is not None else None,
             "theta_star": theta,
             "cost": cost,
             "events": list(events),
             # the revision the map reaches once the queue is folded in
-            "map_revision": (self._map.revision + len(self._unfused)
-                             if self._map is not None else None),
+            "map_revision": fused.revision + len(self._unfused) if fused is not None else None,
         }
         if extra:
             rec.update(extra)
@@ -546,9 +547,22 @@ class MissionExecutor:
 
     def _end_tick(self, phase: str, command=None, theta=None, cost=None, extra=None):
         """Close a stepping tick: detect debounced collisions, extend the
-        ground track, record the tick and advance the step."""
-        events, self.overlaps = detect_collisions(self.state, self.overlaps)
-        cur = (self.state.ground_robot.x, self.state.ground_robot.y)
+        ground track, record the tick and advance the step.
+
+        Collisions are detected only when the robot's (x, y, heading) or the
+        world's attachment differs from the last detection's. Otherwise no
+        body has moved: the carried object is the only object that moves,
+        slaved to the head, and attach, detach and the scripted drop each
+        change the attachment. The overlaps then stand and the tick has no
+        event, as a detection would find. A scene event that moves any other
+        object must extend this key."""
+        r = self.state.ground_robot
+        key = (r.x, r.y, r.heading, self.state.attachment)
+        events = ()
+        if key != self._detected:
+            self._detected = key
+            events, self.overlaps = detect_collisions(self.state, self.overlaps)
+        cur = (r.x, r.y)
         if cur != self.track[-1]:
             self.track.append(cur)
         self._record(phase, command, theta, cost, events, extra)
@@ -579,35 +593,41 @@ class MissionExecutor:
     def _perceive(self, goal: GoalSpec):
         """Observe prompted with ``goal``, then read off the local observation
         (None unless the robot's head, body and tail are in view and
-        distinct), whose target is the zero point for a coordinate goal. The
-        objects labelled obstacle or landmark (a relation's reference) are its
-        obstacles; the carried object, labelled main, never is one."""
+        distinct), whose target is the first object labelled target by id,
+        or the zero point for a coordinate goal. The objects labelled
+        obstacle or landmark (a relation's reference) are its obstacles; the
+        carried object, labelled main, never is one. One pass over the
+        objects reads the obstacles, the target and the carried object."""
         local_map = observe(self.state, self.cfg.camera, goal, self.cfg.noise)
-        held = self.state.attachment
-        obstacles = [o for o in local_map.objects
-                     if o.category in (Category.OBSTACLE, Category.LANDMARK)]
         parts = local_map.parts
-        if not all(k in parts for k in ("head", "body", "tail")) or parts["head"] == parts["tail"]:
+        head, body, tail = parts.get("head"), parts.get("body"), parts.get("tail")
+        if head is None or body is None or tail is None or head == tail:
             return local_map, None
-        main = parts["body"]
-        steer_radius = self.state.ground_robot.radius / self.cell
-        carried = next((o for o in local_map.objects if o.id == held), None)
+        held = self.state.attachment
+        obstacle, landmark, target_category = Category.OBSTACLE, Category.LANDMARK, Category.TARGET
+        obstacles, block, carried = [], None, None
+        for o in local_map.objects:
+            category = o.category
+            if category is obstacle or category is landmark:
+                obstacles.append(o)
+            elif category is target_category and block is None:
+                block = o
+            if o.id == held and carried is None:
+                carried = o
+        # obstacle discs inflated by the whole moving ensemble's radius (the
+        # trailing body included while carrying): the clearance term then
+        # measures surface separation for everything that travels the ray
+        inflate = self.state.ground_robot.radius / self.cell
+        main = body
         if carried is not None:
-            main, steer_radius = (carried.x, carried.y), carried.radius
-        block = target_block(local_map)
+            main, inflate = (carried.x, carried.y), max(carried.radius, inflate)
         if block is not None:
             target = (block.x, block.y)
         else:  # a coordinate goal marks no target
             target = LocalObservation.zero if goal.kind == "coordinate" else None
-        # obstacle discs inflated by the whole moving ensemble's radius (the
-        # trailing body included while carrying): the clearance term then
-        # measures surface separation for everything that travels the ray
-        inflate = max(steer_radius, self.state.ground_robot.radius / self.cell)
-        obs = LocalObservation(
-            main=main, target=target,
-            obstacles=tuple(((o.x, o.y), o.radius + inflate) for o in obstacles),
-            head=parts["head"], tail=parts["tail"], body=parts["body"],
-        )
+        obs = LocalObservation(main, target,
+                               tuple([((o.x, o.y), o.radius + inflate) for o in obstacles]),
+                               head, tail, body)
         return local_map, obs
 
     # -- phases ------------------------------------------------------------
@@ -733,31 +753,31 @@ class MissionExecutor:
         staged corridor is straight and already clear.
         """
         waypoints = self._plan_drone_path(subtask_goal, goal_world)
-        held = self.state.attachment
+        state, weights = self.state, self.cfg.local_weights
+        held = state.attachment
         dist_stop = stop_m / self.cell
         replanned = False
         prev_index = None
         while True:
-            if (self.state.step == self.cfg.drop_at_step
-                    and self.state.attachment is not None):
-                detach(self.state)  # the scripted drop
+            if state.step == self.cfg.drop_at_step and state.attachment is not None:
+                detach(state)  # the scripted drop
             # the follower-waiting rule applies once the drone has reached the
             # path start (waypoint 0 sits over the steered point); before that
             # it must fly back to regain the ground robot in view
-            step_drone(self.state, waypoints, wait=self.state.drone.waypoint_index > 0)
+            step_drone(state, waypoints, wait=state.drone.waypoint_index > 0)
             local_map, obs = self._perceive(subtask_goal)
-            if held is not None and not carry_check(self.state, local_map):
+            if held is not None and not carry_check(state, local_map):
                 raise _Dropped
             cmd, theta, cost = MotionCommand.stop(), None, None
             if obs is not None and dock_axis is not None:
                 theta = dock_axis
                 cmd = self._dock_command(obs, dock_axis, dist_stop)
             elif obs is not None:
-                d_obs = math.hypot(obs.anchor[0] - obs.main[0], obs.anchor[1] - obs.main[1])
+                (ax, ay), (mx, my) = obs.anchor, obs.main
+                d_obs = math.hypot(ax - mx, ay - my)
                 # the prospective move never extends beyond the goal anchor,
                 # so obstacles sitting behind the goal (the landmark being
                 # placed against) stop vetoing the final approach
-                weights = self.cfg.local_weights
                 try:
                     choice = select_direction(
                         obs, weights, lookahead=min(weights.lookahead, max(d_obs, 0.5)))
@@ -781,11 +801,11 @@ class MissionExecutor:
                     waypoints = self._plan_drone_path(subtask_goal, goal_world)
                     self._end_tick("move", extra={"replanned": True})
                     continue
-            step_ground(self.state, cmd)
-            if self.state.step % self.cfg.map_update_every == 0:
+            step_ground(state, cmd)
+            if state.step % self.cfg.map_update_every == 0:
                 self._unfused.append(local_map)
             self._end_tick("move", cmd, theta, cost)
-            main = main_point(self.state)
+            main = main_point(state)
             dist = math.hypot(main[0] - goal_world[0], main[1] - goal_world[1])
             # exit when the true distance meets the stop ring or the robot
             # itself judged arrival from its (possibly noisy) observation.
@@ -800,7 +820,7 @@ class MissionExecutor:
                 arrived = dist <= stop_m or (stopped and obs.target is not None)
             else:
                 arrived = dist <= stop_m or stopped
-            if arrived and (approach or drone_done(self.state, waypoints)):
+            if arrived and (approach or drone_done(state, waypoints)):
                 return
 
     def _rollback(self, name: str, goal: GoalSpec, queue: deque):

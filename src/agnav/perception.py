@@ -42,6 +42,10 @@ from .semantic_map import (
 
 _NORMAL = NormalDist()
 _by_id = operator.attrgetter("id")
+# the roles, read once: on Python 3.11 a member read through its Enum class
+# costs about four plain attribute reads, and _role runs per object per tick
+_MAIN, _TARGET, _LANDMARK, _OBSTACLE = (
+    Category.MAIN, Category.TARGET, Category.LANDMARK, Category.OBSTACLE)
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,8 @@ def observe(world, camera: CameraModel, goal: Optional[GoalSpec],
     drone = world.drone
     if not drone.altitude > 0:  # NaN included
         raise ValueError("drone altitude must be positive")
+    if not (math.isfinite(drone.x) and math.isfinite(drone.y)):
+        raise ValueError("drone position must be finite")
     scale = ground_scale(camera)
     cell = scale.cell_m
     cx, cy = drone.x, drone.y
@@ -183,9 +189,9 @@ def _role(oid: str, name: str, goal: Optional[GoalSpec], carried: Optional[str])
     if goal is None:
         return None, None
     if oid == carried:
-        return Category.MAIN, None
+        return _MAIN, None
     if name == goal.name and goal.kind == "object":
-        return Category.TARGET, None
+        return _TARGET, None
     if name == goal.name and goal.kind == "relation":
-        return Category.LANDMARK, goal.direction
-    return Category.OBSTACLE, None
+        return _LANDMARK, goal.direction
+    return _OBSTACLE, None

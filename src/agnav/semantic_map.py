@@ -58,6 +58,12 @@ class Direction(Enum):
     RIGHT = "right"
 
 
+# read once: on Python 3.11 a member read through its Enum class costs about
+# four plain attribute reads (the metaclass defines __getattr__), and every
+# observed object checks its category against it
+_LANDMARK = Category.LANDMARK
+
+
 @dataclass(slots=True)
 class SemanticObject:
     """One observed object in image-center-relative grid cells. ``category``
@@ -77,7 +83,7 @@ class SemanticObject:
     radius: float = 0.0
 
     def __post_init__(self):
-        if (self.direction is not None) != (self.category == Category.LANDMARK):
+        if (self.direction is not None) != (self.category is _LANDMARK):
             raise ValueError("direction is present exactly for landmark objects")
         if not self.radius >= 0.0:
             raise ValueError(f"radius must be non-negative, got {self.radius}")
@@ -93,15 +99,22 @@ class Footprint:
     ymax: float
 
     def __post_init__(self):
-        if self.xmin > self.xmax or self.ymin > self.ymax:
+        if not (self.xmin <= self.xmax and self.ymin <= self.ymax):  # NaN included
             raise ValueError("min bounds must not exceed max bounds")
 
     def contains(self, x: float, y: float) -> bool:
         return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LocalSemanticMap:
+    """One aerial observation: the observer pose, its footprint, the objects
+    in view in grid cells and the robot's head/body/tail grid points.
+
+    Slotted and not frozen, as ``SemanticObject`` is: ``observe`` builds one
+    every tick, and a frozen init costs several times as much. Nothing
+    assigns to a local map once built; fusion hashes only its footprint."""
+
     observer_x: float
     observer_y: float
     altitude: float

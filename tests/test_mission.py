@@ -1,11 +1,12 @@
 import hashlib
 import json
 import math
+import random
 
 import pytest
 
 from agnav.gridmask import CameraModel, GridSpec
-from agnav.local_planner import DirectionChoice, LocalObservation
+from agnav.local_planner import DirectionChoice, LocalObservation, MotionCommand
 from agnav.mission import (
     ROLLBACK_LIMIT,
     Assemble,
@@ -39,7 +40,17 @@ from agnav.semantic_map import (
     MapEntry,
     SemanticObject,
 )
-from agnav.sim_world import DroneState, GroundRobot, SimObject, SimParams, WorldState, attach
+from agnav.sim_world import (
+    DroneState,
+    GroundRobot,
+    SimObject,
+    SimParams,
+    WorldState,
+    attach,
+    detach,
+    detect_collisions,
+    step_ground,
+)
 
 
 def entry(name, x, y, orientation=None):
@@ -288,6 +299,83 @@ def test_perceive_target_rule():
     assert obs.anchor == LocalObservation.zero
 
 
+def reference_perceive(executor, local_map, goal):
+    """_perceive's reading of a local map as first written: one pass over the
+    objects for the obstacles, one for the carried object and one for the
+    target."""
+    state, cell = executor.state, executor.cell
+    held = state.attachment
+    obstacles = [o for o in local_map.objects
+                 if o.category in (Category.OBSTACLE, Category.LANDMARK)]
+    parts = local_map.parts
+    if not all(k in parts for k in ("head", "body", "tail")) or parts["head"] == parts["tail"]:
+        return None
+    main = parts["body"]
+    steer_radius = state.ground_robot.radius / cell
+    carried = next((o for o in local_map.objects if o.id == held), None)
+    if carried is not None:
+        main, steer_radius = (carried.x, carried.y), carried.radius
+    block = next((o for o in local_map.objects if o.category == Category.TARGET), None)
+    if block is not None:
+        target = (block.x, block.y)
+    else:
+        target = LocalObservation.zero if goal.kind == "coordinate" else None
+    inflate = max(steer_radius, state.ground_robot.radius / cell)
+    return LocalObservation(
+        main=main, target=target,
+        obstacles=tuple(((o.x, o.y), o.radius + inflate) for o in obstacles),
+        head=parts["head"], tail=parts["tail"], body=parts["body"],
+    )
+
+
+def _random_local_map(rng, held):
+    """A local map as observe reports one under a goal, sorted by id: a mix
+    of obstacles, targets, landmarks and the carried object (labelled main),
+    with the robot's parts in view, out of view, partly in view, or with the
+    head on the tail."""
+    objects = []
+    for i in range(rng.randrange(7)):
+        oid = held if held is not None and rng.random() < 0.3 else f"o{i}"
+        category = rng.choice([Category.OBSTACLE, Category.TARGET, Category.LANDMARK])
+        if oid == held:
+            category = Category.MAIN
+        objects.append(SemanticObject(
+            oid, rng.choice("LOVE"), rng.uniform(-10, 10), rng.uniform(-10, 10), category,
+            Direction.FRONT if category == Category.LANDMARK else None,
+            rng.uniform(-3, 3), rng.uniform(0.0, 1.0)))
+    objects.sort(key=lambda o: o.id)
+    head, body = (rng.uniform(-5, 5), rng.uniform(-5, 5)), (rng.uniform(-5, 5), 0.0)
+    tail = rng.choice([head, (-head[0], -head[1])])
+    parts = rng.choice([{"head": head, "body": body, "tail": tail}] * 4
+                       + [{}, {"head": head, "body": body}])
+    return _observed_map(objects, parts)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_perceive_reads_the_map_as_the_multi_pass_reading(seed, monkeypatch):
+    import agnav.mission as mission
+
+    scen = load_scenario(type_a_scenario(0))
+    executor = MissionExecutor(decompose(parse_command(scen.task)), scen.world, scen.config)
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(400):
+        executor.state.attachment = rng.choice([None, "o2", "c"])
+        local_map = _random_local_map(rng, executor.state.attachment)
+        goal = rng.choice([GoalSpec.coordinate(1.0, 1.0), GoalSpec.object("L")])
+        monkeypatch.setattr(mission, "observe", lambda *args: local_map)
+        assert executor._perceive(goal) == (local_map, reference_perceive(executor, local_map, goal))
+        categories = [o.category for o in local_map.objects]
+        seen.update(
+            ("main",) * (Category.MAIN in categories)
+            + ("two targets",) * (categories.count(Category.TARGET) > 1)
+            + ("landmark",) * (Category.LANDMARK in categories)
+            + ("parts out of view",) * (not local_map.parts)
+            + ("head on tail",) * (local_map.parts.get("head") == local_map.parts.get("tail")
+                                   and bool(local_map.parts)))
+    assert seen == {"main", "two targets", "landmark", "parts out of view", "head on tail"}
+
+
 def test_attach_engages_the_block_perceive_reports():
     # two blocks named L in view: L2, the larger id, sits just off the head,
     # while L1 lies to the robot's left. The attach engages L1, the first
@@ -403,6 +491,72 @@ def test_carry_check_object_out_of_frame_conservative():
     state = _carrying_state()
     unseen = _observed_map([], {"head": (2, 0), "body": (0, 0), "tail": (-2, 0)})
     assert not carry_check(state, unseen)
+
+
+# -- collision detection only after the ground moves ---------------------------
+
+def _random_tick(state, rng):
+    """One random tick's change to ``state``, as the executor's phases make
+    them: a turn (toward an object or anywhere), a step, a stop, an attach
+    attempt on the object nearest the head, a detach, or a scripted drop
+    followed by a motion in the same tick."""
+    r = state.ground_robot
+    move = rng.choice(["forward"] * 4 + ["backward", "stop", "rotate", "turn_to"])
+    action = rng.choice([move] * 8 + ["attach", "detach", "drop"])
+    if action == "attach" and state.attachment is None:
+        hx, hy = state.head_point()
+        near = min(state.objects, key=lambda o: math.hypot(o.x - hx, o.y - hy))
+        attach(state, near.id)
+        return
+    if action in ("detach", "drop") and state.attachment is not None:
+        detach(state)
+        if action == "detach":
+            return
+    if move == "turn_to":
+        o = rng.choice(state.objects)
+        cmd = MotionCommand.rotate(math.atan2(o.y - r.y, o.x - r.x))
+    elif move == "rotate":
+        cmd = MotionCommand.rotate(rng.uniform(-math.pi, math.pi))
+    else:
+        cmd = getattr(MotionCommand, move)()
+    step_ground(state, cmd)
+
+
+@pytest.mark.parametrize("make_doc", [lambda: type_a_scenario(0), lambda: type_a_scenario(7),
+                                      lambda: type_b_scenario(0), lambda: type_b_scenario(2)],
+                         ids=["A0", "A7", "B0", "B2"])
+@pytest.mark.parametrize("seed", range(3))
+def test_end_tick_detects_as_detecting_every_tick(make_doc, seed, monkeypatch):
+    # the executor detects collisions only when the robot's pose or the
+    # attachment changed since its last detection; tick by tick, its events
+    # and overlaps must be those of detecting on every tick
+    import agnav.mission as mission
+
+    scen = load_scenario(make_doc())
+    executor = MissionExecutor(decompose(parse_command(scen.task)), scen.world, scen.config)
+    state, rng = executor.state, random.Random(seed)
+    # start with a block at the head, so that the first attach engages
+    block = state.objects[0]
+    r, off = state.ground_robot, state.params.head_offset
+    r.x, r.y = block.x - off * math.cos(r.heading), block.y - off * math.sin(r.heading)
+    detections = []
+    monkeypatch.setattr(mission, "detect_collisions",
+                        lambda s, prev: detections.append(s.step) or detect_collisions(s, prev))
+    overlaps, releases, events = frozenset(), 0, 0
+    assert attach(state, block.id)
+    for tick in range(600):
+        had = state.attachment
+        if tick:
+            _random_tick(state, rng)
+        releases += had is not None and state.attachment is None
+        expected, overlaps = detect_collisions(state, overlaps)
+        executor._end_tick("test")
+        assert executor.trace[-1]["events"] == expected
+        assert executor.overlaps == overlaps
+        events += len(expected)
+    # the sequences release what they carry, collide, and skip detection on
+    # some ticks
+    assert releases > 0 and events > 0 and 0 < len(detections) < 600
 
 
 

@@ -162,6 +162,26 @@ def test_observe_rejects_an_altitude_that_is_not_positive(altitude):
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_observe_rejects_a_drone_position_that_is_not_finite(axis, value):
+    # a NaN position gave NaN footprint bounds, which passed the footprint's
+    # order test and reached the local map's JSON as a bare NaN
+    world = make_world([SimObject("o1", "O", 1.0, 0.0)])
+    setattr(world.drone, axis, value)
+    with pytest.raises(ValueError, match="position"):
+        observe(world, CAMERA, None, NoiseModel())
+
+
+@pytest.mark.parametrize("bounds", [
+    (math.nan, 1.0, 0.0, 1.0), (0.0, math.nan, 0.0, 1.0), (0.0, 1.0, math.nan, 1.0),
+    (0.0, 1.0, 0.0, math.nan), (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0),
+])
+def test_footprint_refuses_unordered_or_nan_bounds(bounds):
+    with pytest.raises(ValueError, match="bounds"):
+        Footprint(*bounds)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["position_sigma", "orientation_sigma"])
 def test_noise_model_rejects_non_finite_sigma(field, value):
     with pytest.raises(ValueError, match="finite"):
