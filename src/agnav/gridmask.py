@@ -56,6 +56,13 @@ class CameraModel:
         if not self.image_width > 0:
             raise ValueError("image_width must be positive")
 
+    @functools.cached_property
+    def scale(self) -> "GroundScale":
+        """``ground_scale(self)``, kept on the camera, which is frozen:
+        ``observe`` reads it every tick, and an attribute read hashes
+        nothing. A rejected camera keeps nothing and raises on every read."""
+        return ground_scale(self)
+
 
 @dataclass(frozen=True)
 class GroundScale:
@@ -78,14 +85,12 @@ def grid_lines(spec: GridSpec) -> tuple[list[tuple[int, float]], list[tuple[int,
     return xs, ys
 
 
-@functools.lru_cache(maxsize=64)
 def ground_scale(camera: CameraModel) -> GroundScale:
     """Meters-per-cell from altitude, horizontal FOV, and grid interval.
 
     n_grid = w / r (truncated toward zero when fractional),
     width_real = 2 * altitude * tan(FOV / 2), cell_m = width_real / n_grid.
-    Cached per camera (a frozen value), since ``observe`` asks every tick; a
-    rejected camera raises on every call.
+    ``CameraModel.scale`` keeps the result per camera.
     """
     n_grid = int(camera.image_width / camera.grid_interval)
     if n_grid == 0:

@@ -379,6 +379,9 @@ def resolve_goal(goal: GoalSpec, global_map: GlobalSemanticMap, arena) -> tuple[
 
 ATTACH_BUDGET = 300  # ticks an attach subtask may take before it fails
 ROLLBACK_LIMIT = 3  # drop recoveries allowed per mission
+# the roles, read once: on Python 3.11 a member read through its Enum class
+# costs about four plain attribute reads, and _perceive runs every tick
+_OBSTACLE, _LANDMARK, _TARGET = Category.OBSTACLE, Category.LANDMARK, Category.TARGET
 
 
 @dataclass
@@ -484,11 +487,14 @@ def carry_check(state: WorldState, observed_map) -> bool:
     back (re-runs the attach subtask). Losing sight of the object or the
     head counts as a drop."""
     head = observed_map.parts.get("head")
-    carried = next((o for o in observed_map.objects if o.id == state.attachment), None)
-    if head is None or carried is None:  # nothing attached matches no object
+    if head is None:
         return False
-    dist_m = math.hypot(carried.x - head[0], carried.y - head[1]) * observed_map.cell_m
-    return dist_m <= state.params.carry_radius
+    held = state.attachment
+    for oid, x, y, _, _ in observed_map.sightings:
+        if oid == held:
+            dist_m = math.hypot(x - head[0], y - head[1]) * observed_map.cell_m
+            return dist_m <= state.params.carry_radius
+    return False  # nothing attached matches no object
 
 
 class MissionExecutor:
@@ -596,39 +602,35 @@ class MissionExecutor:
         distinct), whose target is the first object labelled target by id,
         or the zero point for a coordinate goal. The objects labelled
         obstacle or landmark (a relation's reference) are its obstacles; the
-        carried object, labelled main, never is one. One pass over the
-        objects reads the obstacles, the target and the carried object."""
+        carried object, labelled main, never is one. The tick reads the
+        map's sightings, which under a coordinate goal carry no name, so
+        nothing is labelled."""
         local_map = observe(self.state, self.cfg.camera, goal, self.cfg.noise)
         parts = local_map.parts
         head, body, tail = parts.get("head"), parts.get("body"), parts.get("tail")
         if head is None or body is None or tail is None or head == tail:
             return local_map, None
-        held = self.state.attachment
-        obstacle, landmark, target_category = Category.OBSTACLE, Category.LANDMARK, Category.TARGET
-        obstacles, block, carried = [], None, None
-        for o in local_map.objects:
-            category = o.category
-            if category is obstacle or category is landmark:
-                obstacles.append(o)
-            elif category is target_category and block is None:
-                block = o
-            if o.id == held and carried is None:
-                carried = o
         # obstacle discs inflated by the whole moving ensemble's radius (the
         # trailing body included while carrying): the clearance term then
         # measures surface separation for everything that travels the ray
         inflate = self.state.ground_robot.radius / self.cell
         main = body
-        if carried is not None:
-            main, inflate = (carried.x, carried.y), max(carried.radius, inflate)
-        if block is not None:
-            target = (block.x, block.y)
-        else:  # a coordinate goal marks no target
-            target = LocalObservation.zero if goal.kind == "coordinate" else None
-        obs = LocalObservation(main, target,
-                               tuple([((o.x, o.y), o.radius + inflate) for o in obstacles]),
-                               head, tail, body)
-        return local_map, obs
+        held = self.state.attachment
+        sightings = local_map.sightings
+        if held is not None:
+            for oid, x, y, radius, _ in sightings:
+                if oid == held:
+                    main, inflate = (x, y), max(radius, inflate)
+                    break
+        obstacles, target = [], None
+        for _, x, y, radius, category in sightings:
+            if category is _OBSTACLE or category is _LANDMARK:
+                obstacles.append(((x, y), radius + inflate))
+            elif category is _TARGET and target is None:
+                target = (x, y)
+        if target is None and goal.kind == "coordinate":  # it marks no target
+            target = LocalObservation.zero
+        return local_map, LocalObservation(main, target, tuple(obstacles), head, tail, body)
 
     # -- phases ------------------------------------------------------------
 

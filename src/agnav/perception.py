@@ -15,15 +15,26 @@ on its key alone, so identical inputs give byte-identical maps with no shared
 generator state, and an object's report does not depend on the other objects
 (a substituted name is drawn from the scene's whole alphabet).
 
+``observe`` draws at the call only what every reader needs: the ``px`` and
+``py`` draws that place each object in view and the robot's parts. The
+``mis``, ``sub`` and ``yaw`` draws, the roles and the ``SemanticObject``s are
+made on the map's first read of ``objects``, at most once, from what the
+call took: the key prefix, each object's true name and yaw, the goal, the
+attachment and the scene's names. Since a draw depends on its key alone, a
+draw made later, or never, changes no byte that anyone reads. A tick under
+a coordinate goal reads only the map's ``sightings``, whose roles read no
+name, so its map is never labelled unless fusion reads it.
+
 ``observe`` encodes ``seed|step|`` once per call and ``seed|step|tag|`` once
 per point in view, and writes each draw as one expression over locally bound
-``sha256``, ``int.from_bytes`` and ``inv_cdf``. The camera's ground scale is
-cached per camera (``gridmask.ground_scale``), and the alphabet is sorted only
-when a ``mis`` draw hits.
+``sha256``, ``int.from_bytes`` and ``inv_cdf``. The camera keeps its ground
+scale (``CameraModel.scale``), and the alphabet is sorted only when a
+``mis`` draw hits.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import operator
@@ -31,7 +42,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional
 
-from .gridmask import CameraModel, GroundScale, ground_scale
+from .gridmask import CameraModel, GroundScale
 from .semantic_map import (
     Category,
     Direction,
@@ -41,7 +52,7 @@ from .semantic_map import (
 )
 
 _NORMAL = NormalDist()
-_by_id = operator.attrgetter("id")
+_by_id, _by_name = operator.attrgetter("id"), operator.attrgetter("name")
 # the roles, read once: on Python 3.11 a member read through its Enum class
 # costs about four plain attribute reads, and _role runs per object per tick
 _MAIN, _TARGET, _LANDMARK, _OBSTACLE = (
@@ -56,6 +67,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        # the seed's text is the head of every draw's key, so 1.0 or True
+        # would re-draw the stream that 1 draws
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an int, got {type(self.seed).__name__}")
         # a NaN sigma would pass a bare sign test and put every reported
         # point on the footprint corner, where the clamp sends a NaN
         if not all(math.isfinite(s) and s >= 0 for s in (self.position_sigma,
@@ -103,14 +118,16 @@ def observe(world, camera: CameraModel, goal: Optional[GoalSpec],
     name misclassification (substituting another name from the scenario's
     alphabet), and orientation noise. Robot head/body/tail parts are emitted
     when the ground robot is in view. Noisy positions clamp to the footprint
-    so every reported object projects back inside it.
+    so every reported object projects back inside it. The names, roles and
+    orientations are drawn on the map's first read of ``objects``, from what
+    the world showed at this call.
     """
     drone = world.drone
     if not drone.altitude > 0:  # NaN included
         raise ValueError("drone altitude must be positive")
     if not (math.isfinite(drone.x) and math.isfinite(drone.y)):
         raise ValueError("drone position must be finite")
-    scale = ground_scale(camera)
+    scale = camera.scale
     cell = scale.cell_m
     cx, cy = drone.x, drone.y
     fp = _footprint(scale, cx, cy)
@@ -120,26 +137,34 @@ def observe(world, camera: CameraModel, goal: Optional[GoalSpec],
     lo_x, lo_y = -hi_x, -hi_y
     step = world.step
     prefix = f"{noise.seed}|{step}|".encode()
-    pos_sigma, yaw_sigma = noise.position_sigma, noise.orientation_sigma
-    mis_prob = noise.misclassify_prob
+    pos_sigma = noise.position_sigma
     sha, from_bytes, inv_cdf = hashlib.sha256, int.from_bytes, _NORMAL.inv_cdf
 
-    # every point in view as (key prefix, x, y): the objects, then the robot
+    # every point in view as (key prefix, x, y, object): the objects by id,
+    # then the robot's parts, with object None
     seen = [o for o in world.objects if xmin <= o.x <= xmax and ymin <= o.y <= ymax]
-    points = [(prefix + f"{o.id}|".encode(), o.x, o.y) for o in seen]
+    seen.sort(key=_by_id)
+    points = [(prefix + f"{o.id}|".encode(), o.x, o.y, o) for o in seen]
     robot = world.ground_robot
     if xmin <= robot.x <= xmax and ymin <= robot.y <= ymax:
         ax = world.params.head_offset * math.cos(robot.heading)
         ay = world.params.head_offset * math.sin(robot.heading)
-        points += ((prefix + b"robot:head|", robot.x + ax, robot.y + ay),
-                   (prefix + b"robot:body|", robot.x, robot.y),
-                   (prefix + b"robot:tail|", robot.x - ax, robot.y - ay))
+        points += ((prefix + b"robot:head|", robot.x + ax, robot.y + ay, None),
+                   (prefix + b"robot:body|", robot.x, robot.y, None),
+                   (prefix + b"robot:tail|", robot.x - ax, robot.y - ay, None))
 
     # grid point of each, with position noise, clamped into view as
     # min(hi, max(lo, v)) clamps (a NaN lands on lo); a zero sigma still
-    # adds 0.0, which turns a -0.0 offset into 0.0
-    grid = []
-    for key, x, y in points:
+    # adds 0.0, which turns a -0.0 offset into 0.0. Each object in view
+    # becomes a spot (id, x, y, radius, role): the role is the one that
+    # reads no name, or None under an object or relation goal, whose roles
+    # read the name and so wait for labelling. What else labelling reads is
+    # taken now, since the carried object turns with the robot and the
+    # attachment changes: each object's name and yaw, and the scene's names.
+    carried = world.attachment
+    name_free = goal is None or goal.kind == "coordinate"
+    spots, named, grid = [], [], []
+    for key, x, y, o in points:
         gx = (x - cx) / cell
         gy = (y - cy) / cell
         if pos_sigma == 0.0:
@@ -152,46 +177,70 @@ def observe(world, camera: CameraModel, goal: Optional[GoalSpec],
                 (from_bytes(sha(key + b"py").digest()[:8], "big") + 0.5) / 2.0 ** 64)
         gx = gx if gx > lo_x else lo_x
         gy = gy if gy > lo_y else lo_y
-        grid.append(((gx if gx < hi_x else hi_x), (gy if gy < hi_y else hi_y)))
+        gx = gx if gx < hi_x else hi_x
+        gy = gy if gy < hi_y else hi_y
+        if o is None:
+            grid.append((gx, gy))
+        else:
+            spots.append((o.id, gx, gy, o.radius / cell,
+                          _role(o.id, None, goal, carried)[0] if name_free else None))
+            named.append((o.name, o.yaw))
+    # tuples, not lists: a queued map keeps them, and the collector stops
+    # tracking a tuple of names and numbers
+    spots, named = tuple(spots), tuple(named)
+    names = tuple(map(_by_name, world.objects)) if noise.misclassify_prob > 0.0 else None
+    parts = {"head": grid[0], "body": grid[1], "tail": grid[2]} if grid else {}
+    return LocalSemanticMap(
+        cx, cy, drone.altitude, cell, fp, None, step, parts,
+        label=functools.partial(_label, prefix, spots, named, names, goal, carried, noise),
+        sightings=spots if name_free else None)
 
+
+def _label(prefix: bytes, spots, named, names, goal: Optional[GoalSpec],
+           carried: Optional[str], noise: NoiseModel) -> tuple[SemanticObject, ...]:
+    """The objects of one observation, labelled: each object in view as
+    ``observe`` took it (its spot and its true name and yaw) with its
+    reported name (the ``mis`` and ``sub`` draws over the scene's
+    ``names``), its role under ``goal`` and its orientation (the ``yaw``
+    draw), all keyed by the call's ``prefix``."""
+    mis_prob, yaw_sigma = noise.misclassify_prob, noise.orientation_sigma
+    sha, from_bytes, inv_cdf = hashlib.sha256, int.from_bytes, _NORMAL.inv_cdf
     objects = []
     alphabet = None  # built on the first misclassification
-    carried = world.attachment
-    for o, (key, _, _), (gx, gy) in zip(seen, points, grid):
-        name = o.name
+    for (oid, gx, gy, radius, _), (true_name, yaw) in zip(spots, named):
+        key = prefix + f"{oid}|".encode()
+        name = true_name
         if mis_prob > 0.0 and (from_bytes(sha(key + b"mis").digest()[:8], "big")
                                + 0.5) / 2.0 ** 64 < mis_prob:
             if alphabet is None:
-                alphabet = sorted({s.name for s in world.objects})
+                alphabet = sorted(set(names))
             if len(alphabet) > 1:
-                others = [n for n in alphabet if n != o.name]
+                others = [n for n in alphabet if n != true_name]
                 u = (from_bytes(sha(key + b"sub").digest()[:8], "big") + 0.5) / 2.0 ** 64
                 name = others[int(u * len(others))]
-        category, direction = _role(o.id, name, goal, carried)
-        yaw = o.yaw + (0.0 if yaw_sigma == 0.0 else yaw_sigma * inv_cdf(
-            (from_bytes(sha(key + b"yaw").digest()[:8], "big") + 0.5) / 2.0 ** 64))
-        objects.append(SemanticObject(o.id, name, gx, gy, category, direction, yaw,
-                                      o.radius / cell))
-    objects.sort(key=_by_id)
-
-    return LocalSemanticMap(cx, cy, drone.altitude, cell, fp, tuple(objects), step,
-                            dict(zip(("head", "body", "tail"), grid[len(seen):])))
+        category, direction = _role(oid, name, goal, carried)
+        yaw += 0.0 if yaw_sigma == 0.0 else yaw_sigma * inv_cdf(
+            (from_bytes(sha(key + b"yaw").digest()[:8], "big") + 0.5) / 2.0 ** 64)
+        objects.append(SemanticObject(oid, name, gx, gy, category, direction, yaw, radius))
+    return tuple(objects)
 
 
-def _role(oid: str, name: str, goal: Optional[GoalSpec], carried: Optional[str]):
+def _role(oid: str, name: Optional[str], goal: Optional[GoalSpec], carried: Optional[str]):
     """(category, direction) of one scene object as observed under ``name``,
     prompted with ``goal``. Map construction (no goal) assigns no roles; the
     carried object (id ``carried``, the world's attachment) is main; an
     object goal's object is the target; a relation goal's reference is a
     landmark carrying the goal's direction; everything else is an obstacle.
     A coordinate goal marks no target: the robot aligns with the image zero
-    point."""
+    point. No goal and a coordinate goal read no name, so ``observe`` asks
+    their roles with ``name`` None before any name is drawn."""
     if goal is None:
         return None, None
     if oid == carried:
         return _MAIN, None
-    if name == goal.name and goal.kind == "object":
+    kind = goal.kind
+    if kind == "object" and name == goal.name:
         return _TARGET, None
-    if name == goal.name and goal.kind == "relation":
+    if kind == "relation" and name == goal.name:
         return _LANDMARK, goal.direction
     return _OBSTACLE, None

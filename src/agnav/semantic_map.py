@@ -37,7 +37,7 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .gridmask import grid_to_world
 
@@ -89,9 +89,10 @@ class SemanticObject:
             raise ValueError(f"radius must be non-negative, got {self.radius}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Footprint:
-    """Axis-aligned world rectangle seen by one observation pose."""
+    """Axis-aligned world rectangle seen by one observation pose. Slotted:
+    ``observe`` builds one every tick, and a queued local map keeps it."""
 
     xmin: float
     xmax: float
@@ -111,8 +112,18 @@ class LocalSemanticMap:
     """One aerial observation: the observer pose, its footprint, the objects
     in view in grid cells and the robot's head/body/tail grid points.
 
+    ``sightings`` is what a tick reads of the objects: one ``(id, x, y,
+    radius, category)`` tuple per object, in the objects' order, with no
+    name and no orientation. A map may be labelled late: built with
+    ``objects=None`` and a ``label`` callable, it builds its objects by one
+    ``label()`` call on the first read of ``objects`` and then keeps them and
+    drops ``label``. ``observe`` passes ``sightings`` when its goal reads no
+    names, so a tick under a coordinate goal never labels. Sightings not
+    passed are read off the objects on first read. Both reads go through
+    ``__getattr__``, which Python calls only while the slot is empty.
+
     Slotted and not frozen, as ``SemanticObject`` is: ``observe`` builds one
-    every tick, and a frozen init costs several times as much. Nothing
+    every tick, and a frozen init costs several times as much. Nothing else
     assigns to a local map once built; fusion hashes only its footprint."""
 
     observer_x: float
@@ -120,9 +131,31 @@ class LocalSemanticMap:
     altitude: float
     cell_m: float
     footprint: Footprint
-    objects: tuple[SemanticObject, ...]
+    objects: Optional[tuple[SemanticObject, ...]]
     step_index: int
     parts: dict = field(default_factory=dict)  # head/body/tail grid points
+    label: Optional[Callable[[], tuple[SemanticObject, ...]]] = field(
+        default=None, kw_only=True, repr=False, compare=False)
+    sightings: Optional[tuple] = field(default=None, kw_only=True, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.objects is None:
+            if self.label is None:
+                raise ValueError("a local map needs its objects or a label")
+            del self.objects
+        if self.sightings is None:
+            del self.sightings
+
+    def __getattr__(self, name):
+        if name == "objects":
+            self.objects = objects = self.label()
+            self.label = None
+            return objects
+        if name == "sightings":
+            self.sightings = sightings = tuple([(o.id, o.x, o.y, o.radius, o.category)
+                                                for o in self.objects])
+            return sightings
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 class Confidence(Enum):

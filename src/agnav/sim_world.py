@@ -74,8 +74,8 @@ class SimParams:
     def __post_init__(self):
         for name in ("drone_speed", "ground_step", "rotate_rate", "follow_radius",
                      "attach_range", "attach_angle_tol", "carry_radius", "head_offset"):
-            if not getattr(self, name) > 0:  # NaN included
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN included
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass

@@ -909,3 +909,82 @@ def test_deferred_fusion_dropped_by_a_later_map_construction():
     move = decompose(parse_command(scen.task)).subtasks
     back = decompose(MoveTo(GoalSpec.coordinate(0.0, 0.0))).subtasks
     assert_deferral_matches_eager(TaskPlan(move + back + move[1:]), scen)
+
+
+# -- labels drawn on first read --------------------------------------------------
+
+def _noisy(make_doc):
+    def doc():
+        d = _fuse_every_tick(make_doc())
+        d["noise"] = dict(NOISE_CALIBRATED)
+        return d
+    return doc
+
+
+LATE_LABEL_CASES = [
+    (name, _noisy(make), seed)
+    for name, make in [("A0", lambda: type_a_scenario(0)), ("A7", lambda: type_a_scenario(7)),
+                       ("B0", lambda: type_b_scenario(0)), ("B2", lambda: type_b_scenario(2)),
+                       ("blocked_window", _blocked_window_doc)]
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("make_doc,seed", [c[1:] for c in LATE_LABEL_CASES],
+                         ids=[f"{c[0]}_seed{c[2]}" for c in LATE_LABEL_CASES])
+def test_late_labels_match_labels_read_at_once(make_doc, seed, monkeypatch):
+    # noisy missions fusing every tick, where a queued map is labelled when
+    # the global map is next read (the blocked window's replan at step 74
+    # reads it mid-leg), against an executor whose observe reads the
+    # objects before it returns: same trace bytes, same fused map
+    import agnav.mission as mission
+
+    scen = load_scenario(make_doc(), seed_override=seed)
+    plan = decompose(parse_command(scen.task, scen.config.relation_clearance),
+                     pitch=scen.config.pitch)
+    observe = mission.observe
+
+    def observe_labelled_at_once(*args):
+        local_map = observe(*args)
+        local_map.objects
+        return local_map
+
+    runs = []
+    for labelled_at_once in (False, True):
+        if labelled_at_once:
+            monkeypatch.setattr(mission, "observe", observe_labelled_at_once)
+        executor = MissionExecutor(plan, scen.world, scen.config)
+        res = executor.run()
+        h = hashlib.sha256()
+        _hash_run(h, res)
+        runs.append((h.hexdigest(), res.trace, executor.global_map))
+    (digest, trace, fused), (at_once_digest, _, at_once) = runs
+    assert digest == at_once_digest
+    assert (fused.revision, fused.entries, fused.pool, fused.footprints) == (
+        at_once.revision, at_once.entries, at_once.pool, at_once.footprints)
+    if make_doc is LATE_LABEL_CASES[-1][1]:
+        assert [r["step"] for r in trace if r.get("replanned")] == [74]
+
+
+def test_coordinate_goal_move_ticks_draw_no_label(monkeypatch):
+    # a noisy move_to mission: its move ticks read positions only, so no
+    # mis, sub or yaw draw is keyed by a move tick's step; the construct-map
+    # views are fused, so they are labelled
+    draws = []
+    sha256 = hashlib.sha256
+
+    def counted(data=b"", **kwargs):
+        draws.append(data.decode().split("|"))
+        return sha256(data, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    scen = load_scenario(_navigate_style_doc(0), seed_override=0)
+    executor = MissionExecutor(decompose(parse_command(scen.task)), scen.world, scen.config)
+    res = executor.run()
+    assert res.success
+    move_steps = {str(r["step"]) for r in res.trace if r["phase"] == "move"}
+    by_phase = {"move": set(), "other": set()}
+    for seed, step, _, channel in draws:
+        by_phase["move" if step in move_steps else "other"].add(channel)
+    assert by_phase["move"] == {"px", "py"}
+    assert {"mis", "yaw"} <= by_phase["other"]

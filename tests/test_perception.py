@@ -188,6 +188,31 @@ def test_noise_model_rejects_non_finite_sigma(field, value):
         NoiseModel(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [1.0, True, False, "1", None])
+def test_noise_model_refuses_a_seed_that_is_not_an_int(seed):
+    # the seed's text heads every draw's key: 1.0 or True would silently
+    # draw another stream than 1
+    with pytest.raises(ValueError, match="seed must be an int"):
+        NoiseModel(seed=seed)
+
+
+def test_observe_reads_the_scale_without_hashing_the_camera(monkeypatch):
+    world = make_world([SimObject("o1", "O", 1.0, 0.0)])
+    camera = CameraModel(2.0, math.pi / 2, 1600, 80)
+    first = observe(world, camera, None, NoiseModel())
+    monkeypatch.setattr(CameraModel, "__hash__", lambda self: pytest.fail("camera hashed"))
+    for _ in range(3):
+        assert observe(world, camera, None, NoiseModel()) == first
+
+
+def test_observe_refuses_a_rejected_camera_on_every_call():
+    world = make_world([SimObject("o1", "O", 1.0, 0.0)])
+    camera = CameraModel(2.0, 1.0, 100, 200)  # n_grid = 0
+    for _ in range(3):
+        with pytest.raises(ValueError, match="n_grid"):
+            observe(world, camera, None, NoiseModel())
+
+
 # -- reference observe ---------------------------------------------------------
 # observe as first written: one f-string key formatted and hashed per draw,
 # two ground_scale calls, a clamp call per axis. Kept as the oracle for the
@@ -421,3 +446,79 @@ def test_interleaved_cameras_and_alphabets_each_equal_the_reference():
     assert sum(a != b for a, b in zip(alphabets, alphabets[1:])) >= len(order) // 2
     for case in order + order[::-1]:
         assert _report_bits(observe(*case)) == _report_bits(reference_observe(*case))
+
+
+# -- labels drawn on first read --------------------------------------------------
+
+def _move_on(world, rng):
+    """Move the world past an observation as the executor can: advance the
+    step, turn and move the robot with the carried object slaved to the
+    head, detach, then re-attach some object and turn it."""
+    world.step += rng.randint(1, 40)
+    robot = world.ground_robot
+    robot.heading += rng.uniform(0.2, 1.0)
+    robot.x += 0.05
+    if world.attachment is not None:
+        carried = world.object_by_id(world.attachment)
+        carried.x, carried.y = world.head_point()
+        carried.yaw = robot.heading
+    world.attachment = None
+    if world.objects:
+        again = rng.choice(world.objects)
+        world.attachment = again.id
+        again.x, again.y = world.head_point()
+        again.yaw = robot.heading + 0.5
+
+
+class _DrawCounter:
+    """Counts sha256 calls by channel while installed as hashlib.sha256."""
+
+    def __init__(self):
+        self.channels = []
+
+    def __call__(self, data=b"", **kwargs):
+        self.channels.append(data.rsplit(b"|", 1)[-1].decode())
+        return _SHA256(data, **kwargs)
+
+
+_SHA256 = hashlib.sha256
+NOISES = {
+    "calibrated": NoiseModel(position_sigma=0.15, misclassify_prob=0.05,
+                             orientation_sigma=0.05, seed=11),
+    "all_misclassified": NoiseModel(position_sigma=0.15, misclassify_prob=1.0,
+                                    orientation_sigma=0.05, seed=12),
+    "zero_sigmas": NoiseModel(misclassify_prob=0.3, seed=13),
+}
+
+
+@pytest.mark.parametrize("noise", list(NOISES.values()), ids=list(NOISES))
+def test_late_labels_equal_the_reference_at_the_call(noise, monkeypatch):
+    # a map is labelled on the first read of its objects, after the world
+    # has moved on; every map must equal the reference taken at the call,
+    # under every kind of goal, and a second read must draw nothing
+    rng = random.Random(41)
+    counter = _DrawCounter()
+    monkeypatch.setattr(hashlib, "sha256", counter)
+    kinds, labelled = set(), 0
+    for _ in range(120):
+        world, camera, _, _ = random_world_case(rng)
+        letter = rng.choice(LETTERS)
+        for goal in (None, GoalSpec.coordinate(0.3, -0.4), GoalSpec.object(letter),
+                     GoalSpec.relation(letter, Direction.LEFT, 0.55)):
+            ref = reference_observe(world, camera, goal, noise)
+            del counter.channels[:]
+            got = observe(world, camera, goal, noise)
+            if goal is None or goal.kind == "coordinate":
+                got.sightings
+                assert set(counter.channels) <= {"px", "py"}
+            _move_on(world, rng)
+            assert got == ref
+            assert _report_bits(got) == _report_bits(ref)
+            assert got.sightings == tuple((o.id, o.x, o.y, o.radius, o.category)
+                                          for o in ref.objects)
+            del counter.channels[:]
+            got.objects, got.sightings
+            assert counter.channels == []
+            kinds.add(goal.kind if goal is not None else None)
+            labelled += len(got.objects)
+    assert kinds == {None, "coordinate", "object", "relation"} and labelled > 500

@@ -778,3 +778,11 @@ def test_gridmask_svg_cli(tmp_path):
     r = run_cli("gridmask-svg", "--width", "10", "--height", "10",
                 "--cell", "80", "--out", str(out))
     assert r.returncode == 1
+
+
+@pytest.mark.parametrize("seed", [1.0, True])
+def test_load_scenario_refuses_a_seed_override_that_is_not_an_int(seed):
+    # the seed's text heads every noise draw's key, so 1.0 or True would
+    # silently draw another stream than 1; a float $.seed was refused already
+    with pytest.raises(ScenarioError, match="seed must be an int"):
+        load_scenario(type_a_scenario(0, noise=dict(NOISE_CALIBRATED)), seed_override=seed)

@@ -232,6 +232,17 @@ def test_sim_params_validation():
         SimParams(drone_speed=0.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["drone_speed", "ground_step", "rotate_rate", "follow_radius",
+                                  "attach_range", "attach_angle_tol", "carry_radius",
+                                  "head_offset"])
+def test_sim_params_refuse_a_value_that_is_not_finite(name, value):
+    # an infinite step or reach is no kinematics; the scenario loader already
+    # answers "expected a finite number" for the same value
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        SimParams(**{name: value})
+
+
 @pytest.mark.parametrize("make", [
     lambda r: SimObject("b", "B", 0.0, 0.0, radius=r),
     lambda r: GroundRobot(0.0, 0.0, 0.0, r),
